@@ -86,8 +86,6 @@ def _add_instance_args(p, with_dist=True):
 def _add_common(p):
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (computations are deterministic regardless)")
 
 
 def cmd_solve(args) -> int:

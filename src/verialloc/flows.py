@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._maxflow import MaxFlow
+from .distributions import bin_average
 
 DEFAULT_SCALE = 10**9
 DEFAULT_MAX_PROFILES = 1_000_000
@@ -376,22 +377,8 @@ def border_rhs(inst: DiscreteInstance, E: CheckSet, *,
     """Supply side: E[min(|J(t) cap I(t, E)|, h(t))] by profile enumeration."""
     _require_enumerable(inst, max_profiles)
     E = make_check_set(inst, E)
-    num = 0
-    units = []
-    denoms = []
-    for row in inst.masses:
-        u, d = _mass_units(row, DEFAULT_SCALE)
-        units.append(u)
-        denoms.append(d)
-    for prof in inst.profiles():
-        hit = sum(1 for i in inst.J(prof) if prof[i] in E[i])
-        cap = inst.h(prof)
-        if hit and cap:
-            w = 1
-            for j, t in enumerate(prof):
-                w *= units[j][t]
-            num += w * min(hit, cap)
-    return num / math.prod(denoms)
+    sc = _Scaled(inst, [[0.0] * s for s in inst.sizes], DEFAULT_SCALE)
+    return sc.to_float(sc.rhs_units(E))
 
 
 def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
@@ -749,6 +736,14 @@ def check_interim_audit(inst: DiscreteInstance, p_merit: np.ndarray,
     capacity k and eligibility J(t) = {i : p_merit_i(t) = 1}.
     """
     _require_enumerable(inst, max_profiles)
+    return check_feasible(_audit_instance(inst, p_merit, k), A, scale=scale,
+                          max_profiles=max_profiles, want_expost=want_expost)
+
+
+def _audit_instance(inst: DiscreteInstance, p_merit: np.ndarray,
+                    k: int) -> DiscreteInstance:
+    """The audit problem as an allocation problem: capacity k, J(t) the
+    merit winners at t."""
     p_merit = np.asarray(p_merit, dtype=bool)
     if p_merit.shape != (inst.n_profiles, inst.n_agents):
         raise ValueError(
@@ -760,14 +755,12 @@ def check_interim_audit(inst: DiscreteInstance, p_merit: np.ndarray,
         winners = frozenset(np.flatnonzero(p_merit[pid]).tolist())
         if len(winners) < inst.n_agents:
             eligible[tuple(prof)] = winners
-    derived = DiscreteInstance(
+    return DiscreteInstance(
         grids=inst.grids,
         masses=inst.masses,
         capacity_default=int(k),
         eligible=eligible,
     )
-    return check_feasible(derived, A, scale=scale, max_profiles=max_profiles,
-                          want_expost=want_expost)
 
 
 def discretize_rules(cont_inst, rules, bins: int, *,
@@ -785,27 +778,16 @@ def discretize_rules(cont_inst, rules, bins: int, *,
     amount so no two agents can ever report equal values; rank-based
     allocation rules on the grid then never see ties.
     """
-    from scipy.integrate import quad as _quad
-
     dist = cont_inst.dist
     edges = np.linspace(0.0, 1.0, bins + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    masses = []
-    p_avg = []
+    masses = [float(dist.cdf(hi)) - float(dist.cdf(lo))
+              for lo, hi in zip(edges[:-1], edges[1:])]
     breakpoints = (
         [iv.lo for iv in rules.partition.intervals]
         if rules.partition is not None else []
     )
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mass = float(dist.cdf(hi)) - float(dist.cdf(lo))
-        pts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-        num = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            piece, _ = _quad(lambda t: rules.P(t) * dist.pdf(t), a, b,
-                             epsabs=1e-13, limit=200)
-            num += piece
-        masses.append(mass)
-        p_avg.append(num / mass)
+    p_avg = bin_average(rules.P, dist, edges, breakpoints).tolist()
     total = sum(masses)
     masses = [w / total for w in masses]
 
@@ -837,8 +819,7 @@ def audit_threshold_report(inst: DiscreteInstance, p_merit: np.ndarray,
     reports the tightest member.  The general flow check remains the
     oracle.
     """
-    p_merit = np.asarray(p_merit, dtype=bool)
-    sc = _Scaled(inst, A, scale)
+    sc = _Scaled(_audit_instance(inst, p_merit, k), A, scale)
     size_max = max(inst.sizes)
     worst = None
     for g in range(0, aud_lo + 1):
@@ -851,15 +832,7 @@ def audit_threshold_report(inst: DiscreteInstance, p_merit: np.ndarray,
                 for s in inst.sizes
             )
             lhs = sc.lhs_units(E)
-            rhs = 0
-            for pid, prof in enumerate(inst.profiles()):
-                hit = sum(
-                    1 for i in range(inst.n_agents)
-                    if p_merit[pid, i] and prof[i] in E[i]
-                )
-                if hit:
-                    rhs += sc.weight(prof) * min(hit, k)
-            rhs *= scale
+            rhs = sc.rhs_units(E)
             slack = rhs - lhs
             if worst is None or slack < worst[0]:
                 worst = (slack, E, lhs, rhs)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
+from .distributions import integrate
 from .envelope import (
     LABEL_ALLO,
     LABEL_AUD,
@@ -120,18 +120,11 @@ def interim_integral(rules: InterimRules, inst: ProblemInstance, t: float) -> fl
         raise ValueError(f"type {t} outside [0, 1]")
     if t == 1.0:
         return 0.0
-    breakpoints = [t, 1.0]
-    if rules.partition is not None:
-        breakpoints += [
-            iv.lo for iv in rules.partition.intervals if t < iv.lo < 1.0
-        ]
-    breakpoints = sorted(set(breakpoints))
-    pdf = inst.dist.pdf
-    total = 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        piece, _ = quad(lambda x: rules.P(x) * pdf(x), lo, hi, epsabs=1e-12, limit=200)
-        total += piece
-    return inst.n * total
+    breakpoints = (
+        [iv.lo for iv in rules.partition.intervals]
+        if rules.partition is not None else []
+    )
+    return inst.n * integrate(rules.P, inst.dist, t, 1.0, breakpoints)
 
 
 def bic_slack(rules: InterimRules) -> Callable[[float], float]:

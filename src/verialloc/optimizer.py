@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .distributions import expected_value, truncated_mean
+from .distributions import expected_value, integrate, truncated_mean
 from .envelope import (
     CASE_AUD_ALLO,
     ProblemInstance,
@@ -76,19 +75,11 @@ def payoff(phi: float, inst: ProblemInstance,
     """
     if part is None:
         part = partition(phi, inst)
-    pdf = inst.dist.pdf
-    total = 0.0
-    for iv in part.intervals:
-        if iv.hi <= iv.lo:
-            continue
-        piece, _ = quad(
-            lambda t, label=iv.label: allocation_branch(label, t, part.phi, inst) * t * pdf(t),
-            iv.lo,
-            iv.hi,
-            epsabs=1e-12,
-            limit=200,
-        )
-        total += piece
+    total = sum(
+        integrate(lambda t, label=iv.label: allocation_branch(label, t, part.phi, inst) * t,
+                  inst.dist, iv.lo, iv.hi)
+        for iv in part.intervals if iv.hi > iv.lo
+    )
     return inst.n * total
 
 
@@ -127,17 +118,14 @@ def baseline_payoffs(inst: ProblemInstance) -> dict:
     remaining m - k objects uniformly over everyone else.
     """
     n, m, k = inst.n, inst.m, inst.k
-    pdf = inst.dist.pdf
-
-    fb, _ = quad(lambda t: efficient_rule(t, inst) * t * pdf(t), 0.0, 1.0,
-                 epsabs=1e-12, limit=200)
     residual_share = (m - k) / (n - k)
 
     def p_ktop(t: float) -> float:
         p_top = top_k_rule(t, inst)
         return p_top + (1.0 - p_top) * residual_share
 
-    kt, _ = quad(lambda t: p_ktop(t) * t * pdf(t), 0.0, 1.0, epsabs=1e-12, limit=200)
+    fb = integrate(lambda t: efficient_rule(t, inst) * t, inst.dist, 0.0, 1.0)
+    kt = integrate(lambda t: p_ktop(t) * t, inst.dist, 0.0, 1.0)
 
     return {
         "first_best": n * fb,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
+from .distributions import bin_average
 from .envelope import (
     LABEL_ALLO,
     LABEL_AUD,
@@ -144,10 +144,10 @@ def _philox(seed: int, stage: int, round_id: int) -> np.random.Generator:
     )
 
 
-def _codes_and_bounds(part: RegionPartition) -> tuple[np.ndarray, np.ndarray]:
-    bounds = np.array([iv.lo for iv in part.intervals[1:]])
+def _regions(types: np.ndarray, part: RegionPartition) -> np.ndarray:
+    """Region code of every type: 0 incentive, 1 audit, 2 supply."""
     codes = np.array([_REGION_CODE[iv.label] for iv in part.intervals])
-    return bounds, codes
+    return codes[part.region_codes(types)]
 
 
 def _rank_desc(values: np.ndarray) -> np.ndarray:
@@ -159,6 +159,33 @@ def _rank_desc(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _gumbel_pick(mask: np.ndarray, types: np.ndarray, weights: BinWeights,
+                 quota: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Weighted draw of up to ``quota`` entries of ``mask`` per row, without
+    replacement: the entries whose Gumbel-perturbed log-weights rank highest
+    (Efraimidis & Spirakis 2006)."""
+    keys = np.where(
+        mask, np.log(weights.lookup(types)) + rng.gumbel(size=types.shape), -np.inf
+    )
+    return mask & (_rank_desc(keys) < quota[:, None])
+
+
+def _lottery_stage(types, reg, merit, m: int, weights: BinWeights, rng):
+    """Remaining objects go to audit/incentive-region agents without one."""
+    eligible = (reg <= 1) & ~merit
+    take = np.minimum(m - merit.sum(axis=1), eligible.sum(axis=1))
+    return _gumbel_pick(eligible, types, weights, take, rng)
+
+
+def _audit_stage(types, reg, merit, k: int, weights: BinWeights, rng):
+    """All merit winners when they fit k; otherwise every audit-region
+    winner plus a weighted draw of supply-region winners for the rest."""
+    forced = merit & (reg == 1)
+    quota = k - forced.sum(axis=1)
+    selected = _gumbel_pick(merit & (reg == 2), types, weights, quota, rng)
+    return np.where((merit.sum(axis=1) <= k)[:, None], merit, forced | selected)
+
+
 def _mechanism_batch(types: np.ndarray, part: RegionPartition,
                      inst: ProblemInstance, lottery_w: BinWeights,
                      audit_w: BinWeights, rng: np.random.Generator,
@@ -167,10 +194,8 @@ def _mechanism_batch(types: np.ndarray, part: RegionPartition,
 
     Returns (region codes, merit, lottery, allocated, audited, tie) masks.
     """
-    n_rows, n = types.shape
     m, k = inst.m, inst.k
-    bounds, codes = _codes_and_bounds(part)
-    reg = codes[np.searchsorted(bounds, types.ravel(), side="right")].reshape(n_rows, n)
+    reg = _regions(types, part)
 
     ranks = _rank_desc(types)
     sorted_vals = np.take_along_axis(types, np.argsort(-types, axis=1, kind="stable"), axis=1)
@@ -179,30 +204,13 @@ def _mechanism_batch(types: np.ndarray, part: RegionPartition,
     merit = (~tie)[:, None] & (((reg == 2) & (ranks < m)) | ((reg == 1) & (ranks < k)))
 
     if run_lottery:
-        eligible = (~tie)[:, None] & (reg <= 1) & ~merit
-        take = np.minimum(m - merit.sum(axis=1), eligible.sum(axis=1))
-        keys = np.where(
-            eligible,
-            np.log(lottery_w.lookup(types)) + rng.gumbel(size=types.shape),
-            -np.inf,
-        )
-        lottery = eligible & (_rank_desc(keys) < take[:, None])
+        lottery = (~tie)[:, None] & _lottery_stage(types, reg, merit, m, lottery_w, rng)
     else:
         lottery = np.zeros_like(merit)
     allocated = merit | lottery
 
     if run_audit:
-        forced = merit & (reg == 1)
-        n_merit = merit.sum(axis=1)
-        allo_winners = merit & (reg == 2)
-        akeys = np.where(
-            allo_winners,
-            np.log(audit_w.lookup(types)) + rng.gumbel(size=types.shape),
-            -np.inf,
-        )
-        quota = k - forced.sum(axis=1)
-        selected = allo_winners & (_rank_desc(akeys) < quota[:, None])
-        audited = np.where((n_merit <= k)[:, None], merit, forced | selected)
+        audited = _audit_stage(types, reg, merit, k, audit_w, rng)
     else:
         audited = np.zeros_like(merit)
 
@@ -212,6 +220,10 @@ def _mechanism_batch(types: np.ndarray, part: RegionPartition,
 # ---------------------------------------------------------------------------
 # scalar operations (single profile)
 # ---------------------------------------------------------------------------
+
+def _row_set(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask[0]).tolist())
+
 
 def merit_allocate(profile, part: RegionPartition, inst: ProblemInstance) -> frozenset:
     """Winners of the deterministic merit stage at one profile of reports.
@@ -225,7 +237,7 @@ def merit_allocate(profile, part: RegionPartition, inst: ProblemInstance) -> fro
         types, part, inst, BinWeights.uniform(1), BinWeights.uniform(1),
         _philox(0, 3, 0), run_lottery=False, run_audit=False,
     )
-    return frozenset(np.flatnonzero(merit[0]).tolist())
+    return _row_set(merit)
 
 
 def lottery_allocate(profile, merit_winners, weights: BinWeights,
@@ -234,23 +246,14 @@ def lottery_allocate(profile, merit_winners, weights: BinWeights,
     """Second-stage winners: a weighted draw without replacement of the
     remaining objects among audit/incentive-region agents not yet holding
     an object.  Supply-region losers never enter."""
-    types = np.asarray(profile, dtype=float)
-    n = len(types)
-    m = inst.m
-    bounds, codes = _codes_and_bounds(part)
-    reg = codes[np.searchsorted(bounds, types, side="right")]
-    merit_mask = np.zeros(n, dtype=bool)
-    merit_mask[list(merit_winners)] = True
-    eligible = (reg <= 1) & ~merit_mask
-    remaining = min(m - int(merit_mask.sum()), int(eligible.sum()))
-    if remaining <= 0:
-        return frozenset()
-    keys = np.where(eligible, np.log(weights.lookup(types)) + rng.gumbel(size=n), -np.inf)
-    winners = np.argsort(-keys, kind="stable")[:remaining]
-    return frozenset(int(w) for w in winners)
+    types = np.asarray(profile, dtype=float)[None, :]
+    merit = np.zeros(types.shape, dtype=bool)
+    merit[0, list(merit_winners)] = True
+    return _row_set(_lottery_stage(types, _regions(types, part), merit, inst.m,
+                                   weights, rng))
 
 
-def audit_select(profile, allocated, stage_labels, rng: np.random.Generator,
+def audit_select(profile, stage_labels, rng: np.random.Generator,
                  part: RegionPartition, inst: ProblemInstance,
                  weights: Optional[BinWeights] = None) -> frozenset:
     """Choose whom to verify among this profile's merit winners.
@@ -263,27 +266,10 @@ def audit_select(profile, allocated, stage_labels, rng: np.random.Generator,
     """
     if weights is None:
         weights = BinWeights.uniform(1)
-    types = np.asarray(profile, dtype=float)
-    n = len(types)
-    k = inst.k
-    merit_mask = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if stage_labels[i] == "merit":
-            merit_mask[i] = True
-    if not merit_mask.any():
-        return frozenset()
-    bounds, codes = _codes_and_bounds(part)
-    reg = codes[np.searchsorted(bounds, types, side="right")]
-    if merit_mask.sum() <= k:
-        return frozenset(np.flatnonzero(merit_mask).tolist())
-    forced = merit_mask & (reg == 1)
-    pool = merit_mask & (reg == 2)
-    quota = k - int(forced.sum())
-    keys = np.where(pool, np.log(weights.lookup(types)) + rng.gumbel(size=n), -np.inf)
-    chosen = np.argsort(-keys, kind="stable")[:quota] if quota > 0 else []
-    out = set(np.flatnonzero(forced).tolist())
-    out.update(int(c) for c in chosen)
-    return frozenset(out)
+    types = np.asarray(profile, dtype=float)[None, :]
+    merit = np.array([[label == "merit" for label in stage_labels]])
+    return _row_set(_audit_stage(types, _regions(types, part), merit, inst.k,
+                                 weights, rng))
 
 
 def run_profile(profile, part: RegionPartition, inst: ProblemInstance,
@@ -302,8 +288,8 @@ def run_profile(profile, part: RegionPartition, inst: ProblemInstance,
     return ProfileOutcome(
         profile=tuple(float(t) for t in profile),
         seed_draw=seed_draw,
-        allocated=frozenset(np.flatnonzero(allocated[0]).tolist()),
-        audited=frozenset(np.flatnonzero(audited[0]).tolist()),
+        allocated=_row_set(allocated),
+        audited=_row_set(audited),
         stage=stage,
     )
 
@@ -311,23 +297,6 @@ def run_profile(profile, part: RegionPartition, inst: ProblemInstance,
 # ---------------------------------------------------------------------------
 # targets
 # ---------------------------------------------------------------------------
-
-def _bin_average(f, inst: ProblemInstance, edges: np.ndarray,
-                 breakpoints) -> np.ndarray:
-    """Per-bin conditional mean of f under the type distribution."""
-    dist = inst.dist
-    out = np.empty(len(edges) - 1)
-    brk = sorted(b for b in breakpoints if 0.0 < b < 1.0)
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        mass = float(dist.cdf(hi)) - float(dist.cdf(lo))
-        pts = sorted({lo, hi, *(b for b in brk if lo < b < hi)})
-        num = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            piece, _ = quad(lambda t: f(t) * dist.pdf(t), a, b, epsabs=1e-12, limit=200)
-            num += piece
-        out[j] = num / mass if mass > 0 else np.nan
-    return out
-
 
 def bin_targets(inst: ProblemInstance, rules: InterimRules,
                 edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,7 +307,7 @@ def bin_targets(inst: ProblemInstance, rules: InterimRules,
     """
     part = rules.partition
     breakpoints = [iv.lo for iv in part.intervals]
-    p_t = _bin_average(rules.P, inst, edges, breakpoints)
+    p_t = bin_average(rules.P, inst.dist, edges, breakpoints)
     a_t = p_t - rules.phi
 
     def merit_interim(t: float) -> float:
@@ -348,7 +317,7 @@ def bin_targets(inst: ProblemInstance, rules: InterimRules,
         p = allocation_branch(label, t, part.phi, inst)
         return p - part.phi if label == LABEL_AUD else p
 
-    m_t = _bin_average(merit_interim, inst, edges, breakpoints)
+    m_t = bin_average(merit_interim, inst.dist, edges, breakpoints)
     return p_t, a_t, m_t
 
 
@@ -365,6 +334,83 @@ def _bin_index(types: np.ndarray, bins: int) -> np.ndarray:
     return np.minimum((types * bins).astype(np.int64), bins - 1)
 
 
+def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
+                 tally, *, stage: str, trials: int, seed: int, bins: int,
+                 max_rounds: int, damping: float, polish_trials: Optional[int],
+                 polish_rounds: int) -> BinWeights:
+    """Damped multiplicative fixed point for the weights of one stage.
+
+    ``target`` is the per-bin hit probability wanted among draws (NaN marks
+    a bin with no target) and ``tally(reg, lottery, audited)`` returns the
+    (draw, hit) masks of a batch.  Each round measures the stage on fresh
+    rows with the other stage switched off and sets w <- w * (target /
+    empirical)^damping per bin, normalised to unit geometric mean, until
+    every bin deviation is under two standard errors.  Polish rounds then
+    continue with lower damping on a larger sample, and the log-weights of
+    the polish rounds are averaged.
+    """
+    if trials < 1:
+        raise ValueError("calibration needs at least one trial")
+    lottery_stage = stage == "lottery"
+    stream = 0 if lottery_stage else 1
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    flat = BinWeights.uniform(bins)
+    w = np.ones(bins)
+
+    def measure(weights: np.ndarray, rows: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        fitted = BinWeights(edges, weights)
+        lottery_w, audit_w = (fitted, flat) if lottery_stage else (flat, fitted)
+        hits = np.zeros(bins)
+        draws = np.zeros(bins)
+        done = 0
+        while done < rows:
+            block = min(_CHUNK, rows - done)
+            types = _sample_types(inst, block, rng)
+            reg, _, lottery, _, audited, _ = _mechanism_batch(
+                types, part, inst, lottery_w, audit_w, rng,
+                run_lottery=lottery_stage, run_audit=not lottery_stage,
+            )
+            idx = _bin_index(types, bins).ravel()
+            in_pool, hit = tally(reg, lottery, audited)
+            hits += np.bincount(idx[hit.ravel()], minlength=bins)
+            draws += np.bincount(idx[in_pool.ravel()], minlength=bins)
+            done += block
+        return hits, draws
+
+    def step(weights, rows, rng, clip_lo, clip_hi, power):
+        hits, draws = measure(weights, rows, rng)
+        active = (draws > 0) & np.isfinite(target)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            emp = hits / draws
+            se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
+            dev = np.abs(emp - target) / se
+            ratio = np.where(active & (hits > 0), target / np.where(hits > 0, emp, 1.0), 1.0)
+        ratio = np.clip(np.nan_to_num(ratio, nan=1.0), clip_lo, clip_hi)
+        return active, dev, weights * ratio**power
+
+    for rnd in range(max_rounds):
+        active, dev, stepped = step(w, trials, _philox(seed, stream, rnd), 0.25, 4.0, damping)
+        if np.nanmax(np.where(active, dev, 0.0)) < 2.0:
+            break
+        w = np.clip(stepped / np.exp(np.mean(np.log(stepped[active]))), 1e-6, 1e6)
+    else:
+        hint = "" if lottery_stage else (
+            "; check that the target is above the forced-audit floor")
+        raise CalibrationError(
+            f"{stage} calibration did not reach the 2-standard-error band in "
+            f"{max_rounds} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
+        )
+
+    if polish_trials and polish_rounds and np.isfinite(target).any():
+        logs = []
+        for rnd in range(polish_rounds):
+            rng = _philox(seed, stream, max_rounds + rnd)
+            _, _, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
+            logs.append(np.log(w))
+        w = np.exp(np.mean(logs, axis=0))
+    return BinWeights(edges=edges, values=w)
+
+
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
                       trials: int = 200_000, seed: int = 0, bins: int = 64,
                       max_rounds: int = 100, damping: float = 0.5,
@@ -373,76 +419,17 @@ def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
     """Fit lottery weights so each audit/incentive-region type wins with
     probability phi.
 
-    Damped multiplicative fixed point: w <- w * (phi / empirical)^damping
-    per bin, iterated until every bin deviation is under two standard
-    errors, then polished with lower damping at a larger sample and the
-    log-weights of the polish rounds averaged.  When the audit region is
-    empty every eligible type survives the merit stage with the same
-    probability, so the uniform start is already a fixed point and the
-    first round converges.
+    When the audit region is empty every eligible type survives the merit
+    stage with the same probability, so the uniform start is already a
+    fixed point and the first round converges.
     """
-    if trials < 1:
-        raise ValueError("calibration needs at least one trial")
-    phi = part.phi
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    w = np.ones(bins)
-    audit_w = BinWeights.uniform(bins)
-
-    def measure(weights: np.ndarray, rows: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        wins = np.zeros(bins)
-        draws = np.zeros(bins)
-        done = 0
-        while done < rows:
-            block = min(_CHUNK, rows - done)
-            types = _sample_types(inst, block, rng)
-            reg, _, lottery, _, _, _ = _mechanism_batch(
-                types, part, inst, BinWeights(edges, weights), audit_w, rng,
-                run_audit=False,
-            )
-            idx = _bin_index(types, bins).ravel()
-            in_pool = (reg <= 1).ravel()
-            wins += np.bincount(idx[lottery.ravel()], minlength=bins)
-            draws += np.bincount(idx[in_pool], minlength=bins)
-            done += block
-        return wins, draws
-
-    def deviations(wins, draws):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            emp = wins / draws
-            se = np.sqrt(phi * (1.0 - phi) / draws)
-            dev = np.abs(emp - phi) / se
-        return emp, dev
-
-    converged = False
-    for rnd in range(max_rounds):
-        rng = _philox(seed, 0, rnd)
-        wins, draws = measure(w, trials, rng)
-        active = draws > 0
-        emp, dev = deviations(wins, draws)
-        if np.nanmax(np.where(active, dev, 0.0)) < 2.0:
-            converged = True
-            break
-        ratio = np.where(active & (wins > 0), phi / np.where(wins > 0, emp, 1.0), 1.0)
-        w = w * np.clip(ratio, 0.25, 4.0) ** damping
-        w = np.clip(w / np.exp(np.mean(np.log(w[active]))), 1e-6, 1e6)
-    if not converged:
-        raise CalibrationError(
-            f"lottery calibration did not reach the 2-standard-error band in "
-            f"{max_rounds} rounds (worst deviation {np.nanmax(dev):.2f} se)"
-        )
-
-    if polish_trials and polish_rounds:
-        logs = []
-        for rnd in range(polish_rounds):
-            rng = _philox(seed, 0, max_rounds + rnd)
-            wins, draws = measure(w, polish_trials, rng)
-            active = draws > 0
-            emp, _ = deviations(wins, draws)
-            ratio = np.where(active & (wins > 0), phi / np.where(wins > 0, emp, 1.0), 1.0)
-            w = w * np.clip(ratio, 0.5, 2.0) ** 0.3
-            logs.append(np.log(w))
-        w = np.exp(np.mean(logs, axis=0))
-    return BinWeights(edges=edges, values=w)
+    return _fit_weights(
+        inst, part, np.full(bins, part.phi),
+        lambda reg, lottery, audited: (reg <= 1, lottery),
+        stage="lottery", trials=trials, seed=seed, bins=bins,
+        max_rounds=max_rounds, damping=damping,
+        polish_trials=polish_trials, polish_rounds=polish_rounds,
+    )
 
 
 def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
@@ -458,8 +445,6 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
     their target; the weights only steer the choice among supply-region
     winners when more than k agents won the merit stage.
     """
-    if trials < 1:
-        raise ValueError("calibration needs at least one trial")
     edges = np.linspace(0.0, 1.0, bins + 1)
     breakpoints = [iv.lo for iv in part.intervals]
 
@@ -468,74 +453,19 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
             return allocation_branch(LABEL_ALLO, t, part.phi, inst) - part.phi
         return 0.0
 
-    # conditional target: audited probability given an allo-region draw
-    num = _bin_average(allo_target, inst, edges, breakpoints)
-    ind = _bin_average(lambda t: 1.0 if part.region_of(t) == LABEL_ALLO else 0.0,
-                       inst, edges, breakpoints)
+    # conditional target: audited probability given a supply-region draw
+    num = bin_average(allo_target, inst.dist, edges, breakpoints)
+    ind = bin_average(lambda t: 1.0 if part.region_of(t) == LABEL_ALLO else 0.0,
+                      inst.dist, edges, breakpoints)
     with np.errstate(invalid="ignore", divide="ignore"):
         target = np.where(ind > 0, num / np.where(ind > 0, ind, 1.0), np.nan)
-
-    v = np.ones(bins)
-    lottery_w = BinWeights.uniform(bins)
-
-    def measure(weights: np.ndarray, rows: int, rng):
-        audits = np.zeros(bins)
-        draws = np.zeros(bins)
-        done = 0
-        while done < rows:
-            block = min(_CHUNK, rows - done)
-            types = _sample_types(inst, block, rng)
-            reg, _, _, _, audited, _ = _mechanism_batch(
-                types, part, inst, lottery_w, BinWeights(edges, weights), rng,
-                run_lottery=False,
-            )
-            idx = _bin_index(types, bins).ravel()
-            in_allo = (reg == 2).ravel()
-            audits += np.bincount(idx[(audited & (reg == 2)).ravel()], minlength=bins)
-            draws += np.bincount(idx[in_allo], minlength=bins)
-            done += block
-        return audits, draws
-
-    def deviations(audits, draws):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            emp = audits / draws
-            se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
-            dev = np.abs(emp - target) / se
-        return emp, dev
-
-    converged = False
-    for rnd in range(max_rounds):
-        rng = _philox(seed, 1, rnd)
-        audits, draws = measure(v, trials, rng)
-        active = (draws > 0) & np.isfinite(target)
-        emp, dev = deviations(audits, draws)
-        if not active.any() or np.nanmax(np.where(active, dev, 0.0)) < 2.0:
-            converged = True
-            break
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(active & (audits > 0), target / np.where(audits > 0, emp, 1.0), 1.0)
-        v = v * np.clip(np.nan_to_num(ratio, nan=1.0), 0.25, 4.0) ** damping
-        v = np.clip(v / np.exp(np.mean(np.log(v[active]))) if active.any() else v, 1e-6, 1e6)
-    if not converged:
-        raise CalibrationError(
-            f"audit calibration did not reach the 2-standard-error band in "
-            f"{max_rounds} rounds (worst deviation {np.nanmax(dev):.2f} se); "
-            "check that the target is above the forced-audit floor"
-        )
-
-    if polish_trials and polish_rounds and np.isfinite(target).any():
-        logs = []
-        for rnd in range(polish_rounds):
-            rng = _philox(seed, 1, max_rounds + rnd)
-            audits, draws = measure(v, polish_trials, rng)
-            active = (draws > 0) & np.isfinite(target)
-            emp, _ = deviations(audits, draws)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(active & (audits > 0), target / np.where(audits > 0, emp, 1.0), 1.0)
-            v = v * np.clip(np.nan_to_num(ratio, nan=1.0), 0.5, 2.0) ** 0.3
-            logs.append(np.log(v))
-        v = np.exp(np.mean(logs, axis=0))
-    return BinWeights(edges=edges, values=v)
+    return _fit_weights(
+        inst, part, target,
+        lambda reg, lottery, audited: (reg == 2, audited & (reg == 2)),
+        stage="audit", trials=trials, seed=seed, bins=bins,
+        max_rounds=max_rounds, damping=damping,
+        polish_trials=polish_trials, polish_rounds=polish_rounds,
+    )
 
 
 # ---------------------------------------------------------------------------

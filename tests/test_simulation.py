@@ -5,11 +5,14 @@ import pytest
 
 from verialloc.distributions import make_uniform
 from verialloc.envelope import LABEL_AUD, ProblemInstance, partition
+from verialloc.interim import merit_with_guarantee
 from verialloc.simulation import (
     BinWeights,
     CalibrationError,
     EpicWitness,
+    _mechanism_batch,
     audit_select,
+    calibrate_audit,
     calibrate_lottery,
     epic_counterexample,
     lottery_allocate,
@@ -92,12 +95,12 @@ class TestLotteryAllocate:
 class TestAuditSelect:
     def test_under_capacity_audits_all(self, ex_part, ex_inst):
         stage = ("merit", "none", "none")
-        out = audit_select([0.4, 0.3, 0.1], {0}, stage, _rng(), ex_part, ex_inst)
+        out = audit_select([0.4, 0.3, 0.1], stage, _rng(), ex_part, ex_inst)
         assert out == {0}
 
     def test_no_winners_no_audits(self, ex_part, ex_inst):
         stage = ("none", "none", "none")
-        out = audit_select([0.1, 0.2, 0.3], frozenset(), stage, _rng(),
+        out = audit_select([0.1, 0.2, 0.3], stage, _rng(),
                            ex_part, ex_inst)
         assert out == frozenset()
 
@@ -105,7 +108,7 @@ class TestAuditSelect:
         stage = ("merit", "merit", "none")
         counts = {0: 0, 1: 0}
         for seed in range(50):
-            out = audit_select([0.9, 0.8, 0.1], {0, 1}, stage, _rng(seed),
+            out = audit_select([0.9, 0.8, 0.1], stage, _rng(seed),
                                ex_part, ex_inst)
             assert len(out) == 1 and out <= {0, 1}
             counts[next(iter(out))] += 1
@@ -127,7 +130,7 @@ class TestAuditSelect:
         assert winners == {0}
         stage = ("merit", "none", "none", "none")
         for seed in range(10):
-            out = audit_select(profile, winners, stage, _rng(seed), part, inst)
+            out = audit_select(profile, stage, _rng(seed), part, inst)
             assert out == {0}
 
     def test_excess_winners_are_supply_region(self):
@@ -148,6 +151,34 @@ class TestAuditSelect:
                 for i in winners:
                     assert part.region_of(float(profile[i])) == "allo"
         assert seen_excess
+
+
+class TestScalarMatchesBatch:
+    """The single-profile helpers draw exactly what the batch kernel draws."""
+
+    @pytest.mark.parametrize("n, m, k, phi", [(3, 2, 1, PHI), (5, 2, 1, 0.3)])
+    def test_lottery_and_audit(self, n, m, k, phi):
+        inst = ProblemInstance(n, m, k, make_uniform())
+        part = partition(phi, inst)
+        w = BinWeights(np.linspace(0.0, 1.0, 9), np.linspace(0.5, 3.0, 8))
+        flat = BinWeights.uniform(8)
+        profiles = np.random.default_rng(n).random((300, n))
+        seen_lottery = seen_audit_draw = False
+        for s, p in enumerate(profiles):
+            winners = merit_allocate(p, part, inst)
+            _, _, lottery, _, _, _ = _mechanism_batch(
+                p[None], part, inst, w, flat, _rng(s), run_audit=False)
+            out = lottery_allocate(p, winners, w, _rng(s), part, inst)
+            assert out == frozenset(np.flatnonzero(lottery[0]).tolist())
+
+            _, _, _, _, audited, _ = _mechanism_batch(
+                p[None], part, inst, flat, w, _rng(s), run_lottery=False)
+            stage = tuple("merit" if i in winners else "none" for i in range(n))
+            out = audit_select(p, stage, _rng(s), part, inst, w)
+            assert out == frozenset(np.flatnonzero(audited[0]).tolist())
+            seen_lottery |= bool(lottery.any())
+            seen_audit_draw |= len(winners) > k
+        assert seen_lottery and seen_audit_draw
 
 
 class TestCalibration:
@@ -175,6 +206,20 @@ class TestCalibration:
     def test_zero_trials_rejected(self, ex_inst, ex_solved):
         with pytest.raises(ValueError):
             calibrate_lottery(ex_inst, ex_solved.partition, trials=0)
+
+    def test_audit_zero_trials_rejected(self, ex_inst, ex_solved):
+        rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, ex_solved.partition)
+        with pytest.raises(ValueError):
+            calibrate_audit(ex_inst, ex_solved.partition, rules, trials=0)
+
+    def test_audit_unreachable_target_raises(self, ex_inst):
+        # at phi = 0.6 a lone supply-region merit winner just above gamma1
+        # is always audited, while its target P(t) - phi tends to 0
+        part = partition(0.6, ex_inst)
+        rules = merit_with_guarantee(0.6, ex_inst, part)
+        with pytest.raises(CalibrationError, match="audit.*forced-audit"):
+            calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16,
+                            max_rounds=2)
 
 
 class TestSimulate:
