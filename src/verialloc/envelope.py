@@ -23,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import bdtr, bdtrc
 
 from .distributions import TypeDistribution
 
 ROOT_TOL = 1e-12
-_FALLBACK_CELLS = 10_000
 
 LABEL_IC = "ic"
 LABEL_AUD = "aud"
@@ -139,68 +139,45 @@ class RegionPartition:
 # binomial building blocks
 # ---------------------------------------------------------------------------
 
-def _binom_pmf(n_trials: int, p: float) -> np.ndarray:
-    """Binomial(n_trials, p) pmf vector, stable for large n_trials.
+def _binom_cdf(j: int, n_trials: int, p):
+    """P(Binomial(n_trials, p) <= j), elementwise in p (a float or an array).
 
-    Terms are generated by the multiplicative recursion
-    pmf(i+1) = pmf(i) * (n-i)/(i+1) * p/(1-p), anchored at the mode via
-    log-gamma so no intermediate under- or overflows for n up to ~1e3.
+    bdtr is exact at p = 0 and p = 1; j outside [0, n_trials) is settled
+    without it.
     """
-    if n_trials == 0:
-        return np.ones(1)
-    out = np.zeros(n_trials + 1)
-    if p <= 0.0:
-        out[0] = 1.0
-        return out
-    if p >= 1.0:
-        out[n_trials] = 1.0
-        return out
-    mode = min(n_trials, int((n_trials + 1) * p))
-    log_pm = (
-        math.lgamma(n_trials + 1)
-        - math.lgamma(mode + 1)
-        - math.lgamma(n_trials - mode + 1)
-        + mode * math.log(p)
-        + (n_trials - mode) * math.log1p(-p)
-    )
-    pm = math.exp(log_pm)
-    out[mode] = pm
-    ratio = p / (1.0 - p)
-    cur = pm
-    for i in range(mode, n_trials):
-        cur *= ratio * (n_trials - i) / (i + 1)
-        out[i + 1] = cur
-    cur = pm
-    for i in range(mode, 0, -1):
-        cur *= i / ((n_trials - i + 1) * ratio)
-        out[i - 1] = cur
-    return out
-
-
-def _binom_cdf(j: int, n_trials: int, p: float) -> float:
-    """P(Binomial(n_trials, p) <= j)."""
     if j < 0:
-        return 0.0
+        return np.zeros_like(p)
     if j >= n_trials:
-        return 1.0
-    return float(np.sum(_binom_pmf(n_trials, p)[: j + 1]))
+        return np.ones_like(p)
+    return bdtr(j, n_trials, p)
 
 
-def _capped_count_expectation(n_trials: int, cap: int, p: float) -> float:
-    """E[min(X, cap)] for X ~ Binomial(n_trials, p)."""
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return float(min(n_trials, cap))
-    pmf = _binom_pmf(n_trials, p)
-    weights = np.minimum(np.arange(n_trials + 1), cap)
-    return float(weights @ pmf)
+def _capped_count_expectation(n_trials: int, cap: int, p):
+    """E[min(X, cap)] for X ~ Binomial(n_trials, p), 0 < cap < n_trials.
+
+    E[X; X <= cap] = n p P(Binomial(n-1, p) <= cap-1) gives the closed form
+    n p bdtr(cap-1, n-1, p) + cap bdtrc(cap, n, p), elementwise in p; it is
+    exactly 0 at p = 0 and exactly cap at p = 1, where bdtr and bdtrc are.
+    """
+    return n_trials * p * bdtr(cap - 1, n_trials - 1, p) + cap * bdtrc(cap, n_trials, p)
 
 
-def _check_q(q: float) -> float:
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    return float(q)
+def _check_q(q):
+    """q as a float, or as a float array for array input, checked to lie in [0, 1]."""
+    if np.isscalar(q):
+        if not (0.0 <= q <= 1.0):
+            raise ValueError(f"quantile {q} outside [0, 1]")
+        return float(q)
+    arr = np.asarray(q, dtype=float)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        bad = arr[~((arr >= 0.0) & (arr <= 1.0))].flat[0]
+        raise ValueError(f"quantile {bad} outside [0, 1]")
+    return arr
+
+
+def _like(value):
+    """An array result as it is; a scalar one as a Python float."""
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def _check_phi(phi: float, inst: ProblemInstance) -> float:
@@ -210,40 +187,40 @@ def _check_phi(phi: float, inst: ProblemInstance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# constraint functions and derivatives
+# constraint functions and derivatives; q may be a scalar or an array
 # ---------------------------------------------------------------------------
 
-def c_allo(q: float, inst: ProblemInstance) -> float:
+def c_allo(q, inst: ProblemInstance):
     """Supply bound: expected count min(#above, m); equals m at q=0 and 0 at q=1."""
-    q = _check_q(q)
-    return _capped_count_expectation(inst.n, inst.m, 1.0 - q)
+    above = 1.0 - _check_q(q)
+    return _like(_capped_count_expectation(inst.n, inst.m, above))
 
 
-def c_aud(q: float, phi: float, inst: ProblemInstance) -> float:
+def c_aud(q, phi: float, inst: ProblemInstance):
     """Audit bound: expected count min(#above, k) plus the guarantee term n(1-q)phi."""
-    q = _check_q(q)
+    above = 1.0 - _check_q(q)
     phi = _check_phi(phi, inst)
-    return _capped_count_expectation(inst.n, inst.k, 1.0 - q) + inst.n * (1.0 - q) * phi
+    return _like(_capped_count_expectation(inst.n, inst.k, above) + inst.n * above * phi)
 
 
-def c_ic(q: float, phi: float, inst: ProblemInstance) -> float:
+def c_ic(q, phi: float, inst: ProblemInstance):
     """Incentive bound: m - n q phi."""
     q = _check_q(q)
     phi = _check_phi(phi, inst)
-    return inst.m - inst.n * q * phi
+    return _like(inst.m - inst.n * q * phi)
 
 
-def d_c_allo(q: float, inst: ProblemInstance) -> float:
+def d_c_allo(q, inst: ProblemInstance):
     """Derivative of c_allo in q: -n * P(Binomial(n-1, 1-q) <= m-1)."""
-    q = _check_q(q)
-    return -inst.n * _binom_cdf(inst.m - 1, inst.n - 1, 1.0 - q)
+    above = 1.0 - _check_q(q)
+    return _like(-inst.n * _binom_cdf(inst.m - 1, inst.n - 1, above))
 
 
-def d_c_aud(q: float, phi: float, inst: ProblemInstance) -> float:
+def d_c_aud(q, phi: float, inst: ProblemInstance):
     """Derivative of c_aud in q: -n * P(Binomial(n-1, 1-q) <= k-1) - n phi."""
-    q = _check_q(q)
+    above = 1.0 - _check_q(q)
     phi = _check_phi(phi, inst)
-    return -inst.n * _binom_cdf(inst.k - 1, inst.n - 1, 1.0 - q) - inst.n * phi
+    return _like(-inst.n * _binom_cdf(inst.k - 1, inst.n - 1, above) - inst.n * phi)
 
 
 def d_c_ic(phi: float, inst: ProblemInstance) -> float:
@@ -300,27 +277,23 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
 
 
 def _scan_sign(f, grid: np.ndarray, want_negative: bool) -> Optional[float]:
-    for q in grid:
-        v = f(q)
-        if (v < 0) == want_negative and v != 0.0:
-            return float(q)
-    return None
+    """First grid point, in grid order, where the array-valued f has the wanted sign."""
+    v = f(grid)
+    hits = np.flatnonzero(v < 0.0 if want_negative else v > 0.0)
+    return float(grid[hits[0]]) if hits.size else None
 
 
-def _dense_fallback_roots(f, lo: float, hi: float) -> list[float]:
-    """Last-resort sign-change scan over a fine grid; used only when the
-    shape-based bracketing fails."""
-    qs = np.linspace(lo, hi, _FALLBACK_CELLS + 1)
-    vals = np.array([f(q) for q in qs])
-    roots = []
-    for i in range(len(qs) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(qs[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(_bracketed_root(f, qs[i], qs[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(float(qs[-1]))
-    return roots
+# probes for the dip of c_ic - c_allo below zero, in scan order; the decades
+# under 1e-6 come last and matter only for phi so small that the dip is
+# narrower than the first probe
+_Z1_PROBES = np.array([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9,
+                       *np.geomspace(1e-7, 1e-15, 9)])
+# grids of the allo/aud scans: interior points of [0, 1]; probes away from
+# q=0 and toward q=1; and steps from a peak toward q=1, as shares of 1 - peak
+_AUD_SCAN = np.linspace(0.0, 1.0, 129)[1:-1]
+_NEAR_ZERO = np.array([0.0, 1e-5, 1e-3, 1e-2])
+_NEAR_ONE = 1.0 - np.geomspace(1e-6, 1.0, 24, endpoint=False)[::-1]
+_PAST_PEAK = 1.0 - np.geomspace(1e-7, 1.0, 30, endpoint=False)[::-1]
 
 
 def _locate_crossings(phi: float, inst: ProblemInstance) -> dict:
@@ -329,8 +302,10 @@ def _locate_crossings(phi: float, inst: ProblemInstance) -> dict:
     z1: c_ic vs c_allo (unique interior crossing for phi > 0),
     z2: c_ic vs c_aud (unique crossing when phi > (m-k)/n),
     r1, r2: c_allo vs c_aud (at most two interior crossings).
+
+    Sign scans evaluate the constraints on a whole probe grid in one call;
+    every bracketed root is then polished by Brent iteration to ROOT_TOL.
     """
-    n = inst.n
     crossings: dict = {}
 
     def ic_minus_allo(q):
@@ -343,23 +318,20 @@ def _locate_crossings(phi: float, inst: ProblemInstance) -> dict:
         return c_allo(q, inst) - c_aud(q, phi, inst)
 
     # z1: both equal m at q=0; the difference dips negative then rises to
-    # m - n*phi >= 0 at q=1 (convexity of ic - allo).
+    # m - n*phi >= 0 at q=1 (convexity of ic - allo), so it is negative on
+    # (0, z1) and any negative probe brackets z1 with q=1
     if phi <= 0.0:
         crossings["z1"] = 0.0
     else:
-        probe = _scan_sign(
-            ic_minus_allo,
-            np.array([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]),
-            True,
-        )
+        probe = _scan_sign(ic_minus_allo, _Z1_PROBES, True)
         if probe is None:
-            roots = _dense_fallback_roots(ic_minus_allo, 0.0, 1.0)
-            interior = [r for r in roots if r > 1e-9]
-            crossings["z1"] = interior[-1] if interior else 1.0
+            # no probe sees the dip: it is narrower than 1e-15 or shallower
+            # than rounding, so z1 is indistinguishable from 0
+            crossings["z1"] = 0.0
+        elif ic_minus_allo(1.0) <= 0.0:
+            crossings["z1"] = 1.0
         else:
-            crossings["z1"] = (
-                1.0 if ic_minus_allo(1.0) <= 0.0 else _bracketed_root(ic_minus_allo, probe, 1.0)
-            )
+            crossings["z1"] = _bracketed_root(ic_minus_allo, probe, 1.0)
 
     # z2: c_aud - c_ic is strictly decreasing past 0; positive at q=0 iff
     # phi > (m-k)/n, and <= 0 at q=1.
@@ -375,60 +347,45 @@ def _locate_crossings(phi: float, inst: ProblemInstance) -> dict:
     g0 = allo_minus_aud(0.0)
     if g0 >= 0.0:
         # single interior crossing down (r1 pinned at 0); phi = 0 keeps the
-        # audit bound below supply everywhere so the crossing sits at q=1
-        neg = _scan_sign(
-            allo_minus_aud, 1.0 - np.geomspace(1e-6, 1.0, 24, endpoint=False)[::-1], True
-        )
+        # audit bound below supply everywhere (allo - aud = E[min(X,m) -
+        # min(X,k)] > 0 on [0, 1)) so the crossing sits at q=1, where the
+        # difference is below rounding and is not scanned
+        crossings["r1"] = 0.0
+        neg = None if phi <= 0.0 else _scan_sign(allo_minus_aud, _NEAR_ONE, True)
         if neg is None:
-            crossings["r1"] = 0.0
             crossings["r2"] = 1.0
         else:
-            pos = _scan_sign(allo_minus_aud, np.array([0.0, 1e-5, 1e-3, 1e-2]), False)
+            # g0 = m - k - n*phi and the slope at q=0 is n*phi > 0, so a
+            # positive probe exists unless the crossing sits within 1e-5 of 0
+            pos = _scan_sign(allo_minus_aud, _NEAR_ZERO, False)
             if pos is None:
-                roots = _dense_fallback_roots(allo_minus_aud, 0.0, neg)
-                if not roots:
-                    raise RuntimeError(
-                        f"failed to bracket the allo/aud crossing at phi={phi}"
-                    )
-                crossings["r1"] = 0.0
-                crossings["r2"] = roots[-1]
-            else:
-                crossings["r1"] = 0.0
-                crossings["r2"] = _bracketed_root(allo_minus_aud, pos, neg)
+                raise RuntimeError(f"failed to bracket the allo/aud crossing at phi={phi}")
+            crossings["r2"] = _bracketed_root(allo_minus_aud, pos, neg)
     else:
         # negative at both ends of (0, 1); an audit region exists iff the
         # difference turns positive somewhere in between
-        qs = np.linspace(0.0, 1.0, 129)[1:-1]
-        vals = np.array([allo_minus_aud(q) for q in qs])
+        vals = allo_minus_aud(_AUD_SCAN)
         imax = int(np.argmax(vals))
-        q_peak = float(qs[imax])
+        q_peak = float(_AUD_SCAN[imax])
         g_peak = float(vals[imax])
         if g_peak <= 0.0:
             # the grid may straddle a narrow positive window near tangency;
             # refine the unique interior maximum before concluding
-            lo_b = float(qs[max(imax - 1, 0)])
-            hi_b = float(qs[min(imax + 1, len(qs) - 1)])
+            lo_b = float(_AUD_SCAN[max(imax - 1, 0)])
+            hi_b = float(_AUD_SCAN[min(imax + 1, len(_AUD_SCAN) - 1)])
             q_peak = _golden_max(allo_minus_aud, lo_b, hi_b, 1e-11)
             g_peak = allo_minus_aud(q_peak)
-        if g_peak <= 0.0:
-            pass  # no interior crossings: the audit bound never undercuts supply
-        else:
+        if g_peak > 0.0:
             crossings["r1"] = _bracketed_root(allo_minus_aud, 0.0, q_peak)
-            neg = _scan_sign(
-                allo_minus_aud,
-                q_peak + (1.0 - q_peak) * (1.0 - np.geomspace(1e-7, 1.0, 30, endpoint=False)[::-1]),
-                True,
-            )
+            # past the peak the difference falls to -n*phi*(1-q) + o(1-q) < 0
+            # near q=1; the probes reach within 1e-7 (1 - q_peak) of it
+            neg = _scan_sign(allo_minus_aud, q_peak + (1.0 - q_peak) * _PAST_PEAK, True)
             if neg is None:
-                roots = _dense_fallback_roots(allo_minus_aud, q_peak, 1.0)
-                interior = [r for r in roots if r < 1.0 - 1e-12]
-                if not interior:
-                    raise RuntimeError(
-                        f"failed to bracket the upper allo/aud crossing at phi={phi}"
-                    )
-                crossings["r2"] = interior[-1]
-            else:
-                crossings["r2"] = _bracketed_root(allo_minus_aud, q_peak, neg)
+                raise RuntimeError(
+                    f"failed to bracket the upper allo/aud crossing at phi={phi}"
+                )
+            crossings["r2"] = _bracketed_root(allo_minus_aud, q_peak, neg)
+        # otherwise no interior crossings: the audit bound never undercuts supply
 
     return crossings
 

@@ -71,9 +71,9 @@ def allocation_branch(label: str, t: float, phi: float, inst: ProblemInstance) -
     if label == LABEL_IC:
         return phi
     if label == LABEL_AUD:
-        return _binom_cdf(inst.k - 1, inst.n - 1, 1.0 - q) + phi
+        return float(_binom_cdf(inst.k - 1, inst.n - 1, 1.0 - q)) + phi
     if label == LABEL_ALLO:
-        return _binom_cdf(inst.m - 1, inst.n - 1, 1.0 - q)
+        return float(_binom_cdf(inst.m - 1, inst.n - 1, 1.0 - q))
     raise ValueError(f"unknown region label {label!r}")
 
 
@@ -85,7 +85,7 @@ def efficient_rule(t: float, inst: ProblemInstance) -> float:
 def top_k_rule(t: float, inst: ProblemInstance) -> float:
     """Probability of being among the k highest types."""
     q = float(inst.dist.cdf(t))
-    return _binom_cdf(inst.k - 1, inst.n - 1, 1.0 - q)
+    return float(_binom_cdf(inst.k - 1, inst.n - 1, 1.0 - q))
 
 
 def merit_with_guarantee(phi: float, inst: ProblemInstance,

@@ -15,8 +15,9 @@ and cross-validates against a golden-section maximization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .distributions import expected_value, integrate, truncated_mean
@@ -43,7 +44,12 @@ class Candidate:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of optimizing the guarantee for one problem instance."""
+    """Result of optimizing the guarantee for one problem instance.
+
+    ``stats`` counts the work behind it: partitions built, FOC grid points
+    scanned, FOC roots found and golden-section payoff evaluations.  It is
+    left out of ``to_record()``, which holds results only.
+    """
 
     phi_star: float
     payoff: float
@@ -51,6 +57,7 @@ class SolveReport:
     partition: RegionPartition
     baselines: dict
     candidates: tuple[Candidate, ...]
+    stats: dict = field(default_factory=dict, compare=False)
 
     def to_record(self) -> dict:
         return {
@@ -157,8 +164,6 @@ def solve(inst: ProblemInstance, *, grid: int = 200) -> SolveReport:
         except ValueError:
             return None
 
-    import numpy as np
-
     phis = [float(p) for p in np.linspace(lo, hi, grid)]
     residuals = [residual_or_none(p) for p in phis]
     # the condition is undefined exactly at the floor (empty incentive
@@ -194,7 +199,14 @@ def solve(inst: ProblemInstance, *, grid: int = 200) -> SolveReport:
 
     best = max(candidates, key=lambda c: (c.payoff, -c.phi))
 
-    phi_gold = _golden_max(lambda p: payoff(p, inst, part_at(p)), lo, hi, GOLDEN_TOL)
+    golden_evals = 0
+
+    def golden_payoff(phi: float) -> float:
+        nonlocal golden_evals
+        golden_evals += 1
+        return payoff(phi, inst, part_at(phi))
+
+    phi_gold = _golden_max(golden_payoff, lo, hi, GOLDEN_TOL)
     u_gold = payoff(phi_gold, inst, part_at(phi_gold))
     if u_gold > best.payoff + CROSS_CHECK_TOL:
         raise RuntimeError(
@@ -211,4 +223,6 @@ def solve(inst: ProblemInstance, *, grid: int = 200) -> SolveReport:
         partition=part_at(best.phi),
         baselines=baseline_payoffs(inst),
         candidates=tuple(candidates),
+        stats={"partitions": len(part_cache), "foc_grid": len(phis),
+               "foc_roots": len(roots), "golden_evals": golden_evals},
     )

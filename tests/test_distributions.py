@@ -124,3 +124,12 @@ def test_truncated_mean_additive(alpha, a, b, c):
     whole = truncated_mean(d, lo, hi)
     split = truncated_mean(d, lo, mid) + truncated_mean(d, mid, hi)
     assert whole == pytest.approx(split, abs=1e-9)
+
+
+def test_subnormal_piece_integrates_without_quadrature():
+    # quadrature nodes on [0, 5e-324] round onto t = 0, where the alpha < 1
+    # power density is infinite; such a piece contributes f(mid) * mass
+    d = make_power(0.5)
+    assert truncated_mean(d, 0.0, 5e-324) == 0.0
+    assert truncated_mean(d, 0.0, 0.25) == pytest.approx(
+        truncated_mean(d, 0.0, 5e-324) + truncated_mean(d, 5e-324, 0.25), abs=1e-12)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from verialloc.envelope import (
     envelope_value,
     partition,
 )
+from verialloc.interim import allocation_branch
+from verialloc.optimizer import solve
 
 PHI = 0.34764
 
@@ -34,8 +39,6 @@ def aud_poly(q, phi):
 
 def binomial_sum_oracle(n, cap, q):
     """Direct evaluation with exact binomial coefficients."""
-    from math import comb
-
     return sum(min(i, cap) * comb(n, i) * (1 - q) ** i * q ** (n - i)
                for i in range(1, n + 1))
 
@@ -245,3 +248,106 @@ class TestPartition:
         assert part.region_of(part.gamma1) == LABEL_AUD
         codes = part.region_codes(np.array([0.0, part.gamma1, part.gamma3, 1.0]))
         assert codes.tolist() == [0, 1, 2, 2]
+
+
+def exact_binomial_pmf(n, q):
+    """P(i of n iid agents lie above quantile q), exactly, for Fraction q."""
+    return [comb(n, i) * (1 - q) ** i * q ** (n - i) for i in range(n + 1)]
+
+
+def relative_gap(value, exact):
+    """|value - exact| / |exact|, or |value| when the exact value is 0."""
+    gap = abs(Fraction(value) - exact)
+    return float(gap / abs(exact)) if exact != 0 else float(gap)
+
+
+# (n, m, k) for the exact oracle: small, mid-size and n = 60 instances with
+# m and k near both ends
+ORACLE_INSTANCES = [(3, 2, 1), (7, 4, 2), (20, 10, 3), (20, 19, 18),
+                    (60, 30, 10), (60, 2, 1), (60, 59, 1), (60, 45, 44)]
+ORACLE_QS = [Fraction(j, 64) for j in range(65)]
+
+
+class TestExactOracle:
+    """Closed forms against exact rational binomial sums at dyadic q."""
+
+    @pytest.mark.parametrize("n,m,k", ORACLE_INSTANCES)
+    def test_values_and_derivatives(self, n, m, k, uniform):
+        inst = ProblemInstance(n, m, k, uniform)
+        phi = Fraction(m / (2 * n))  # the float's exact value
+        worst = 0.0
+        for q in ORACLE_QS:
+            pmf = exact_binomial_pmf(n, q)
+            below = exact_binomial_pmf(n - 1, q)  # among the n-1 others
+            allo = sum(min(i, m) * w for i, w in enumerate(pmf))
+            aud = sum(min(i, k) * w for i, w in enumerate(pmf)) + n * (1 - q) * phi
+            cdf_m = sum(below[:m])  # P(at most m-1 others above q)
+            cdf_k = sum(below[:k])
+            qf, pf = float(q), float(phi)
+            pairs = [
+                (c_allo(qf, inst), allo),
+                (c_aud(qf, pf, inst), aud),
+                (d_c_allo(qf, inst), -n * cdf_m),
+                (d_c_aud(qf, pf, inst), -n * cdf_k - n * phi),
+                (allocation_branch(LABEL_ALLO, qf, pf, inst), cdf_m),
+                (allocation_branch(LABEL_AUD, qf, pf, inst), cdf_k + phi),
+            ]
+            worst = max(worst, *(relative_gap(v, e) for v, e in pairs))
+        assert worst <= 1e-13
+
+    def test_endpoints_exact(self, uniform):
+        for n, m, k in [(3, 2, 1), (60, 59, 1), (1000, 500, 100), (3000, 1000, 10)]:
+            inst = ProblemInstance(n, m, k, uniform)
+            phi = inst.phi_max
+            assert c_allo(0.0, inst) == m and c_allo(1.0, inst) == 0.0
+            assert c_aud(0.0, phi, inst) == k + n * phi and c_aud(1.0, phi, inst) == 0.0
+            assert d_c_allo(0.0, inst) == 0.0 and d_c_allo(1.0, inst) == -n
+            assert d_c_aud(0.0, phi, inst) == -n * phi
+            assert d_c_aud(1.0, phi, inst) == -n - n * phi
+
+
+class TestArrayPath:
+    def test_array_matches_scalar_bit_for_bit(self, uniform):
+        rng = np.random.default_rng(5)
+        qs = np.concatenate([[0.0, 1.0, 1e-15, 1.0 - 1e-15], rng.random(200)])
+        for n, m, k in [(3, 2, 1), (40, 10, 3), (1000, 500, 100)]:
+            inst = ProblemInstance(n, m, k, uniform)
+            phi = 0.5 * (inst.phi_floor + inst.phi_max)
+            for f in (lambda q: c_allo(q, inst), lambda q: c_aud(q, phi, inst),
+                      lambda q: c_ic(q, phi, inst), lambda q: d_c_allo(q, inst),
+                      lambda q: d_c_aud(q, phi, inst)):
+                vec = f(qs)
+                scalars = [f(float(q)) for q in qs]
+                assert isinstance(vec, np.ndarray) and vec.shape == qs.shape
+                assert all(type(v) is float for v in scalars)
+                assert np.array_equal(vec, np.array(scalars))
+
+    def test_array_domain_checked(self, ex_inst):
+        with pytest.raises(ValueError, match="-0.5"):
+            c_allo(np.array([0.0, 0.5, -0.5]), ex_inst)
+        with pytest.raises(ValueError):
+            d_c_aud(np.array([0.2, np.nan]), 0.4, ex_inst)
+
+
+EDGE_INSTANCES = [(3, 2, 1), (1000, 500, 100), (3000, 1000, 10)]
+
+
+class TestEdgeRegimes:
+    @pytest.mark.parametrize("n,m,k", EDGE_INSTANCES)
+    @pytest.mark.parametrize("alpha", [1.0, 0.1, 8.0])
+    def test_partition_at_floor_and_cap(self, n, m, k, alpha):
+        dist = make_uniform() if alpha == 1.0 else make_power(alpha)
+        inst = ProblemInstance(n, m, k, dist)
+        # no incentive region at the floor; at the cap it is everything
+        for phi, case, gamma1 in ((inst.phi_floor, CASE_AUD_ALLO, 0.0),
+                                  (inst.phi_max, CASE_IC_ALLO, 1.0)):
+            part = partition(phi, inst)
+            assert part.case_tag == case
+            assert part.gamma1 == pytest.approx(gamma1, abs=1e-9)
+            assert 0.0 <= part.gamma1 <= part.gamma2 <= part.gamma3 <= 1.0
+            assert part.intervals[0].lo == 0.0 and part.intervals[-1].hi == 1.0
+
+    def test_solve_large_instance(self, uniform):
+        report = solve(ProblemInstance(1000, 500, 100, uniform))
+        base = report.baselines
+        assert base["k_top"] <= report.payoff <= base["first_best"]

@@ -91,6 +91,15 @@ class TestFootnoteCounterexample:
         assert verdict.feasible
         assert float(verdict.expost.alloc.sum()) == 0.0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "probabilities are floored onto the 1e-9 grid before the flow runs, "
+        "so a total demand of 1 + 8e-10 for one object comes back feasible"))
+    def test_demand_just_above_capacity_is_infeasible(self):
+        inst = DiscreteInstance(grids=((0.0,), (0.0,)), masses=((1.0,), (1.0,)),
+                                capacity_default=1)
+        verdict = check_feasible(inst, [[0.5 + 4e-10], [0.5 + 4e-10]])
+        assert not verdict.feasible
+
     def test_json_round_trip(self, footnote, tmp_path):
         path = tmp_path / "instance.json"
         footnote.save(path)

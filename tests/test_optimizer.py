@@ -145,6 +145,13 @@ class TestSolve:
         assert "phi_star" in rec and "baselines" in rec
         assert json.loads(text)["partition"]["case"] == "IcAudAllo"
 
+    def test_stats_count_the_work(self, ex_solved):
+        # 200 grid points and the probe above the floor, the Brent steps of
+        # the single FOC root, and the golden-section steps over [1/3, 2/3]
+        assert ex_solved.stats == {"partitions": 235, "foc_grid": 200,
+                                   "foc_roots": 1, "golden_evals": 29}
+        assert "stats" not in ex_solved.to_record()
+
 
 class TestBaselines:
     def test_ktop_against_monte_carlo(self, ex_inst):
