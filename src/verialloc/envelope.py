@@ -117,9 +117,15 @@ class RegionPartition:
         return self.intervals[-1].label
 
     def region_codes(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized region lookup; returns indices into ``intervals``."""
-        bounds = np.array([iv.lo for iv in self.intervals[1:]])
-        return np.searchsorted(bounds, t, side="right")
+        """Vectorized region lookup; returns indices into ``intervals``.
+
+        The index of t is the number of interval starts after the first at
+        or below it, counted one start at a time: there are only a few.
+        """
+        idx = np.zeros(np.shape(t), dtype=np.int8)
+        for iv in self.intervals[1:]:
+            idx += t >= iv.lo
+        return idx
 
     def to_record(self) -> dict:
         return {

@@ -22,7 +22,7 @@ All randomness flows through counter-based Philox streams keyed by
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,22 +46,45 @@ class CalibrationError(RuntimeError):
     """Raised when the weight fixed point fails to reach its target band."""
 
 
+def _bin_index(types: np.ndarray, bins: int) -> np.ndarray:
+    """Index of each type's bin among ``bins`` equal bins of [0, 1]."""
+    return np.clip((types * bins).astype(np.int64), 0, bins - 1)
+
+
 @dataclass(frozen=True)
 class BinWeights:
-    """Piecewise-constant positive weights over type bins."""
+    """Piecewise-constant positive weights over equal type bins.
+
+    ``edges`` must be ``linspace(0, 1, len(values) + 1)``: a type's weight
+    is read by the same floor(t * bins) index the simulation tallies use.
+    ``stats`` describes the calibration that fitted the weights, if any:
+    fixed-point rounds, polish rounds, rows simulated and the worst bin
+    deviation (in standard errors) of the last round.
+    """
 
     edges: np.ndarray
     values: np.ndarray
+    stats: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        bins = len(self.values)
+        if bins < 1 or not np.array_equal(self.edges, np.linspace(0.0, 1.0, bins + 1)):
+            raise ValueError(
+                "BinWeights needs at least one value and the uniform edges "
+                "linspace(0, 1, len(values) + 1)"
+            )
 
     @classmethod
     def uniform(cls, bins: int) -> "BinWeights":
         return cls(edges=np.linspace(0.0, 1.0, bins + 1), values=np.ones(bins))
 
     def lookup(self, t: np.ndarray) -> np.ndarray:
-        idx = np.clip(
-            np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.values) - 1
-        )
-        return self.values[idx]
+        return self.values[_bin_index(t, len(self.values))]
+
+
+# flat weights for the merit-only pass, which draws nothing, and for an
+# unweighted audit draw
+_FLAT = BinWeights.uniform(1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +100,13 @@ class ProfileOutcome:
 
 @dataclass(frozen=True, eq=False)
 class SimReport:
-    """Binned empirical interim rules versus their targets."""
+    """Binned empirical interim rules versus their targets.
+
+    ``stats`` counts the work behind it: ``main_rows`` profiles in the main
+    pass and, for each stage calibrated here (``lottery``, ``audit``), the
+    ``stats`` of its fitted weights.  It is left out of ``to_record()``,
+    which holds results only.
+    """
 
     trials: int
     seed: int
@@ -98,6 +127,7 @@ class SimReport:
     bins_within_3se_a: int
     capacity_violations: int
     payoff_total: float
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def bins(self) -> int:
@@ -146,17 +176,40 @@ def _philox(seed: int, stage: int, round_id: int) -> np.random.Generator:
 
 def _regions(types: np.ndarray, part: RegionPartition) -> np.ndarray:
     """Region code of every type: 0 incentive, 1 audit, 2 supply."""
-    codes = np.array([_REGION_CODE[iv.label] for iv in part.intervals])
+    codes = np.array([_REGION_CODE[iv.label] for iv in part.intervals], dtype=np.int8)
     return codes[part.region_codes(types)]
 
 
-def _rank_desc(values: np.ndarray) -> np.ndarray:
-    """0-based rank of each column entry when its row is sorted descending."""
-    order = np.argsort(-values, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    width = np.arange(values.shape[1])
-    np.put_along_axis(ranks, order, np.broadcast_to(width, order.shape), axis=1)
-    return ranks
+def _row_count(mask: np.ndarray) -> np.ndarray:
+    """Number of set entries in each row of a 2-d mask (einsum's summing
+    loop is several times faster than ``sum(axis=1)`` on short rows)."""
+    return np.einsum("ij->i", mask, dtype=np.int64)
+
+
+def _top_quota(keys: np.ndarray, quota: np.ndarray) -> np.ndarray:
+    """Entries ranked below ``quota`` when their row is sorted descending,
+    exact ties ranked by column as a stable sort would.
+
+    One sort: an entry is kept when it reaches its row's quota-th largest
+    key.  Only a row whose next key equals that threshold can have more
+    than ``quota`` entries reach it; there the entries at the threshold are
+    kept in column order until the quota is full.
+    """
+    rows, n = keys.shape
+    q = np.clip(quota, 0, n)
+    asc = np.sort(keys, axis=1)
+    at = n - np.maximum(q, 1)
+    r = np.arange(rows)
+    kth = asc[r, at]
+    top = (keys >= kth[:, None]) & (q > 0)[:, None]
+    tied = np.flatnonzero((q > 0) & (q < n) & (asc[r, np.maximum(at - 1, 0)] == kth))
+    if tied.size:
+        sub, thr = keys[tied], kth[tied, None]
+        above = sub > thr
+        at_thr = sub == thr
+        room = q[tied] - _row_count(above)
+        top[tied] = above | (at_thr & (np.cumsum(at_thr, axis=1) <= room[:, None]))
+    return top
 
 
 def _gumbel_pick(mask: np.ndarray, types: np.ndarray, weights: BinWeights,
@@ -167,13 +220,31 @@ def _gumbel_pick(mask: np.ndarray, types: np.ndarray, weights: BinWeights,
     keys = np.where(
         mask, np.log(weights.lookup(types)) + rng.gumbel(size=types.shape), -np.inf
     )
-    return mask & (_rank_desc(keys) < quota[:, None])
+    return mask & _top_quota(keys, quota)
+
+
+def _merit_stage(types, reg, m: int, k: int):
+    """Merit winners (supply-region types among the m highest reports,
+    audit-region types among the k highest) and the rows with an exact tie,
+    which allocate nothing.
+
+    One sort per batch: in a row without ties, "among the c highest" is "at
+    least the row's c-th largest report".
+    """
+    n = types.shape[1]
+    asc = np.sort(types, axis=1)
+    tie = np.zeros(len(types), dtype=bool)
+    for j in range(1, n):
+        tie |= asc[:, j] == asc[:, j - 1]
+    merit = (~tie)[:, None] & (((reg == 2) & (types >= asc[:, max(n - m, 0), None]))
+                               | ((reg == 1) & (types >= asc[:, max(n - k, 0), None])))
+    return merit, tie
 
 
 def _lottery_stage(types, reg, merit, m: int, weights: BinWeights, rng):
     """Remaining objects go to audit/incentive-region agents without one."""
     eligible = (reg <= 1) & ~merit
-    take = np.minimum(m - merit.sum(axis=1), eligible.sum(axis=1))
+    take = np.minimum(m - _row_count(merit), _row_count(eligible))
     return _gumbel_pick(eligible, types, weights, take, rng)
 
 
@@ -181,9 +252,10 @@ def _audit_stage(types, reg, merit, k: int, weights: BinWeights, rng):
     """All merit winners when they fit k; otherwise every audit-region
     winner plus a weighted draw of supply-region winners for the rest."""
     forced = merit & (reg == 1)
-    quota = k - forced.sum(axis=1)
+    over = _row_count(merit) > k
+    quota = np.where(over, k - _row_count(forced), 0)
     selected = _gumbel_pick(merit & (reg == 2), types, weights, quota, rng)
-    return np.where((merit.sum(axis=1) <= k)[:, None], merit, forced | selected)
+    return np.where(over[:, None], forced | selected, merit)
 
 
 def _mechanism_batch(types: np.ndarray, part: RegionPartition,
@@ -196,12 +268,7 @@ def _mechanism_batch(types: np.ndarray, part: RegionPartition,
     """
     m, k = inst.m, inst.k
     reg = _regions(types, part)
-
-    ranks = _rank_desc(types)
-    sorted_vals = np.take_along_axis(types, np.argsort(-types, axis=1, kind="stable"), axis=1)
-    tie = (np.diff(sorted_vals, axis=1) == 0).any(axis=1)
-
-    merit = (~tie)[:, None] & (((reg == 2) & (ranks < m)) | ((reg == 1) & (ranks < k)))
+    merit, tie = _merit_stage(types, reg, m, k)
 
     if run_lottery:
         lottery = (~tie)[:, None] & _lottery_stage(types, reg, merit, m, lottery_w, rng)
@@ -234,8 +301,7 @@ def merit_allocate(profile, part: RegionPartition, inst: ProblemInstance) -> fro
     """
     types = np.asarray(profile, dtype=float)[None, :]
     _, merit, _, _, _, _ = _mechanism_batch(
-        types, part, inst, BinWeights.uniform(1), BinWeights.uniform(1),
-        _philox(0, 3, 0), run_lottery=False, run_audit=False,
+        types, part, inst, _FLAT, _FLAT, None, run_lottery=False, run_audit=False,
     )
     return _row_set(merit)
 
@@ -265,7 +331,7 @@ def audit_select(profile, stage_labels, rng: np.random.Generator,
     audited: their truthfulness has no allocation consequence.
     """
     if weights is None:
-        weights = BinWeights.uniform(1)
+        weights = _FLAT
     types = np.asarray(profile, dtype=float)[None, :]
     merit = np.array([[label == "merit" for label in stage_labels]])
     return _row_set(_audit_stage(types, _regions(types, part), merit, inst.k,
@@ -330,8 +396,9 @@ def _sample_types(inst: ProblemInstance, rows: int, rng: np.random.Generator) ->
     return np.asarray(inst.dist.quantile(u), dtype=float)
 
 
-def _bin_index(types: np.ndarray, bins: int) -> np.ndarray:
-    return np.minimum((types * bins).astype(np.int64), bins - 1)
+def _bin_counts(idx: np.ndarray, mask: np.ndarray, bins: int) -> np.ndarray:
+    """Per-bin count of the set entries of ``mask``, whose bins are ``idx``."""
+    return np.bincount(idx, weights=mask.ravel(), minlength=bins)
 
 
 def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
@@ -348,6 +415,12 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
     every bin deviation is under two standard errors.  Polish rounds then
     continue with lower damping on a larger sample, and the log-weights of
     the polish rounds are averaged.
+
+    Audit calibration fails at once when no weights can reach the target:
+    supply-region merit winners in a row with at most k winners are always
+    audited, and if that forced rate alone exceeds a bin's target by more
+    than six standard errors in the first round, the fixed point cannot
+    converge.  The fitted weights carry the work done in ``stats``.
     """
     if trials < 1:
         raise ValueError("calibration needs at least one trial")
@@ -357,58 +430,76 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
     flat = BinWeights.uniform(bins)
     w = np.ones(bins)
 
-    def measure(weights: np.ndarray, rows: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def measure(weights: np.ndarray, rows: int, rng, count_forced: bool):
         fitted = BinWeights(edges, weights)
         lottery_w, audit_w = (fitted, flat) if lottery_stage else (flat, fitted)
         hits = np.zeros(bins)
         draws = np.zeros(bins)
+        forced = np.zeros(bins)
         done = 0
         while done < rows:
             block = min(_CHUNK, rows - done)
             types = _sample_types(inst, block, rng)
-            reg, _, lottery, _, audited, _ = _mechanism_batch(
+            reg, merit, lottery, _, audited, _ = _mechanism_batch(
                 types, part, inst, lottery_w, audit_w, rng,
                 run_lottery=lottery_stage, run_audit=not lottery_stage,
             )
             idx = _bin_index(types, bins).ravel()
             in_pool, hit = tally(reg, lottery, audited)
-            hits += np.bincount(idx[hit.ravel()], minlength=bins)
-            draws += np.bincount(idx[in_pool.ravel()], minlength=bins)
+            hits += _bin_counts(idx, hit, bins)
+            draws += _bin_counts(idx, in_pool, bins)
+            if count_forced:
+                fits = (_row_count(merit) <= inst.k)[:, None]
+                forced += _bin_counts(idx, merit & (reg == 2) & fits, bins)
             done += block
-        return hits, draws
+        return hits, draws, forced
 
-    def step(weights, rows, rng, clip_lo, clip_hi, power):
-        hits, draws = measure(weights, rows, rng)
+    def step(weights, rows, rng, clip_lo, clip_hi, power, count_forced=False):
+        hits, draws, forced = measure(weights, rows, rng, count_forced)
         active = (draws > 0) & np.isfinite(target)
         with np.errstate(invalid="ignore", divide="ignore"):
             emp = hits / draws
             se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
             dev = np.abs(emp - target) / se
             ratio = np.where(active & (hits > 0), target / np.where(hits > 0, emp, 1.0), 1.0)
+            excess = np.where(active, (forced / draws - target) / se, -np.inf)
         ratio = np.clip(np.nan_to_num(ratio, nan=1.0), clip_lo, clip_hi)
-        return active, dev, weights * ratio**power
+        worst = float(np.nanmax(np.where(active, dev, 0.0)))
+        return active, dev, worst, excess.max(), weights * ratio**power
 
-    for rnd in range(max_rounds):
-        active, dev, stepped = step(w, trials, _philox(seed, stream, rnd), 0.25, 4.0, damping)
-        if np.nanmax(np.where(active, dev, 0.0)) < 2.0:
-            break
-        w = np.clip(stepped / np.exp(np.mean(np.log(stepped[active]))), 1e-6, 1e6)
-    else:
+    def failure(dev: np.ndarray) -> CalibrationError:
         hint = "" if lottery_stage else (
             "; check that the target is above the forced-audit floor")
-        raise CalibrationError(
+        return CalibrationError(
             f"{stage} calibration did not reach the 2-standard-error band in "
             f"{max_rounds} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
         )
+
+    for rnd in range(max_rounds):
+        active, dev, worst, excess, stepped = step(
+            w, trials, _philox(seed, stream, rnd), 0.25, 4.0, damping,
+            count_forced=rnd == 0 and not lottery_stage,
+        )
+        if worst < 2.0:
+            break
+        if excess > 6.0:
+            raise failure(dev)
+        w = np.clip(stepped / np.exp(np.mean(np.log(stepped[active]))), 1e-6, 1e6)
+    else:
+        raise failure(dev)
+    stats = {"rounds": rnd + 1, "polish_rounds": 0, "rows": (rnd + 1) * trials,
+             "max_dev": worst}
 
     if polish_trials and polish_rounds and np.isfinite(target).any():
         logs = []
         for rnd in range(polish_rounds):
             rng = _philox(seed, stream, max_rounds + rnd)
-            _, _, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
+            _, _, worst, _, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
             logs.append(np.log(w))
         w = np.exp(np.mean(logs, axis=0))
-    return BinWeights(edges=edges, values=w)
+        stats.update(polish_rounds=polish_rounds, max_dev=worst,
+                     rows=stats["rows"] + polish_rounds * polish_trials)
+    return BinWeights(edges=edges, values=w, stats=stats)
 
 
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
@@ -501,21 +592,24 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
             stderr_p=np.full(bins, np.nan), stderr_a=np.full(bins, np.nan),
             max_dev_p=0.0, max_dev_a=0.0,
             bins_within_3se_p=bins, bins_within_3se_a=bins,
-            capacity_violations=0, payoff_total=0.0,
+            capacity_violations=0, payoff_total=0.0, stats={"main_rows": 0},
         )
 
     cal_rows = calibration_trials or max(100_000, trials // 5)
     polish = max(cal_rows, trials // 2)
+    stats = {"main_rows": trials}
     if lottery_weights is None:
         lottery_weights = calibrate_lottery(
             inst, part, trials=cal_rows, seed=seed, bins=bins,
             polish_trials=polish,
         )
+        stats["lottery"] = lottery_weights.stats
     if audit_weights is None:
         audit_weights = calibrate_audit(
             inst, part, rules, trials=cal_rows, seed=seed, bins=bins,
             polish_trials=polish,
         )
+        stats["audit"] = audit_weights.stats
 
     draws = np.zeros(bins)
     alloc_hits = np.zeros(bins)
@@ -535,13 +629,13 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
         )
         idx = _bin_index(types, bins).ravel()
         draws += np.bincount(idx, minlength=bins)
-        alloc_hits += np.bincount(idx[allocated.ravel()], minlength=bins)
-        audit_hits += np.bincount(idx[audited.ravel()], minlength=bins)
-        merit_hits += np.bincount(idx[merit.ravel()], minlength=bins)
+        alloc_hits += _bin_counts(idx, allocated, bins)
+        audit_hits += _bin_counts(idx, audited, bins)
+        merit_hits += _bin_counts(idx, merit, bins)
         payoff_sum += float((types * allocated).sum())
-        over_alloc = allocated.sum(axis=1) > inst.m
-        over_audit = audited.sum(axis=1) > inst.k
-        orphan = (audited & ~allocated).any(axis=1)
+        over_alloc = _row_count(allocated) > inst.m
+        over_audit = _row_count(audited) > inst.k
+        orphan = _row_count(audited & ~allocated) > 0
         violations += int((over_alloc | over_audit | orphan).sum())
         done += block
         chunk_id += 1
@@ -568,6 +662,7 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
         bins_within_3se_a=int(np.sum(dev_a <= 3.0)),
         capacity_violations=violations,
         payoff_total=payoff_sum / trials,
+        stats=stats,
     )
 
 

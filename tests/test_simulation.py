@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from verialloc import simulation
 from verialloc.distributions import make_uniform
 from verialloc.envelope import LABEL_AUD, ProblemInstance, partition
 from verialloc.interim import merit_with_guarantee
@@ -11,6 +14,8 @@ from verialloc.simulation import (
     CalibrationError,
     EpicWitness,
     _mechanism_batch,
+    _merit_stage,
+    _top_quota,
     audit_select,
     calibrate_audit,
     calibrate_lottery,
@@ -31,6 +36,54 @@ def ex_part(ex_inst):
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _count_batch_rows(monkeypatch) -> list:
+    """Record the rows of every ``_mechanism_batch`` call from now on."""
+    rows = []
+    real = simulation._mechanism_batch
+
+    def counted(types, *args, **kwargs):
+        rows.append(len(types))
+        return real(types, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_mechanism_batch", counted)
+    return rows
+
+
+# -- oracle for the one-sort kernel: selection by full stable argsort ranks --
+
+def _rank_desc(values):
+    """0-based rank of each column entry when its row is sorted descending."""
+    order = np.argsort(-values, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    width = np.arange(values.shape[1])
+    np.put_along_axis(ranks, order, np.broadcast_to(width, order.shape), axis=1)
+    return ranks
+
+
+def _reference_merit(types, reg, m, k):
+    ranks = _rank_desc(types)
+    sorted_vals = np.take_along_axis(types, np.argsort(-types, axis=1, kind="stable"), axis=1)
+    tie = (np.diff(sorted_vals, axis=1) == 0).any(axis=1)
+    merit = (~tie)[:, None] & (((reg == 2) & (ranks < m)) | ((reg == 1) & (ranks < k)))
+    return merit, tie
+
+
+def _reference_pick(mask, keys, quota):
+    return mask & (_rank_desc(keys) < quota[:, None])
+
+
+@st.composite
+def _tied_rows(draw, values, width=st.integers(2, 12)):
+    """A (rows, n) batch whose entries often repeat within a row."""
+    n = draw(width)
+    rows = draw(st.integers(1, 6))
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    entry = st.sampled_from(pool) | values
+    grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=rows, max_size=rows))
+    return np.array(grid, dtype=float)
 
 
 class TestMeritAllocate:
@@ -181,6 +234,66 @@ class TestScalarMatchesBatch:
         assert seen_lottery and seen_audit_draw
 
 
+class TestKernelMatchesReference:
+    """The one-sort kernel selects exactly what full stable ranks select."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), types=_tied_rows(st.floats(0.0, 1.0)))
+    def test_merit_stage(self, data, types):
+        rows, n = types.shape
+        reg = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+            min_size=rows, max_size=rows)))
+        k = data.draw(st.integers(1, n + 1))
+        m = data.draw(st.integers(k, n + 1))
+        merit, tie = _merit_stage(types, reg, m, k)
+        ref_merit, ref_tie = _reference_merit(types, reg, m, k)
+        assert np.array_equal(tie, ref_tie)
+        assert np.array_equal(merit, ref_merit)
+        assert not merit[tie].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           raw=_tied_rows(st.floats(-50.0, 50.0) | st.just(-np.inf)))
+    def test_gumbel_pick_selection(self, data, raw):
+        rows, n = raw.shape
+        mask = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            min_size=rows, max_size=rows)))
+        quota = np.array(data.draw(st.lists(st.integers(-1, n + 1),
+                                            min_size=rows, max_size=rows)))
+        keys = np.where(mask, raw, -np.inf)
+        picked = mask & _top_quota(keys, quota)
+        assert np.array_equal(picked, _reference_pick(mask, keys, quota))
+        assert (picked.sum(axis=1) <= np.maximum(quota, 0)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           types=_tied_rows(st.sampled_from([0.1, 0.4, 0.6, 0.9]), st.just(3)))
+    def test_tie_rows_allocate_nothing(self, data, types, ex_inst, ex_part):
+        w = BinWeights.uniform(4)
+        _, merit, lottery, allocated, audited, tie = _mechanism_batch(
+            types, ex_part, ex_inst, w, w, _rng(data.draw(st.integers(0, 99))))
+        assert not (merit | lottery | allocated | audited)[tie].any()
+
+
+class TestBinWeights:
+    def test_non_uniform_edges_rejected(self):
+        with pytest.raises(ValueError, match="uniform edges"):
+            BinWeights(np.array([0.0, 0.3, 1.0]), np.ones(2))
+        with pytest.raises(ValueError, match="uniform edges"):
+            BinWeights(np.linspace(0.0, 1.0, 5), np.ones(3))
+        with pytest.raises(ValueError, match="uniform edges"):
+            BinWeights(np.linspace(0.0, 2.0, 3), np.ones(2))
+        with pytest.raises(ValueError, match="uniform edges"):
+            BinWeights(np.array([0.0]), np.ones(0))
+
+    def test_lookup_uses_the_tally_bins(self):
+        w = BinWeights(np.linspace(0.0, 1.0, 5), np.array([1.0, 2.0, 3.0, 4.0]))
+        t = np.array([0.0, 0.2499, 0.25, 0.5, 0.99, 1.0])
+        assert w.lookup(t).tolist() == [1.0, 1.0, 2.0, 3.0, 4.0, 4.0]
+
+
 class TestCalibration:
     def test_case3_uniform_weights_converge_immediately(self, ex_inst):
         # empty audit region: all eligible types survive merit identically
@@ -212,14 +325,16 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_audit(ex_inst, ex_solved.partition, rules, trials=0)
 
-    def test_audit_unreachable_target_raises(self, ex_inst):
+    def test_audit_unreachable_target_raises(self, ex_inst, monkeypatch):
         # at phi = 0.6 a lone supply-region merit winner just above gamma1
-        # is always audited, while its target P(t) - phi tends to 0
+        # is always audited, while its target P(t) - phi tends to 0; the
+        # first round already shows it, so no further rounds are run
         part = partition(0.6, ex_inst)
         rules = merit_with_guarantee(0.6, ex_inst, part)
+        rows = _count_batch_rows(monkeypatch)
         with pytest.raises(CalibrationError, match="audit.*forced-audit"):
-            calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16,
-                            max_rounds=2)
+            calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16)
+        assert rows == [20_000]
 
 
 class TestSimulate:
@@ -271,6 +386,26 @@ class TestSimulate:
         assert json.dumps(a.to_record(), sort_keys=True) == json.dumps(
             b.to_record(), sort_keys=True
         )
+
+    def test_stats_add_up_to_the_batch_rows(self, ex_inst, ex_solved, monkeypatch):
+        rows = _count_batch_rows(monkeypatch)
+        report = simulate(ex_inst, ex_solved.phi_star, 30_000, seed=5, bins=16,
+                          calibration_trials=20_000)
+        stats = report.stats
+        assert stats["main_rows"] == 30_000
+        assert stats["lottery"]["rows"] + stats["audit"]["rows"] + 30_000 == sum(rows)
+        for stage in ("lottery", "audit"):
+            assert stats[stage]["rows"] == 20_000 * (stats[stage]["rounds"]
+                                                    + stats[stage]["polish_rounds"])
+            assert stats[stage]["max_dev"] >= 0.0
+        assert "stats" not in report.to_record()
+
+        rows.clear()
+        again = simulate(ex_inst, ex_solved.phi_star, 30_000, seed=5, bins=16,
+                         lottery_weights=BinWeights.uniform(16),
+                         audit_weights=BinWeights.uniform(16))
+        assert again.stats == {"main_rows": 30_000}
+        assert sum(rows) == 30_000
 
     def test_csv_export(self, tmp_path, ex_inst):
         report = simulate(ex_inst, PHI, 5_000, seed=3, bins=8,
