@@ -9,11 +9,15 @@ merit winners, always including audit-region winners and filling the
 remaining capacity from supply-region winners by weighted selection.
 
 The lottery and audit-selection weights are piecewise-constant over type
-bins and are calibrated by damped stochastic fixed point so the simulated
-interim probabilities hit their targets: every audit/incentive-region type
-wins the lottery with probability phi, and every supply-region type is
-audited with probability P(t) - phi.  Weighted draws without replacement
-use Gumbel-perturbed log-weights (successive-draws semantics).
+bins and are calibrated so the interim probabilities hit their targets:
+every audit/incentive-region type wins the lottery with probability phi,
+and every supply-region type is audited with probability P(t) - phi.
+Weighted draws without replacement use Gumbel-perturbed log-weights
+(successive-draws semantics, i.e. Plackett-Luce).  Where the profiles of
+type cells can be enumerated (at most ``_EXACT_MAX_PROFILES`` multisets),
+each stage's per-bin hit rate is computed exactly and the weights are fitted
+on it deterministically, so they do not depend on the seed; otherwise a
+damped stochastic fixed point fits them on simulated profiles.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stage, round), so a report is a pure function of its seed.
@@ -22,6 +26,7 @@ All randomness flows through counter-based Philox streams keyed by
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,7 +48,7 @@ _CHUNK = 250_000
 
 
 class CalibrationError(RuntimeError):
-    """Raised when the weight fixed point fails to reach its target band."""
+    """Raised when no weights reach a stage's targets, or the fit fails to."""
 
 
 def _bin_index(types: np.ndarray, bins: int) -> np.ndarray:
@@ -57,7 +62,9 @@ class BinWeights:
 
     ``edges`` must be ``linspace(0, 1, len(values) + 1)``: a type's weight
     is read by the same floor(t * bins) index the simulation tallies use.
-    ``stats`` describes the calibration that fitted the weights, if any:
+    ``stats`` describes the calibration that fitted the weights, if any.
+    With ``method`` "exact": iterations, cell multisets enumerated and the
+    largest final |rate - target|.  With ``method`` "monte_carlo":
     fixed-point rounds, polish rounds, rows simulated and the worst bin
     deviation (in standard errors) of the last round.
     """
@@ -132,14 +139,6 @@ class SimReport:
     @property
     def bins(self) -> int:
         return len(self.draws)
-
-    def empirical_P(self, t: float) -> float:
-        idx = min(int(np.searchsorted(self.bin_edges, t, side="right")) - 1, self.bins - 1)
-        return float(self.p_hat[max(idx, 0)])
-
-    def empirical_A(self, t: float) -> float:
-        idx = min(int(np.searchsorted(self.bin_edges, t, side="right")) - 1, self.bins - 1)
-        return float(self.a_hat[max(idx, 0)])
 
     def to_record(self) -> dict:
         return {
@@ -391,6 +390,210 @@ def bin_targets(inst: ProblemInstance, rules: InterimRules,
 # calibration
 # ---------------------------------------------------------------------------
 
+# Limits of the exact interim map, from timings of both calibrators on one
+# Xeon core (uniform types at phi*, 100,000-row Monte Carlo rounds).  In
+# every case tried under these caps, n = 3 to 8 with 4 to 64 bins, the map
+# fitted both stages 5-90x faster than the fallback, with a peak memory at most 2 MB above its.
+# Above about 150,000 multisets its memory passes the fallback's: 105 MB
+# against 99 MB for (3,2,1) with 100 bins (182,104 multisets), 197 MB
+# against 101 MB for n = 4 with 64 bins (864,501).  (3,2,1) with 64 bins
+# has 50,116.  A draw's exact law sums over up to 2^n drawn sets, so at
+# n = 12 the map was only 1.2x faster; n is capped at 8, the largest
+# instance the tests check against a Monte Carlo tally.
+_EXACT_MAX_PROFILES = 150_000
+_EXACT_MAX_AGENTS = 8
+_EXACT_TOL = 1e-10
+_EXACT_MAX_ITER = 2_000
+
+
+def _plackett_luce_top(w: np.ndarray, quota: int) -> np.ndarray:
+    """P(each column is among the first ``quota`` of a successive weighted
+    draw without replacement), row by row of the positive weights ``w``.
+
+    Dynamic program over the set drawn so far: P(the first j draws are the
+    set S) is summed over the member of S drawn last.  This is the law of
+    the Gumbel-top-k pick (Efraimidis & Spirakis 2006; Kool et al. 2019).
+    """
+    rows, s = w.shape
+    layer = {(): (np.ones(rows), w.sum(axis=1))}  # set -> (probability, weight left)
+    for _ in range(quota):
+        nxt = {}
+        for drawn, (p, left) in layer.items():
+            for j in range(s):
+                if j in drawn:
+                    continue
+                key = tuple(sorted(drawn + (j,)))
+                step = p * w[:, j] / left
+                if key in nxt:
+                    nxt[key][0] += step
+                else:
+                    nxt[key] = [step, left - w[:, j]]
+        layer = nxt
+    top = np.zeros_like(w)
+    for drawn, (p, _) in layer.items():
+        top[:, list(drawn)] += p[:, None]
+    return top
+
+
+def _profile_table(inst: ProblemInstance, part: RegionPartition, bins: int):
+    """Every descending profile of type cells, with its probability.
+
+    Cells are the ``bins`` uniform bins cut again at the region cutoffs, so
+    each lies in one bin and one region.  Types are iid and continuous, so
+    a profile is a multiset of n cells, weighted by its multinomial count
+    times the product of its cells' masses; agents sharing a cell are
+    exchangeable and ties have probability 0.  Returns (bin, region) of the
+    cell at each descending position and the profile probabilities, or
+    None when there are more than ``_EXACT_MAX_PROFILES`` multisets or
+    ``_EXACT_MAX_AGENTS`` agents.
+    """
+    n = inst.n
+    cuts = np.unique(np.concatenate([np.linspace(0.0, 1.0, bins + 1),
+                                     [iv.lo for iv in part.intervals]]))
+    mass = np.diff(np.asarray(inst.dist.cdf(cuts), dtype=float))
+    keep = mass > 0
+    mid = 0.5 * (cuts[:-1] + cuts[1:])[keep]
+    mass = mass[keep]
+    cells = len(mass)
+    if n > _EXACT_MAX_AGENTS or math.comb(cells + n - 1, n) > _EXACT_MAX_PROFILES:
+        return None
+
+    # nondecreasing n-tuples of cell indices, grown one column at a time
+    table = np.arange(cells, dtype=np.int16)[:, None]
+    for _ in range(1, n):
+        last = table[:, -1].astype(np.int64)
+        reps = cells - last
+        parent = np.repeat(np.arange(len(table)), reps)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+        table = np.column_stack([table[parent], (last[parent] + offset).astype(np.int16)])
+
+    prob = np.full(len(table), float(math.factorial(n)))
+    run = np.ones(len(table))
+    for j in range(1, n):
+        run = np.where(table[:, j] == table[:, j - 1], run + 1.0, 1.0)
+        prob /= run
+    prob *= np.prod(mass[table], axis=1)
+
+    desc = table[:, ::-1]
+    cell_bin = _bin_index(mid, bins).astype(np.int16)
+    return cell_bin[desc], _regions(mid, part)[desc], prob
+
+
+@dataclass(frozen=True)
+class _StageMap:
+    """Exact per-bin hit rate of one weighted draw as a function of the
+    bin weights.
+
+    ``draws`` and ``fixed`` are the expected tallied agents and the expected
+    hits no weight can move (certain lottery wins, forced audits) per bin.
+    Each group holds the profiles whose draw is a real choice, 0 < quota <
+    pool size, with one quota and pool size: the pool members' bins and the
+    profile probabilities.
+    """
+
+    draws: np.ndarray
+    fixed: np.ndarray
+    groups: tuple
+    multisets: int
+
+    def rate(self, w: np.ndarray) -> np.ndarray:
+        bins = len(self.draws)
+        hits = self.fixed.copy()
+        for quota, pool_bins, prob in self.groups:
+            top = _plackett_luce_top(w[pool_bins], quota)
+            hits += np.bincount(pool_bins.ravel(), weights=(prob[:, None] * top).ravel(),
+                                minlength=bins)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return hits / self.draws
+
+
+def _stage_map(inst: ProblemInstance, part: RegionPartition, bins: int,
+               stage: str) -> Optional[_StageMap]:
+    """The exact map of the lottery or the audit draw, or None when the
+    instance has too many cell multisets to enumerate."""
+    table = _profile_table(inst, part, bins)
+    if table is None:
+        return None
+    cell_bin, reg, prob = table
+    n, m, k = inst.n, inst.m, inst.k
+    rank = np.arange(n)
+    merit = ((reg == 2) & (rank < m)) | ((reg == 1) & (rank < k))
+    won = _row_count(merit)
+    if stage == "lottery":
+        tallied = reg <= 1
+        pool = tallied & ~merit
+        size = _row_count(pool)
+        quota = np.minimum(m - won, size)
+        fixed = pool & (quota == size)[:, None]  # every eligible agent wins
+    else:
+        # with more than k winners the pool exceeds its quota; with at most
+        # k every supply-region winner is audited
+        tallied = reg == 2
+        over = won > k
+        pool = merit & tallied & over[:, None]
+        size = _row_count(pool)
+        quota = np.where(over, k - _row_count(merit & (reg == 1)), 0)
+        fixed = merit & tallied & ~over[:, None]
+
+    def per_bin(mask):
+        return np.bincount(cell_bin.ravel(), weights=(prob[:, None] * mask).ravel(),
+                           minlength=bins)
+
+    # a draw depends only on its quota and its pool's bins (in descending
+    # order), so profiles sharing both are merged into one row
+    chosen = (quota > 0) & (quota < size)
+    groups = []
+    for q, s in sorted(set(zip(quota[chosen].tolist(), size[chosen].tolist()))):
+        rows = np.flatnonzero(chosen & (quota == q) & (size == s))
+        pool_bins = cell_bin[rows][pool[rows]].reshape(-1, s)
+        order = np.lexsort(pool_bins.T)
+        pool_bins, rows = pool_bins[order], rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (pool_bins[1:] != pool_bins[:-1]).any(axis=1)
+        merged = np.bincount(np.cumsum(first) - 1, weights=prob[rows])
+        groups.append((q, pool_bins[first], merged))
+    return _StageMap(per_bin(tallied), per_bin(fixed), tuple(groups), len(prob))
+
+
+def _forced_audit_error(b: int, bins: int, forced: float,
+                        target: float) -> CalibrationError:
+    return CalibrationError(
+        f"audit target unreachable in type bin [{b / bins:.6g}, {(b + 1) / bins:.6g}): "
+        f"its forced-audit rate {forced:.6g} alone exceeds the audit target "
+        f"{target:.6g} (supply-region merit winners in a profile with at most "
+        f"k winners are always audited)"
+    )
+
+
+def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
+    """Deterministic multiplicative fixed point on the exact map: w <- w *
+    target / rate per bin, normalised to unit geometric mean, until every
+    bin is within ``_EXACT_TOL`` of its target."""
+    bins = len(target)
+    active = (smap.draws > 0) & np.isfinite(target)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        excess = np.where(active, smap.fixed / smap.draws - target, -np.inf)
+    if stage == "audit" and excess.max() > _EXACT_TOL:
+        b = int(np.argmax(excess))
+        raise _forced_audit_error(b, bins, smap.fixed[b] / smap.draws[b], target[b])
+    w = np.ones(bins)
+    for it in range(1, _EXACT_MAX_ITER + 1):
+        rate = smap.rate(w)
+        resid = float(np.max(np.abs(rate - target)[active], initial=0.0))
+        if resid <= _EXACT_TOL:
+            break
+        w = np.where(active & (rate > 0), w * target / np.where(rate > 0, rate, 1.0), w)
+        w = np.clip(w / np.exp(np.mean(np.log(w[active]))), 1e-6, 1e6)
+    else:
+        raise CalibrationError(
+            f"{stage} calibration stalled: after {_EXACT_MAX_ITER} iterations of the "
+            f"exact map the worst bin is still {resid:.3g} from its target"
+        )
+    stats = {"method": "exact", "iterations": it, "multisets": smap.multisets,
+             "max_residual": resid}
+    return BinWeights(edges=np.linspace(0.0, 1.0, bins + 1), values=w, stats=stats)
+
+
 def _sample_types(inst: ProblemInstance, rows: int, rng: np.random.Generator) -> np.ndarray:
     u = rng.random((rows, inst.n))
     return np.asarray(inst.dist.quantile(u), dtype=float)
@@ -422,8 +625,6 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
     than six standard errors in the first round, the fixed point cannot
     converge.  The fitted weights carry the work done in ``stats``.
     """
-    if trials < 1:
-        raise ValueError("calibration needs at least one trial")
     lottery_stage = stage == "lottery"
     stream = 0 if lottery_stage else 1
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -462,44 +663,56 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
             se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
             dev = np.abs(emp - target) / se
             ratio = np.where(active & (hits > 0), target / np.where(hits > 0, emp, 1.0), 1.0)
-            excess = np.where(active, (forced / draws - target) / se, -np.inf)
+            forced_rate = forced / draws
+            excess = np.where(active, (forced_rate - target) / se, -np.inf)
+        if excess.max() > 6.0:
+            b = int(np.argmax(excess))
+            raise _forced_audit_error(b, bins, forced_rate[b], target[b])
         ratio = np.clip(np.nan_to_num(ratio, nan=1.0), clip_lo, clip_hi)
         worst = float(np.nanmax(np.where(active, dev, 0.0)))
-        return active, dev, worst, excess.max(), weights * ratio**power
-
-    def failure(dev: np.ndarray) -> CalibrationError:
-        hint = "" if lottery_stage else (
-            "; check that the target is above the forced-audit floor")
-        return CalibrationError(
-            f"{stage} calibration did not reach the 2-standard-error band in "
-            f"{max_rounds} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
-        )
+        return active, dev, worst, weights * ratio**power
 
     for rnd in range(max_rounds):
-        active, dev, worst, excess, stepped = step(
+        active, dev, worst, stepped = step(
             w, trials, _philox(seed, stream, rnd), 0.25, 4.0, damping,
             count_forced=rnd == 0 and not lottery_stage,
         )
         if worst < 2.0:
             break
-        if excess > 6.0:
-            raise failure(dev)
         w = np.clip(stepped / np.exp(np.mean(np.log(stepped[active]))), 1e-6, 1e6)
     else:
-        raise failure(dev)
-    stats = {"rounds": rnd + 1, "polish_rounds": 0, "rows": (rnd + 1) * trials,
-             "max_dev": worst}
+        hint = "" if lottery_stage else (
+            "; check that the target is above the forced-audit floor")
+        raise CalibrationError(
+            f"{stage} calibration did not reach the 2-standard-error band in "
+            f"{max_rounds} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
+        )
+    stats = {"method": "monte_carlo", "rounds": rnd + 1, "polish_rounds": 0,
+             "rows": (rnd + 1) * trials, "max_dev": worst}
 
     if polish_trials and polish_rounds and np.isfinite(target).any():
         logs = []
         for rnd in range(polish_rounds):
             rng = _philox(seed, stream, max_rounds + rnd)
-            _, _, worst, _, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
+            _, _, worst, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
             logs.append(np.log(w))
         w = np.exp(np.mean(logs, axis=0))
         stats.update(polish_rounds=polish_rounds, max_dev=worst,
                      rows=stats["rows"] + polish_rounds * polish_trials)
     return BinWeights(edges=edges, values=w, stats=stats)
+
+
+def _calibrate(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
+               tally, *, stage: str, trials: int, bins: int, **fit) -> BinWeights:
+    """Fit one stage's weights on the exact map where it covers the
+    instance, and by the Monte Carlo fixed point otherwise."""
+    if trials < 1:
+        raise ValueError("calibration needs at least one trial")
+    smap = _stage_map(inst, part, bins, stage)
+    if smap is not None:
+        return _fit_exact(smap, target, stage)
+    return _fit_weights(inst, part, target, tally, stage=stage, trials=trials,
+                        bins=bins, **fit)
 
 
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
@@ -510,11 +723,13 @@ def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
     """Fit lottery weights so each audit/incentive-region type wins with
     probability phi.
 
-    When the audit region is empty every eligible type survives the merit
-    stage with the same probability, so the uniform start is already a
-    fixed point and the first round converges.
+    ``trials``, ``seed``, ``max_rounds``, ``damping``, ``polish_trials`` and
+    ``polish_rounds`` steer the Monte Carlo fallback only; the exact map
+    ignores them.  When the audit region is empty every eligible type
+    survives the merit stage with the same probability, so the uniform
+    start is already a fixed point and the first round converges.
     """
-    return _fit_weights(
+    return _calibrate(
         inst, part, np.full(bins, part.phi),
         lambda reg, lottery, audited: (reg <= 1, lottery),
         stage="lottery", trials=trials, seed=seed, bins=bins,
@@ -534,7 +749,9 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
 
     Audit-region winners are audited unconditionally, which already matches
     their target; the weights only steer the choice among supply-region
-    winners when more than k agents won the merit stage.
+    winners when more than k agents won the merit stage.  A bin whose
+    forced audits alone exceed its target raises ``CalibrationError``
+    naming the bin.  The other keywords are as in ``calibrate_lottery``.
     """
     edges = np.linspace(0.0, 1.0, bins + 1)
     breakpoints = [iv.lo for iv in part.intervals]
@@ -550,7 +767,7 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
                       inst.dist, edges, breakpoints)
     with np.errstate(invalid="ignore", divide="ignore"):
         target = np.where(ind > 0, num / np.where(ind > 0, ind, 1.0), np.nan)
-    return _fit_weights(
+    return _calibrate(
         inst, part, target,
         lambda reg, lottery, audited: (reg == 2, audited & (reg == 2)),
         stage="audit", trials=trials, seed=seed, bins=bins,
@@ -571,9 +788,11 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
     """Run the full mechanism on ``trials`` iid profiles and compare the
     binned empirical interim rules against their targets.
 
-    Weights not supplied are calibrated first (reproducibly from the same
-    seed).  Identical (inst, phi, trials, seed, bins) inputs give a
-    bit-identical report.
+    Weights not supplied are calibrated first: exactly, and independently
+    of the seed, where the exact map covers the instance; otherwise by the
+    Monte Carlo fixed point on ``calibration_trials`` rows per round (default
+    max(100000, trials / 5)), reproducibly from the same seed.  Identical
+    (inst, phi, trials, seed, bins) inputs give a bit-identical report.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")

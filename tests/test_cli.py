@@ -87,6 +87,15 @@ class TestSimulateCommand:
         assert code == 0
         assert "audit-escape probability >= 0.5" in out
 
+    def test_unreachable_audit_target_exits_3(self, capsys):
+        code, _, err = run(capsys, [
+            "simulate", "--n", "3", "--m", "2", "--k", "1", "--phi", "0.6",
+            "--trials", "20000", "--seed", "1",
+        ])
+        assert code == 3
+        assert "audit target unreachable in type bin [0.828125, 0.84375)" in err
+        assert "forced-audit rate 0.6875" in err and "audit target 0.3732" in err
+
 
 class TestCheckCommand:
     def test_bundled_counterexample_infeasible(self, capsys):

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +10,17 @@ from hypothesis import strategies as st
 
 from verialloc import simulation
 from verialloc.distributions import make_uniform
-from verialloc.envelope import LABEL_AUD, ProblemInstance, partition
+from verialloc.envelope import (
+    LABEL_ALLO,
+    LABEL_AUD,
+    LABEL_IC,
+    ProblemInstance,
+    RegionInterval,
+    RegionPartition,
+    partition,
+)
 from verialloc.interim import merit_with_guarantee
+from verialloc.optimizer import solve
 from verialloc.simulation import (
     BinWeights,
     CalibrationError,
@@ -36,6 +48,13 @@ def ex_part(ex_inst):
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+@pytest.fixture
+def calibration_path():
+    """The calibrator a test expects; the exact map covers (3,2,1).
+    ``TestMonteCarloFallback`` overrides this to rerun tests on the fallback."""
+    return "exact"
 
 
 def _count_batch_rows(monkeypatch) -> list:
@@ -295,19 +314,21 @@ class TestBinWeights:
 
 
 class TestCalibration:
-    def test_case3_uniform_weights_converge_immediately(self, ex_inst):
+    def test_case3_uniform_weights_converge_immediately(self, ex_inst, calibration_path):
         # empty audit region: all eligible types survive merit identically
         part = partition(0.6, ex_inst)
         assert part.case_tag == "IcAllo"
         w = calibrate_lottery(ex_inst, part, trials=120_000, seed=3, bins=16,
                               polish_trials=None)
+        assert w.stats["method"] == calibration_path
         active = w.values[:8]
         assert np.allclose(active, active.mean(), rtol=0.2)
 
-    def test_weights_increase_over_audit_region(self, ex_inst, ex_solved):
+    def test_weights_increase_over_audit_region(self, ex_inst, ex_solved, calibration_path):
         part = ex_solved.partition
         w = calibrate_lottery(ex_inst, part, trials=150_000, seed=5, bins=32,
                               polish_trials=150_000)
+        assert w.stats["method"] == calibration_path
         edges = w.edges
         mids = 0.5 * (edges[:-1] + edges[1:])
         in_aud = (mids > part.gamma2) & (mids < part.gamma3)
@@ -328,13 +349,142 @@ class TestCalibration:
     def test_audit_unreachable_target_raises(self, ex_inst, monkeypatch):
         # at phi = 0.6 a lone supply-region merit winner just above gamma1
         # is always audited, while its target P(t) - phi tends to 0; the
-        # first round already shows it, so no further rounds are run
+        # exact map shows it before any profile is simulated
         part = partition(0.6, ex_inst)
         rules = merit_with_guarantee(0.6, ex_inst, part)
         rows = _count_batch_rows(monkeypatch)
-        with pytest.raises(CalibrationError, match="audit.*forced-audit"):
+        with pytest.raises(CalibrationError, match="audit.*forced-audit") as err:
+            calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16)
+        assert rows == []
+        # the error names the bin holding gamma1 = 0.829, just above which
+        # the target tends to 0, and both rates
+        assert "[0.8125, 0.875)" in str(err.value)
+        forced, target = map(float, re.findall(r"rate ([0-9.]+) alone exceeds "
+                                               r"the audit target ([0-9.]+)",
+                                               str(err.value))[0])
+        assert forced > target + 0.1
+
+    def test_monte_carlo_unreachable_target_raises_after_one_round(
+            self, ex_inst, monkeypatch):
+        monkeypatch.setattr(simulation, "_EXACT_MAX_PROFILES", 0)
+        part = partition(0.6, ex_inst)
+        rules = merit_with_guarantee(0.6, ex_inst, part)
+        rows = _count_batch_rows(monkeypatch)
+        with pytest.raises(CalibrationError,
+                           match=r"audit target unreachable in type bin \[.*forced-audit"):
             calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16)
         assert rows == [20_000]
+
+    def test_exact_weights_do_not_depend_on_the_seed(self, ex_inst, ex_solved):
+        part = ex_solved.partition
+        rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, part)
+        a = calibrate_lottery(ex_inst, part, seed=1)
+        b = calibrate_lottery(ex_inst, part, seed=2)
+        assert np.array_equal(a.values, b.values)
+        assert a.stats == b.stats
+        assert a.stats["method"] == "exact" and a.stats["multisets"] == 50_116
+        assert a.stats["max_residual"] <= 1e-10
+        c = calibrate_audit(ex_inst, part, rules, seed=1)
+        d = calibrate_audit(ex_inst, part, rules, seed=2)
+        assert np.array_equal(c.values, d.values)
+
+
+def _successive_draws(w, quota):
+    """P(each entry is among the first ``quota`` draws), summed over every
+    full order of successive weighted draws without replacement."""
+    top = np.zeros(len(w))
+    for order in itertools.permutations(range(len(w))):
+        p, left = 1.0, float(sum(w))
+        for j in order:
+            p *= w[j] / left
+            left -= w[j]
+        top[list(order[:quota])] += p
+    return top
+
+
+def _tally(inst, part, weights, stage, rows, seed):
+    """Per-bin (hits, draws) of one stage over ``rows`` simulated profiles."""
+    bins = len(weights.values)
+    flat = BinWeights.uniform(bins)
+    lottery_w, audit_w = (weights, flat) if stage == "lottery" else (flat, weights)
+    rng = _rng(seed)
+    hits, draws = np.zeros(bins), np.zeros(bins)
+    for _ in range(rows // 125_000):
+        types = simulation._sample_types(inst, 125_000, rng)
+        reg, _, lottery, _, audited, _ = _mechanism_batch(
+            types, part, inst, lottery_w, audit_w, rng,
+            run_lottery=stage == "lottery", run_audit=stage == "audit")
+        tallied, hit = (reg <= 1, lottery) if stage == "lottery" else (reg == 2, audited)
+        idx = simulation._bin_index(types, bins).ravel()
+        hits += np.bincount(idx, weights=(hit & tallied).ravel(), minlength=bins)
+        draws += np.bincount(idx, weights=tallied.ravel(), minlength=bins)
+    return hits, draws
+
+
+class TestExactMap:
+    """The exact interim map against brute force and a Monte Carlo tally."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_plackett_luce_matches_successive_draws(self, size):
+        rng = np.random.default_rng(size)
+        rows = [np.ones(size), rng.uniform(0.1, 5.0, size), rng.uniform(0.1, 5.0, size),
+                np.array([1e-3] + [1.0] * (size - 1))]
+        w = np.array(rows)
+        for quota in range(1, size):
+            top = simulation._plackett_luce_top(w, quota)
+            brute = np.array([_successive_draws(row, quota) for row in w])
+            np.testing.assert_allclose(top, brute, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(top[0], quota / size, rtol=1e-14)
+            np.testing.assert_allclose(top.sum(axis=1), quota, rtol=1e-13)
+
+    def test_profiles_are_a_distribution(self, ex_inst, ex_part):
+        cell_bin, reg, prob = simulation._profile_table(ex_inst, ex_part, 64)
+        assert len(prob) == 50_116 and cell_bin.dtype == np.int16
+        assert prob.sum() == pytest.approx(1.0, abs=1e-12)
+        # each agent's bin has the bin's mass: n agents, 1/64 each
+        per_bin = np.bincount(cell_bin.ravel(), weights=np.repeat(prob, 3), minlength=64)
+        np.testing.assert_allclose(per_bin, 3 / 64, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, m, k, phi, bins, stage", [
+        (3, 2, 1, "star", 64, "lottery"), (3, 2, 1, "star", 64, "audit"),
+        (3, 2, 1, 2 / 3, 16, "lottery"), (3, 2, 1, 0.6, 16, "audit"),
+        (3, 2, 1, "interleaved", 16, "lottery"), (3, 2, 1, "interleaved", 16, "audit"),
+        # lottery pools of up to 5 (n = 5) and 8 (n = 8) agents with quotas
+        # up to 3 and 4, audit pools of 3 and 4 merit winners with quota 2
+        (5, 3, 1, "star", 8, "lottery"), (5, 3, 1, "star", 8, "audit"),
+        (8, 4, 2, "star", 8, "lottery"), (8, 4, 2, "star", 8, "audit"),
+    ])
+    def test_map_matches_monte_carlo_tally(self, uniform, n, m, k, phi, bins, stage):
+        inst = ProblemInstance(n, m, k, uniform)
+        if phi == "interleaved":
+            # regions out of order (supply below and above the audit
+            # region): a losing low supply-region type leaves the lottery
+            # pool no larger than its quota, so some draws are certain
+            part = RegionPartition(0.3, "IcAlloAudAllo", 0.2, 0.4, 0.6, (
+                RegionInterval(0.0, 0.2, LABEL_IC), RegionInterval(0.2, 0.4, LABEL_ALLO),
+                RegionInterval(0.4, 0.6, LABEL_AUD), RegionInterval(0.6, 1.0, LABEL_ALLO)))
+        else:
+            part = partition(solve(inst).phi_star if phi == "star" else phi, inst)
+        w = np.exp(np.random.default_rng(bins).normal(0.0, 0.7, bins))
+        weights = BinWeights(np.linspace(0.0, 1.0, bins + 1), w)
+        smap = simulation._stage_map(inst, part, bins, stage)
+        exact = smap.rate(w)
+        hits, draws = _tally(inst, part, weights, stage, 1_000_000, seed=bins)
+        active = smap.draws > 0
+        assert np.array_equal(active, draws > 0) and active.sum() >= 3
+        exact, hits, draws = exact[active], hits[active], draws[active]
+        se = np.sqrt(np.clip(exact * (1.0 - exact), 1e-12, None) / draws)
+        assert np.max(np.abs(hits / draws - exact) / se) <= 4.5
+        # so do the expected tallied agents per bin
+        expected = 1_000_000 * smap.draws[active]
+        assert np.max(np.abs(draws - expected) / np.sqrt(expected)) <= 4.5
+
+    def test_unreachable_lottery_target_stalls(self, ex_inst, ex_part):
+        # the lottery hands out E[m - merit winners] objects whatever the
+        # weights, fewer than phi = 0.9 for every eligible type needs
+        smap = simulation._stage_map(ex_inst, ex_part, 16, "lottery")
+        with pytest.raises(CalibrationError, match="lottery calibration stalled"):
+            simulation._fit_exact(smap, np.full(16, 0.9), "lottery")
 
 
 class TestSimulate:
@@ -345,9 +495,10 @@ class TestSimulate:
         assert report.payoff_total == 0.0
         assert report.bins_within_3se_p == report.bins
 
-    def test_small_run_consistency(self, ex_inst, ex_solved):
+    def test_small_run_consistency(self, ex_inst, ex_solved, calibration_path):
         report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=11,
                           bins=32, calibration_trials=120_000)
+        assert report.stats["audit"]["method"] == calibration_path
         assert report.capacity_violations == 0
         assert abs(report.payoff_total - ex_solved.payoff) < 0.02
         # generous bands for the small run
@@ -359,19 +510,21 @@ class TestSimulate:
                              1e-12, None) / np.maximum(report.draws, 1))
         assert int(np.sum(dev > 4 * se)) <= 3
 
-    def test_guarantee_region_hits_phi(self, ex_inst, ex_solved):
+    def test_guarantee_region_hits_phi(self, ex_inst, ex_solved, calibration_path):
         report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=13,
                           bins=32, calibration_trials=120_000)
+        assert report.stats["lottery"]["method"] == calibration_path
         part = ex_solved.partition
         mids = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
         low = mids < part.gamma1 - 1.0 / 32
         assert np.allclose(report.p_target[low], ex_solved.phi_star, atol=1e-9)
         assert np.max(np.abs(report.p_hat[low] - ex_solved.phi_star)) < 0.02
 
-    def test_pure_lottery_limit(self, ex_inst):
+    def test_pure_lottery_limit(self, ex_inst, calibration_path):
         # phi = m/n: every type should receive with probability about m/n
         report = simulate(ex_inst, 2 / 3, 60_000, seed=17, bins=16,
                           calibration_trials=60_000)
+        assert report.stats["lottery"]["method"] == calibration_path
         assert report.capacity_violations == 0
         assert np.max(np.abs(report.p_hat - 2 / 3)) < 0.03
 
@@ -388,16 +541,18 @@ class TestSimulate:
         )
 
     def test_stats_add_up_to_the_batch_rows(self, ex_inst, ex_solved, monkeypatch):
+        # the exact map calibrates both stages without running the kernel
         rows = _count_batch_rows(monkeypatch)
         report = simulate(ex_inst, ex_solved.phi_star, 30_000, seed=5, bins=16,
                           calibration_trials=20_000)
         stats = report.stats
         assert stats["main_rows"] == 30_000
-        assert stats["lottery"]["rows"] + stats["audit"]["rows"] + 30_000 == sum(rows)
+        assert sum(rows) == 30_000
         for stage in ("lottery", "audit"):
-            assert stats[stage]["rows"] == 20_000 * (stats[stage]["rounds"]
-                                                    + stats[stage]["polish_rounds"])
-            assert stats[stage]["max_dev"] >= 0.0
+            assert stats[stage]["method"] == "exact"
+            assert stats[stage]["iterations"] >= 1
+            assert stats[stage]["multisets"] == math.comb(18 + 2, 3)  # 16 bins + 2 cuts
+            assert 0.0 <= stats[stage]["max_residual"] <= 1e-10
         assert "stats" not in report.to_record()
 
         rows.clear()
@@ -422,6 +577,43 @@ class TestSimulate:
         assert out.allocated == {0, 1}
         assert out.stage[:2] == ("merit", "merit")
         assert len(out.audited) == 1 and out.audited <= out.allocated
+
+
+class TestMonteCarloFallback:
+    """Above the enumeration cap the Monte Carlo fixed point calibrates.
+
+    The calibration and simulation tests below are rerun here with a cap of
+    zero, so the fallback must meet the same bands as the exact map.
+    """
+
+    @pytest.fixture
+    def calibration_path(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_EXACT_MAX_PROFILES", 0)
+        return "monte_carlo"
+
+    test_case3_uniform_weights_converge_immediately = (
+        TestCalibration.test_case3_uniform_weights_converge_immediately)
+    test_weights_increase_over_audit_region = (
+        TestCalibration.test_weights_increase_over_audit_region)
+    test_small_run_consistency = TestSimulate.test_small_run_consistency
+    test_guarantee_region_hits_phi = TestSimulate.test_guarantee_region_hits_phi
+    test_pure_lottery_limit = TestSimulate.test_pure_lottery_limit
+
+    def test_stats_add_up_to_the_batch_rows(self, monkeypatch):
+        inst = ProblemInstance(4, 2, 1, make_uniform())
+        phi = solve(inst).phi_star
+        assert simulation._profile_table(inst, partition(phi, inst), 64) is None
+        rows = _count_batch_rows(monkeypatch)
+        report = simulate(inst, phi, 20_000, seed=5, calibration_trials=20_000)
+        stats = report.stats
+        assert stats["lottery"]["rows"] + stats["audit"]["rows"] + 20_000 == sum(rows)
+        for stage in ("lottery", "audit"):
+            assert stats[stage]["method"] == "monte_carlo"
+            assert stats[stage]["rows"] == 20_000 * (stats[stage]["rounds"]
+                                                    + stats[stage]["polish_rounds"])
+            assert stats[stage]["max_dev"] >= 0.0
+        assert report.capacity_violations == 0
+        assert report.bins - report.bins_within_3se_p <= 3
 
 
 class TestEpicWitness:
