@@ -60,7 +60,6 @@ from .simulation import (
     BinWeights,
     CalibrationError,
     EpicWitness,
-    ProfileOutcome,
     SimReport,
     audit_select,
     calibrate_audit,

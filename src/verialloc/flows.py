@@ -17,8 +17,9 @@ check runs as a max-flow problem on the network
 with all capacities scaled to exact integers, so verdicts are exact for
 the quantized data: the rule is feasible iff the max flow saturates every
 demand arc.  On success the flow decomposes into per-profile allocation
-probabilities; on failure the source side of a min cut yields a violated
-set E.
+probabilities; on failure the sink side of a min cut yields a violated
+set E.  Symmetric rules on symmetric instances run the same network with
+type multisets as rows and one type node per type.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -312,7 +313,6 @@ class _Scaled:
             ]
             for i in range(inst.n_agents)
         ]
-        self.total_demand = sum(map(sum, self.demand))
 
     def weight(self, prof: tuple[int, ...]) -> int:
         w = 1
@@ -358,6 +358,98 @@ def _require_enumerable(inst: DiscreteInstance, max_profiles: int) -> None:
         )
 
 
+def multiset_table(size: int, n: int) -> np.ndarray:
+    """Every multiset of n values from range(size) as a nondecreasing row,
+    int16 where the values fit, in lexicographic order (that of
+    combinations_with_replacement)."""
+    dtype = np.int16 if size <= 2**15 else np.int32
+    table = np.arange(size, dtype=dtype)[:, None]
+    for _ in range(1, n):
+        last = table[:, -1].astype(np.int64)
+        reps = size - last
+        parent = np.repeat(np.arange(len(table)), reps)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+        table = np.column_stack([table[parent], (last[parent] + offset).astype(dtype)])
+    return table
+
+
+# ---------------------------------------------------------------------------
+# the flow core
+# ---------------------------------------------------------------------------
+
+def _solve_network(demand: Sequence[int], rows, n_rows: int, scale: int,
+                   want_shares: bool):
+    """Max-flow on  source --(w h scale)--> row --(w mult scale)--> type node
+    --(demand)--> sink.
+
+    ``rows`` yields (w, h, arcs) for each row node, ``arcs`` its (type node,
+    multiplicity) pairs; it is consumed once, as the network is built.
+    Returns (cut, shares): when the flow misses some demand, ``cut`` lists
+    the type nodes on the sink side of a minimum cut; otherwise ``cut`` is
+    None and, if asked for, ``shares`` holds (row, type node, flow /
+    capacity) arrays of the row arcs that carry flow, in arc order.
+    """
+    n_types = len(demand)
+    first_type = 1 + n_rows
+    sink = first_type + n_types
+    mf = MaxFlow(sink + 1)
+    # demand arcs first: every row arc then has an id above 2 * n_types
+    for node, d in enumerate(demand):
+        mf.add_edge(first_type + node, sink, d)
+    for row, (w, h, arcs) in enumerate(rows, start=1):
+        mf.add_edge(0, row, w * h * scale)
+        for node, mult in arcs:
+            mf.add_edge(row, first_type + node, w * mult * scale)
+
+    if mf.max_flow(0, sink) != sum(demand):
+        reachable = mf.reachable_from(0)
+        return [node for node in range(n_types) if not reachable[first_type + node]], None
+    if not want_shares:
+        return None, None
+    # past the demand arcs, a forward arc's flow is its reverse residual and
+    # its capacity the sum of both; int / int rounds as float(Fraction) does
+    first = 2 * n_types
+    to = np.frombuffer(mf.to, dtype=np.int64)
+    flow, left = mf.cap[first + 1::2], mf.cap[first::2]
+    tail, head = to[first + 1::2], to[first::2]
+    used = np.flatnonzero(np.fromiter(map(bool, flow), bool, len(flow)) & (tail != 0))
+    share = np.array([flow[a] / (flow[a] + left[a]) for a in used.tolist()])
+    return None, (tail[used] - 1, head[used] - first_type, share)
+
+
+def _violation(sc: _Scaled, E: CheckSet) -> ViolatingSet:
+    """The min-cut set E with its exact sides; it must be violated."""
+    lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
+    if lhs <= rhs:
+        raise RuntimeError(
+            "min-cut extraction produced a non-violating set; "
+            "this indicates a flow construction bug"
+        )
+    return ViolatingSet(check_set=E, lhs=sc.to_float(lhs), rhs=sc.to_float(rhs))
+
+
+def _tightest(sc: _Scaled, family) -> tuple[int, CheckSet, int, int]:
+    """(slack, E, lhs, rhs) of the first set in ``family`` with the least
+    slack rhs - lhs."""
+    best = None
+    for E in family:
+        lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
+        if best is None or rhs - lhs < best[0]:
+            best = (rhs - lhs, E, lhs, rhs)
+    return best
+
+
+def _tightest_report(sc: _Scaled, family) -> dict:
+    slack, E, lhs, rhs = _tightest(sc, family)
+    return {
+        "all_hold": slack >= 0,
+        "tightest_set": E,
+        "lhs": sc.to_float(lhs),
+        "rhs": sc.to_float(rhs),
+        "slack": sc.to_float(slack),
+    }
+
+
 # ---------------------------------------------------------------------------
 # public checks
 # ---------------------------------------------------------------------------
@@ -389,80 +481,32 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
 
     Feasible: returns the flow decomposition as an ex-post rule whose
     marginals reproduce the quantized P exactly.  Infeasible: returns a
-    violated check set extracted from a minimum cut.
+    violated check set extracted from a minimum cut.  One row node per
+    profile, one type node per (agent, type).
     """
     _require_enumerable(inst, max_profiles)
     sc = _Scaled(inst, P, scale)
-    n = inst.n_agents
-    sizes = inst.sizes
-    n_profiles = inst.n_profiles
+    n, sizes = inst.n_agents, inst.sizes
+    offset = [sum(sizes[:i]) for i in range(n)]
 
-    type_offset = [0] * n
-    for i in range(1, n):
-        type_offset[i] = type_offset[i - 1] + sizes[i - 1]
-    total_types = type_offset[-1] + sizes[-1]
+    def rows():
+        for prof in inst.profiles():
+            yield (sc.weight(prof), inst.h(prof),
+                   [(offset[i] + prof[i], 1) for i in inst.J(prof)])
 
-    source = 0
-    first_profile = 1
-    first_type = first_profile + n_profiles
-    sink = first_type + total_types
-    mf = MaxFlow(sink + 1)
-
-    # demand arcs first: deterministic ids 2 * (type_offset[i] + tau)
-    for i in range(n):
-        for t in range(sizes[i]):
-            mf.add_edge(first_type + type_offset[i] + t, sink, sc.demand[i][t])
-
-    scale_int = sc.scale
-    for pid, prof in enumerate(inst.profiles()):
-        w = sc.weight(prof)
-        h = inst.h(prof)
-        mf.add_edge(source, first_profile + pid, w * h * scale_int)
-        for i in inst.J(prof):
-            mf.add_edge(
-                first_profile + pid,
-                first_type + type_offset[i] + prof[i],
-                w * scale_int,
-            )
-
-    flow = mf.max_flow(source, sink)
-    if flow == sc.total_demand:
-        expost = None
-        if want_expost:
-            alloc = np.zeros((n_profiles, n))
-            cursor = 2 * total_types
-            for pid, prof in enumerate(inst.profiles()):
-                w = sc.weight(prof)
-                cursor += 2  # skip the source arc
-                for i in inst.J(prof):
-                    f = mf.flow_on(cursor)
-                    if f:
-                        alloc[pid, i] = float(Fraction(f, w * scale_int))
-                    cursor += 2
-            expost = ExPostRule(inst=inst, alloc=alloc)
-        return FeasibilityVerdict(feasible=True, expost=expost)
-
-    reachable = mf.reachable_from(source)
-    E = tuple(
-        frozenset(
-            t for t in range(sizes[i])
-            if not reachable[first_type + type_offset[i] + t]
-        )
-        for i in range(n)
-    )
-    lhs_units = sc.lhs_units(E)
-    rhs_units = sc.rhs_units(E)
-    if lhs_units <= rhs_units:
-        raise RuntimeError(
-            "min-cut extraction produced a non-violating set; "
-            "this indicates a flow construction bug"
-        )
-    return FeasibilityVerdict(
-        feasible=False,
-        violating_set=ViolatingSet(
-            check_set=E, lhs=sc.to_float(lhs_units), rhs=sc.to_float(rhs_units)
-        ),
-    )
+    cut, shares = _solve_network([d for row in sc.demand for d in row], rows(),
+                                 inst.n_profiles, scale, want_expost)
+    if cut is not None:
+        cut = set(cut)
+        E = tuple(frozenset(t for t in range(s) if offset[i] + t in cut)
+                  for i, s in enumerate(sizes))
+        return FeasibilityVerdict(feasible=False, violating_set=_violation(sc, E))
+    if shares is None:
+        return FeasibilityVerdict(feasible=True)
+    pid, node, share = shares
+    alloc = np.zeros((inst.n_profiles, n))
+    alloc[pid, np.repeat(np.arange(n), sizes)[node]] = share
+    return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=alloc))
 
 
 def brute_force_verdict(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
@@ -480,16 +524,13 @@ def brute_force_verdict(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
         [frozenset(c) for r in range(s + 1) for c in itertools.combinations(range(s), r)]
         for s in inst.sizes
     ]
-    worst: Optional[ViolatingSet] = None
-    worst_gap = 0
-    for E in itertools.product(*subsets_per_agent):
-        lhs = sc.lhs_units(E)
-        rhs = sc.rhs_units(E)
-        if lhs > rhs and lhs - rhs > worst_gap:
-            worst_gap = lhs - rhs
-            worst = ViolatingSet(check_set=E, lhs=sc.to_float(lhs), rhs=sc.to_float(rhs))
-    if worst is not None:
-        return FeasibilityVerdict(feasible=False, violating_set=worst)
+    slack, E, lhs, rhs = _tightest(sc, itertools.product(*subsets_per_agent))
+    if slack < 0:
+        return FeasibilityVerdict(
+            feasible=False,
+            violating_set=ViolatingSet(check_set=E, lhs=sc.to_float(lhs),
+                                       rhs=sc.to_float(rhs)),
+        )
     return FeasibilityVerdict(feasible=True)
 
 
@@ -506,28 +547,10 @@ def upper_set_report(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
     combos = math.prod(s + 1 for s in inst.sizes)
     if combos > 200_000:
         raise ValueError(f"{combos} upper-set combinations is above the cap")
-    sc = _Scaled(inst, P, scale)
-    ok = True
-    worst = None  # (slack_units, ViolatingSet-like record)
-    for thresholds in itertools.product(*(range(s + 1) for s in inst.sizes)):
-        E = tuple(
-            frozenset(range(th, s)) for th, s in zip(thresholds, inst.sizes)
-        )
-        lhs = sc.lhs_units(E)
-        rhs = sc.rhs_units(E)
-        slack = rhs - lhs
-        if worst is None or slack < worst[0]:
-            worst = (slack, E, lhs, rhs)
-        if slack < 0:
-            ok = False
-    slack, E, lhs, rhs = worst
-    return {
-        "all_hold": ok,
-        "tightest_set": E,
-        "lhs": sc.to_float(lhs),
-        "rhs": sc.to_float(rhs),
-        "slack": sc.to_float(slack),
-    }
+    return _tightest_report(_Scaled(inst, P, scale), (
+        tuple(frozenset(range(th, s)) for th, s in zip(thresholds, inst.sizes))
+        for thresholds in itertools.product(*(range(s + 1) for s in inst.sizes))
+    ))
 
 
 def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
@@ -538,9 +561,11 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
 
     For non-decreasing P on a symmetric instance with constant capacity and
     universal eligibility, checking threshold sets E = {tau >= e} suffices;
-    the thresholds are screened exactly via a binomial count expansion and
-    the flow runs only to build the ex-post rule.  Non-monotone P delegates
-    to the general check.
+    the thresholds are screened exactly via a binomial count expansion, and
+    without ``construct`` that screen is the whole answer.  Otherwise the
+    rule goes to the multiset-collapsed flow, which builds the ex-post rule
+    (monotone P) or decides and builds (non-monotone P); like every flow
+    check it refuses instances above ``max_profiles`` profiles.
     """
     if not inst.is_symmetric():
         raise ValueError("check_interim_allocation expects a symmetric instance")
@@ -559,40 +584,32 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
         p_row = [float(x) for x in P]
     if len(p_row) != size:
         raise ValueError("interim rule length must match the grid")
-    per_agent = [p_row] * n
+    sc = _Scaled(inst, [p_row] * n, scale)
 
     monotone = all(a <= b + 1e-12 for a, b in zip(p_row, p_row[1:]))
-    if not monotone:
-        return check_feasible(inst, per_agent, scale=scale,
-                              max_profiles=max_profiles, want_expost=construct)
-
-    units, denom = _mass_units(inst.masses[0], scale)
-    p_units = [_quantize_p(p, scale) for p in p_row]
-    m = inst.capacity_default
-    # exact binomial screen over thresholds: common denominator scale * denom**n
-    for e in range(size + 1):
-        above = sum(units[e:])
-        below = denom - above
-        lhs = n * sum(p_units[t] * units[t] for t in range(e, size)) * denom ** (n - 1)
-        rhs = 0
-        for x in range(n + 1):
-            if min(x, m) == 0:
-                continue
-            rhs += math.comb(n, x) * above**x * below ** (n - x) * min(x, m)
-        rhs *= scale
-        if lhs > rhs:
-            common = scale * denom**n
-            E = tuple(frozenset(range(e, size)) for _ in range(n))
-            return FeasibilityVerdict(
-                feasible=False,
-                violating_set=ViolatingSet(
-                    check_set=E, lhs=lhs / common, rhs=rhs / common
-                ),
+    if monotone:
+        units, denom = sc.units[0], sc.denoms[0]
+        m = inst.capacity_default
+        # exact binomial screen over thresholds, in units of sc.common
+        for e in range(size + 1):
+            above = sum(units[e:])
+            rhs = scale * sum(
+                math.comb(n, x) * above**x * (denom - above) ** (n - x) * min(x, m)
+                for x in range(1, n + 1)
             )
-    if not construct:
-        return FeasibilityVerdict(feasible=True)
-    verdict = _symmetric_flow_verdict(inst, p_row, scale=scale, want_expost=True)
-    if not verdict.feasible:
+            lhs = n * sum(sc.demand[0][e:])
+            if lhs > rhs:
+                E = tuple(frozenset(range(e, size)) for _ in range(n))
+                return FeasibilityVerdict(
+                    feasible=False,
+                    violating_set=ViolatingSet(check_set=E, lhs=sc.to_float(lhs),
+                                               rhs=sc.to_float(rhs)),
+                )
+        if not construct:
+            return FeasibilityVerdict(feasible=True)
+    _require_enumerable(inst, max_profiles)
+    verdict = _symmetric_flow_verdict(sc, want_expost=construct)
+    if monotone and not verdict.feasible:
         raise RuntimeError(
             "threshold screen passed but the flow found a violation; "
             "the monotone shortcut does not apply to this instance"
@@ -600,113 +617,56 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
     return verdict
 
 
-def _symmetric_flow_verdict(inst: DiscreteInstance, p_row: Sequence[float], *,
-                            scale: int, want_expost: bool) -> FeasibilityVerdict:
+def _symmetric_flow_verdict(sc: _Scaled, *, want_expost: bool) -> FeasibilityVerdict:
     """Flow check for symmetric instances on the multiset-collapsed network.
 
     A symmetric instance with a symmetric rule admits a symmetric ex-post
     rule (average any witness over agent permutations), so profiles that
-    are permutations of each other can be merged into one node.  This cuts
+    are permutations of each other can be merged into one row node, and
+    the agents' copies of a type into one type node: a symmetric cut of
+    the profile network has the capacity of the collapsed cut.  This cuts
     the profile count from size^n to C(size+n-1, n) and is what makes
     fine grids tractable; the expanded per-profile rule and its exact
     marginals are recovered from the collapsed flow.
     """
-    n = inst.n_agents
-    size = inst.sizes[0]
-    units, denom = _mass_units(inst.masses[0], scale)
-    p_units = [_quantize_p(p, scale) for p in p_row]
-    h = inst.capacity_default
-
-    multisets = list(itertools.combinations_with_replacement(range(size), n))
+    inst = sc.inst
+    n, size = inst.n_agents, inst.sizes[0]
+    units = sc.units[0]
+    table = multiset_table(size, n)
     fact = [math.factorial(i) for i in range(n + 1)]
 
-    def weight_of(ms: tuple[int, ...]) -> int:
-        # multinomial count times the product of mass numerators
-        w = fact[n]
-        prev = None
-        run = 0
-        for t in ms:
-            if t == prev:
-                run += 1
-            else:
-                w //= fact[run]
-                prev, run = t, 1
-            w *= units[t]
-        w //= fact[run]
-        return w
+    def rows():
+        h = inst.capacity_default
+        for ms in table.tolist():
+            # multinomial count times the product of mass numerators
+            runs = Counter(ms)
+            w = fact[n]
+            for t, cnt in runs.items():
+                w = w // fact[cnt] * units[t] ** cnt
+            yield w, h, runs.items()
 
-    source = 0
-    first_ms = 1
-    first_type = 1 + len(multisets)
-    sink = first_type + size
-    mf = MaxFlow(sink + 1)
-
-    demand = [p_units[t] * units[t] * n * denom ** (n - 1) for t in range(size)]
-    for t in range(size):
-        mf.add_edge(first_type + t, sink, demand[t])
-
-    ms_weights = []
-    for mid, ms in enumerate(multisets):
-        w = weight_of(ms)
-        ms_weights.append(w)
-        mf.add_edge(source, first_ms + mid, w * h * scale)
-        for t, cnt in _run_lengths(ms):
-            mf.add_edge(first_ms + mid, first_type + t, w * cnt * scale)
-
-    flow = mf.max_flow(source, sink)
-    if flow != sum(demand):
-        reachable = mf.reachable_from(source)
-        Ei = frozenset(t for t in range(size) if not reachable[first_type + t])
-        E = tuple(Ei for _ in range(n))
-        sc = _Scaled(inst, [p_row] * n, scale)
-        lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
-        if lhs <= rhs:
-            raise RuntimeError("symmetric min-cut produced a non-violating set")
-        return FeasibilityVerdict(
-            feasible=False,
-            violating_set=ViolatingSet(check_set=E, lhs=sc.to_float(lhs),
-                                       rhs=sc.to_float(rhs)),
-        )
-    if not want_expost:
+    cut, shares = _solve_network([n * d for d in sc.demand[0]], rows(), len(table),
+                                 sc.scale, want_expost)
+    if cut is not None:
+        E = tuple(frozenset(cut) for _ in range(n))
+        return FeasibilityVerdict(feasible=False, violating_set=_violation(sc, E))
+    if shares is None:
         return FeasibilityVerdict(feasible=True)
 
-    # per-agent share g(type, multiset) from the collapsed flow
-    share: dict[tuple[int, ...], dict[int, float]] = {}
-    cursor = 2 * size
-    for mid, ms in enumerate(multisets):
-        w = ms_weights[mid]
-        cursor += 2  # source arc
-        g: dict[int, float] = {}
-        for t, cnt in _run_lengths(ms):
-            f = mf.flow_on(cursor)
-            if f:
-                g[t] = float(Fraction(f, w * cnt * scale))
-            cursor += 2
-        share[ms] = g
-
-    alloc = np.zeros((inst.n_profiles, n))
-    for pid, prof in enumerate(inst.profiles()):
-        g = share[tuple(sorted(prof))]
-        if g:
-            for i, t in enumerate(prof):
-                v = g.get(t)
-                if v:
-                    alloc[pid, i] = v
+    # agent i at profile p takes the share of (p's multiset, p_i) among the
+    # flowing arcs, whose keys ascend in arc order; one column at a time
+    mid, node, share = shares
+    keys = np.append(mid * size + node, np.iinfo(np.int64).max)
+    share = np.append(share, 0.0)
+    prof = np.indices(inst.sizes, dtype=table.dtype).reshape(n, -1)
+    digits = size ** np.arange(n - 1, -1, -1)
+    mid = np.searchsorted(table @ digits, digits @ np.sort(prof, axis=0))
+    alloc = np.empty((inst.n_profiles, n))
+    for i in range(n):
+        key = mid * size + prof[i]
+        at = np.searchsorted(keys, key)
+        alloc[:, i] = np.where(keys[at] == key, share[at], 0.0)
     return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=alloc))
-
-
-def _run_lengths(ms: tuple[int, ...]):
-    prev = None
-    cnt = 0
-    for t in ms:
-        if t == prev:
-            cnt += 1
-        else:
-            if prev is not None:
-                yield prev, cnt
-            prev, cnt = t, 1
-    if prev is not None:
-        yield prev, cnt
 
 
 def construct_expost(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
@@ -819,28 +779,8 @@ def audit_threshold_report(inst: DiscreteInstance, p_merit: np.ndarray,
     reports the tightest member.  The general flow check remains the
     oracle.
     """
-    sc = _Scaled(_audit_instance(inst, p_merit, k), A, scale)
-    size_max = max(inst.sizes)
-    worst = None
-    for g in range(0, aud_lo + 1):
-        for g_hi in range(aud_hi, size_max + 1):
-            E = tuple(
-                frozenset(
-                    [t for t in range(g, min(aud_hi, s))]
-                    + [t for t in range(g_hi, s)]
-                )
-                for s in inst.sizes
-            )
-            lhs = sc.lhs_units(E)
-            rhs = sc.rhs_units(E)
-            slack = rhs - lhs
-            if worst is None or slack < worst[0]:
-                worst = (slack, E, lhs, rhs)
-    slack, E, lhs, rhs = worst
-    return {
-        "all_hold": slack >= 0,
-        "tightest_set": E,
-        "lhs": sc.to_float(lhs),
-        "rhs": sc.to_float(rhs),
-        "slack": sc.to_float(slack),
-    }
+    return _tightest_report(_Scaled(_audit_instance(inst, p_merit, k), A, scale), (
+        tuple(frozenset([*range(g, min(aud_hi, s)), *range(g_hi, s)]) for s in inst.sizes)
+        for g in range(aud_lo + 1)
+        for g_hi in range(aud_hi, max(inst.sizes) + 1)
+    ))

@@ -41,6 +41,7 @@ from .envelope import (
     RegionPartition,
     partition,
 )
+from .flows import multiset_table
 from .interim import InterimRules, allocation_branch, merit_with_guarantee
 
 _REGION_CODE = {LABEL_IC: 0, LABEL_AUD: 1, LABEL_ALLO: 2}
@@ -92,17 +93,6 @@ class BinWeights:
 # flat weights for the merit-only pass, which draws nothing, and for an
 # unweighted audit draw
 _FLAT = BinWeights.uniform(1)
-
-
-@dataclass(frozen=True)
-class ProfileOutcome:
-    """Realized mechanism outcome at one profile of reports."""
-
-    profile: tuple
-    seed_draw: object  # randomization identity that produced this outcome
-    allocated: frozenset
-    audited: frozenset
-    stage: tuple  # per-agent: "merit" | "lottery" | "none"
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,28 +327,6 @@ def audit_select(profile, stage_labels, rng: np.random.Generator,
                                  weights, rng))
 
 
-def run_profile(profile, part: RegionPartition, inst: ProblemInstance,
-                lottery_w: BinWeights, audit_w: BinWeights,
-                rng: np.random.Generator,
-                seed_draw: object = None) -> ProfileOutcome:
-    """Full mechanism pass at a single profile."""
-    types = np.asarray(profile, dtype=float)[None, :]
-    _, merit, lottery, allocated, audited, _ = _mechanism_batch(
-        types, part, inst, lottery_w, audit_w, rng
-    )
-    stage = tuple(
-        "merit" if merit[0, i] else ("lottery" if lottery[0, i] else "none")
-        for i in range(types.shape[1])
-    )
-    return ProfileOutcome(
-        profile=tuple(float(t) for t in profile),
-        seed_draw=seed_draw,
-        allocated=_row_set(allocated),
-        audited=_row_set(audited),
-        stage=stage,
-    )
-
-
 # ---------------------------------------------------------------------------
 # targets
 # ---------------------------------------------------------------------------
@@ -458,15 +426,7 @@ def _profile_table(inst: ProblemInstance, part: RegionPartition, bins: int):
     if n > _EXACT_MAX_AGENTS or math.comb(cells + n - 1, n) > _EXACT_MAX_PROFILES:
         return None
 
-    # nondecreasing n-tuples of cell indices, grown one column at a time
-    table = np.arange(cells, dtype=np.int16)[:, None]
-    for _ in range(1, n):
-        last = table[:, -1].astype(np.int64)
-        reps = cells - last
-        parent = np.repeat(np.arange(len(table)), reps)
-        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
-        table = np.column_stack([table[parent], (last[parent] + offset).astype(np.int16)])
-
+    table = multiset_table(cells, n)
     prob = np.full(len(table), float(math.factorial(n)))
     run = np.ones(len(table))
     for j in range(1, n):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from verialloc.flows import (
     construct_expost,
     discretize_rules,
     make_check_set,
+    multiset_table,
     upper_set_report,
 )
 from verialloc.interim import merit_with_guarantee
@@ -219,6 +221,77 @@ class TestSymmetricAllocation:
         )
         rule = construct_expost(inst, [[0.5, 0.5, 0.5]])
         assert np.allclose(rule.alloc, 0.5, atol=1e-9)
+
+
+    def test_max_profiles_applies_to_monotone_construction(self):
+        inst = DiscreteInstance.symmetric(3, (0.1, 0.4, 0.6, 0.9), (0.25,) * 4,
+                                          capacity=1)
+        with pytest.raises(ValueError, match="profiles"):
+            check_interim_allocation(inst, [0.1, 0.2, 0.3, 0.4], max_profiles=10)
+
+    def test_screen_alone_needs_no_enumeration(self):
+        inst = DiscreteInstance.symmetric(3, (0.1, 0.4, 0.6, 0.9), (0.25,) * 4,
+                                          capacity=1)
+        ok = check_interim_allocation(inst, [0.1, 0.2, 0.3, 0.4], max_profiles=10,
+                                      construct=False)
+        assert ok.feasible and ok.expost is None
+        bad = check_interim_allocation(inst, [0.1, 0.1, 0.1, 0.9], max_profiles=10,
+                                       construct=False)
+        assert not bad.feasible
+        assert bad.violating_set.check_set == (frozenset({3}),) * 3
+
+
+def random_symmetric_instance(rng):
+    """n = 2-4 agents, 2-4 grid points (at most 14 in all), capacity 1..n-1."""
+    n = int(rng.integers(2, 5))
+    size = int(rng.integers(2, 5))
+    while n * size > 14:
+        size -= 1
+    w = rng.integers(1, 5, size=size)
+    return DiscreteInstance.symmetric(n, tuple(np.linspace(0, 1, size)),
+                                      tuple(w / w.sum()),
+                                      capacity=int(rng.integers(1, n)))
+
+
+@pytest.mark.parametrize("size,n", [(1, 5), (4, 1), (3, 4), (6, 3), (40_000, 1)])
+def test_multiset_table_is_lexicographic(size, n):
+    # the collapsed network adds its arcs, and looks up profiles, in this order
+    table = multiset_table(size, n)
+    assert table.dtype == (np.int16 if size <= 2**15 else np.int32)
+    assert list(map(tuple, table.tolist())) == list(
+        itertools.combinations_with_replacement(range(size), n))
+
+
+class TestCollapsedAgainstBruteForce:
+    """The multiset-collapsed network of check_interim_allocation, for
+    monotone and non-monotone rules, against the profile network and
+    brute force."""
+
+    def test_agreement_on_random_symmetric_instances(self):
+        rng = np.random.default_rng(505)
+        infeasible_seen = non_monotone_seen = 0
+        for _ in range(30):
+            inst = random_symmetric_instance(rng)
+            n, size = inst.n_agents, inst.sizes[0]
+            p = [float(x) for x in np.round(rng.random(size) * rng.uniform(0.3, 1.0), 3)]
+            if rng.random() < 0.5:
+                p.sort()
+            non_monotone_seen += any(a > b for a, b in zip(p, p[1:]))
+            collapsed = check_interim_allocation(inst, p)
+            general = check_feasible(inst, [p] * n, want_expost=False)
+            brute = brute_force_verdict(inst, [p] * n)
+            assert collapsed.feasible == general.feasible == brute.feasible, (
+                inst.to_json_dict(), p)
+            if collapsed.feasible:
+                for row in collapsed.expost.marginals():
+                    assert np.max(np.abs(row - np.array(p))) <= 1e-9
+                assert collapsed.expost.max_violation() <= 1e-12
+            else:
+                infeasible_seen += 1
+                E = collapsed.violating_set.check_set
+                assert all(Ei == E[0] for Ei in E)
+                assert border_lhs(inst, [p] * n, E) > border_rhs(inst, E)
+        assert infeasible_seen >= 5 and non_monotone_seen >= 5
 
 
 class TestConstructExpost:

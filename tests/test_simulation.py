@@ -34,7 +34,6 @@ from verialloc.simulation import (
     epic_counterexample,
     lottery_allocate,
     merit_allocate,
-    run_profile,
     simulate,
 )
 
@@ -570,13 +569,6 @@ class TestSimulate:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 9
         assert lines[0].startswith("t_mid,draws,P_target,P_hat")
-
-    def test_run_profile_outcome(self, ex_inst, ex_solved):
-        out = run_profile([0.9, 0.8, 0.1], ex_solved.partition, ex_inst,
-                          BinWeights.uniform(8), BinWeights.uniform(8), _rng(5))
-        assert out.allocated == {0, 1}
-        assert out.stage[:2] == ("merit", "merit")
-        assert len(out.audited) == 1 and out.audited <= out.allocated
 
 
 class TestMonteCarloFallback:
