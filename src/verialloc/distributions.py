@@ -102,14 +102,51 @@ def integrate(f: Callable[[float], float], dist: TypeDistribution, a: float,
     return total
 
 
-def bin_average(f: Callable[[float], float], dist: TypeDistribution,
-                edges: np.ndarray, breakpoints=()) -> np.ndarray:
-    """Per-bin conditional mean of f under dist; NaN on a bin without mass."""
-    out = np.empty(len(edges) - 1)
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        mass = float(dist.cdf(hi)) - float(dist.cdf(lo))
-        out[j] = integrate(f, dist, lo, hi, breakpoints) / mass if mass > 0 else np.nan
-    return out
+@dataclass(frozen=True, eq=False)
+class CellGrid:
+    """The ``bins`` equal bins of [0, 1], cut again at breakpoints.
+
+    Cell j spans [lo[j], hi[j]] inside bin ``bin[j]`` with probability
+    ``mass[j]``; ``bin_mass`` holds the bins' probabilities.  A cell or bin
+    with less mass than the smallest normal float is empty (mass 0), as in
+    ``integrate``: a subnormal mass has too few significant bits to divide by.
+    """
+
+    dist: TypeDistribution
+    lo: np.ndarray
+    hi: np.ndarray
+    bin: np.ndarray
+    mass: np.ndarray
+    bin_mass: np.ndarray
+
+    def integrate(self, f: Callable[[float], float]) -> np.ndarray:
+        """Integral of f dF over each cell: one ``integrate`` call per
+        nonempty cell, 0 on an empty one."""
+        return np.array([
+            integrate(f, self.dist, lo, hi) if w > 0 else 0.0
+            for lo, hi, w in zip(self.lo.tolist(), self.hi.tolist(), self.mass.tolist())
+        ])
+
+    def bin_mean(self, values: np.ndarray, weights=None) -> np.ndarray:
+        """Per-bin sum of the per-cell ``values`` over that of ``weights``
+        (default the bin's mass); NaN where that is 0."""
+        bins = len(self.bin_mass)
+        den = self.bin_mass if weights is None else np.bincount(self.bin, weights, bins)
+        return np.where(den > 0, np.bincount(self.bin, values, bins)
+                        / np.where(den > 0, den, 1.0), np.nan)
+
+
+def cell_grid(dist: TypeDistribution, bins: int, breakpoints=()) -> CellGrid:
+    """The cell grid of ``bins`` equal bins cut at the breakpoints inside
+    (0, 1); masses are differences of the cdf at the cuts."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    cuts = np.unique(np.concatenate([edges, [x for x in breakpoints if 0.0 < x < 1.0]]))
+    cdf = np.array([float(dist.cdf(x)) for x in cuts.tolist()])
+    mass, bin_mass = np.diff(cdf), np.diff(cdf[np.searchsorted(cuts, edges)])
+    mass[mass < _TINY] = 0.0
+    bin_mass[bin_mass < _TINY] = 0.0
+    return CellGrid(dist, cuts[:-1], cuts[1:],
+                    np.searchsorted(edges, cuts[:-1], side="right") - 1, mass, bin_mass)
 
 
 def truncated_mean(dist: TypeDistribution, a: float, b: float) -> float:

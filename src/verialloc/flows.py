@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._maxflow import MaxFlow
-from .distributions import bin_average
+from .distributions import cell_grid
 
 DEFAULT_SCALE = 10**9
 DEFAULT_MAX_PROFILES = 1_000_000
@@ -588,16 +588,19 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
 
     monotone = all(a <= b + 1e-12 for a, b in zip(p_row, p_row[1:]))
     if monotone:
-        units, denom = sc.units[0], sc.denoms[0]
+        denom = sc.denoms[0]
         m = inst.capacity_default
-        # exact binomial screen over thresholds, in units of sc.common
+        # exact binomial screen over thresholds, in units of sc.common, on
+        # suffix sums of the mass units and the demands
+        mass_above = list(itertools.accumulate(reversed(sc.units[0]), initial=0))[::-1]
+        demand_above = list(itertools.accumulate(reversed(sc.demand[0]), initial=0))[::-1]
         for e in range(size + 1):
-            above = sum(units[e:])
+            above = mass_above[e]
             rhs = scale * sum(
                 math.comb(n, x) * above**x * (denom - above) ** (n - x) * min(x, m)
                 for x in range(1, n + 1)
             )
-            lhs = n * sum(sc.demand[0][e:])
+            lhs = n * demand_above[e]
             if lhs > rhs:
                 E = tuple(frozenset(range(e, size)) for _ in range(n))
                 return FeasibilityVerdict(
@@ -738,30 +741,22 @@ def discretize_rules(cont_inst, rules, bins: int, *,
     amount so no two agents can ever report equal values; rank-based
     allocation rules on the grid then never see ties.
     """
-    dist = cont_inst.dist
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    masses = [float(dist.cdf(hi)) - float(dist.cdf(lo))
-              for lo, hi in zip(edges[:-1], edges[1:])]
     breakpoints = (
         [iv.lo for iv in rules.partition.intervals]
         if rules.partition is not None else []
     )
-    p_avg = bin_average(rules.P, dist, edges, breakpoints).tolist()
+    grid = cell_grid(cont_inst.dist, bins, breakpoints)
+    p_avg = grid.bin_mean(grid.integrate(rules.P)).tolist()
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    masses = grid.bin_mass.tolist()
     total = sum(masses)
-    masses = [w / total for w in masses]
-
+    masses = tuple(w / total for w in masses)
+    width = edges[1] - edges[0] if offsets else 0.0
     n = cont_inst.n
-    width = edges[1] - edges[0]
-    if offsets:
-        grids = tuple(
-            tuple(float(t + (i + 1) * width * 1e-4) for t in mids) for i in range(n)
-        )
-    else:
-        grids = tuple(tuple(float(t) for t in mids) for _ in range(n))
     disc = DiscreteInstance(
-        grids=grids,
-        masses=tuple(tuple(masses) for _ in range(n)),
+        grids=tuple(tuple(float(t + (i + 1) * width * 1e-4) for t in mids) for i in range(n)),
+        masses=(masses,) * n,
         capacity_default=cont_inst.m,
     )
     return disc, p_avg

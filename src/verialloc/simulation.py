@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import bin_average
+from .distributions import CellGrid, cell_grid
 from .envelope import (
     LABEL_ALLO,
     LABEL_AUD,
@@ -42,7 +42,7 @@ from .envelope import (
     partition,
 )
 from .flows import multiset_table
-from .interim import InterimRules, allocation_branch, merit_with_guarantee
+from .interim import InterimRules, merit_with_guarantee
 
 _REGION_CODE = {LABEL_IC: 0, LABEL_AUD: 1, LABEL_ALLO: 2}
 _CHUNK = 250_000
@@ -230,21 +230,37 @@ def _merit_stage(types, reg, m: int, k: int):
     return merit, tie
 
 
-def _lottery_stage(types, reg, merit, m: int, weights: BinWeights, rng):
-    """Remaining objects go to audit/incentive-region agents without one."""
-    eligible = (reg <= 1) & ~merit
-    take = np.minimum(m - _row_count(merit), _row_count(eligible))
-    return _gumbel_pick(eligible, types, weights, take, rng)
+def _stage_rule(stage: str, reg: np.ndarray, merit: np.ndarray, m: int, k: int):
+    """The weighted draw of the lottery or the audit stage on rows of region
+    codes and merit winners, as (tallied, pool, quota, sure): each row draws
+    ``quota`` members of ``pool``, ``sure`` are the hits no weight can move,
+    and ``tallied`` are the agents whose hit rate the stage's weights fit.
+
+    Lottery: the objects the merit stage left go to the audit/incentive-region
+    agents without one, and all of them win when the objects suffice.
+    Audit: all merit winners are audited when they fit k; otherwise every
+    audit-region winner is (they are among the k highest), and a draw of
+    supply-region winners fills the remaining slots.
+    """
+    won = _row_count(merit)
+    if stage == "lottery":
+        tallied = reg <= 1
+        pool = tallied & ~merit
+        size = _row_count(pool)
+        quota = np.minimum(m - won, size)
+        return tallied, pool, quota, pool & (quota == size)[:, None]
+    tallied = reg == 2
+    over = won > k
+    pool = merit & tallied & over[:, None]
+    quota = np.where(over, k - _row_count(merit & (reg == 1)), 0)
+    return tallied, pool, quota, merit & ~pool
 
 
-def _audit_stage(types, reg, merit, k: int, weights: BinWeights, rng):
-    """All merit winners when they fit k; otherwise every audit-region
-    winner plus a weighted draw of supply-region winners for the rest."""
-    forced = merit & (reg == 1)
-    over = _row_count(merit) > k
-    quota = np.where(over, k - _row_count(forced), 0)
-    selected = _gumbel_pick(merit & (reg == 2), types, weights, quota, rng)
-    return np.where(over[:, None], forced | selected, merit)
+def _stage_pick(stage: str, types, reg, merit, m: int, k: int,
+                weights: BinWeights, rng) -> np.ndarray:
+    """Hits of one stage's draw: its sure hits and a weighted pick."""
+    _, pool, quota, sure = _stage_rule(stage, reg, merit, m, k)
+    return sure | _gumbel_pick(pool, types, weights, quota, rng)
 
 
 def _mechanism_batch(types: np.ndarray, part: RegionPartition,
@@ -260,13 +276,14 @@ def _mechanism_batch(types: np.ndarray, part: RegionPartition,
     merit, tie = _merit_stage(types, reg, m, k)
 
     if run_lottery:
-        lottery = (~tie)[:, None] & _lottery_stage(types, reg, merit, m, lottery_w, rng)
+        lottery = (~tie)[:, None] & _stage_pick("lottery", types, reg, merit, m, k,
+                                                lottery_w, rng)
     else:
         lottery = np.zeros_like(merit)
     allocated = merit | lottery
 
     if run_audit:
-        audited = _audit_stage(types, reg, merit, k, audit_w, rng)
+        audited = _stage_pick("audit", types, reg, merit, m, k, audit_w, rng)
     else:
         audited = np.zeros_like(merit)
 
@@ -304,8 +321,8 @@ def lottery_allocate(profile, merit_winners, weights: BinWeights,
     types = np.asarray(profile, dtype=float)[None, :]
     merit = np.zeros(types.shape, dtype=bool)
     merit[0, list(merit_winners)] = True
-    return _row_set(_lottery_stage(types, _regions(types, part), merit, inst.m,
-                                   weights, rng))
+    return _row_set(_stage_pick("lottery", types, _regions(types, part), merit,
+                                inst.m, inst.k, weights, rng))
 
 
 def audit_select(profile, stage_labels, rng: np.random.Generator,
@@ -323,35 +340,45 @@ def audit_select(profile, stage_labels, rng: np.random.Generator,
         weights = _FLAT
     types = np.asarray(profile, dtype=float)[None, :]
     merit = np.array([[label == "merit" for label in stage_labels]])
-    return _row_set(_audit_stage(types, _regions(types, part), merit, inst.k,
-                                 weights, rng))
+    return _row_set(_stage_pick("audit", types, _regions(types, part), merit,
+                                inst.m, inst.k, weights, rng))
 
 
 # ---------------------------------------------------------------------------
 # targets
 # ---------------------------------------------------------------------------
 
+def _cells(inst: ProblemInstance, part: RegionPartition,
+           bins: int) -> tuple[CellGrid, np.ndarray]:
+    """The ``bins`` uniform bins cut again at the region cutoffs, so each
+    cell lies in one bin and one region, and each cell's region code."""
+    grid = cell_grid(inst.dist, bins, [iv.lo for iv in part.intervals])
+    return grid, _regions(0.5 * (grid.lo + grid.hi), part)
+
+
+def _cell_targets(inst: ProblemInstance, part: RegionPartition,
+                  rules: InterimRules, bins: int):
+    """Per-bin means of P, of the merit stage alone (P - phi on the audit
+    region, P on the supply region, 0 on the incentive region) and of the
+    audit probability P - phi of a supply-region type, from one integral
+    of P dF per cell.  Bin means, not midpoint samples, are the correct
+    comparison for binned empirical frequencies.
+    """
+    grid, reg = _cells(inst, part, bins)
+    p_mass = grid.integrate(rules.P)
+    phi_mass = rules.phi * grid.mass
+    merit = np.where(reg == 2, p_mass, np.where(reg == 1, p_mass - phi_mass, 0.0))
+    supply = reg == 2
+    audit = grid.bin_mean(np.where(supply, p_mass - phi_mass, 0.0),
+                          np.where(supply, grid.mass, 0.0))
+    return grid.bin_mean(p_mass), grid.bin_mean(merit), audit
+
+
 def bin_targets(inst: ProblemInstance, rules: InterimRules,
                 edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bin-averaged targets for P, A and the merit stage alone.
-
-    Bin averages (not midpoint samples) are the correct comparison for
-    binned empirical frequencies.
-    """
-    part = rules.partition
-    breakpoints = [iv.lo for iv in part.intervals]
-    p_t = bin_average(rules.P, inst.dist, edges, breakpoints)
-    a_t = p_t - rules.phi
-
-    def merit_interim(t: float) -> float:
-        label = part.region_of(t)
-        if label == LABEL_IC:
-            return 0.0
-        p = allocation_branch(label, t, part.phi, inst)
-        return p - part.phi if label == LABEL_AUD else p
-
-    m_t = bin_average(merit_interim, inst.dist, edges, breakpoints)
-    return p_t, a_t, m_t
+    """Bin-averaged targets for P, A = P - phi and the merit stage alone."""
+    p_t, m_t, _ = _cell_targets(inst, rules.partition, rules, len(edges) - 1)
+    return p_t, p_t - rules.phi, m_t
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +399,11 @@ _EXACT_MAX_PROFILES = 150_000
 _EXACT_MAX_AGENTS = 8
 _EXACT_TOL = 1e-10
 _EXACT_MAX_ITER = 2_000
+# the Monte Carlo fixed point: its round cap, the damping exponent of its
+# rounds and the number of polish rounds averaged after them
+_MAX_ROUNDS = 100
+_DAMPING = 0.5
+_POLISH_ROUNDS = 3
 
 
 def _plackett_luce_top(w: np.ndarray, quota: int) -> np.ndarray:
@@ -406,22 +438,18 @@ def _plackett_luce_top(w: np.ndarray, quota: int) -> np.ndarray:
 def _profile_table(inst: ProblemInstance, part: RegionPartition, bins: int):
     """Every descending profile of type cells, with its probability.
 
-    Cells are the ``bins`` uniform bins cut again at the region cutoffs, so
-    each lies in one bin and one region.  Types are iid and continuous, so
-    a profile is a multiset of n cells, weighted by its multinomial count
-    times the product of its cells' masses; agents sharing a cell are
-    exchangeable and ties have probability 0.  Returns (bin, region) of the
-    cell at each descending position and the profile probabilities, or
-    None when there are more than ``_EXACT_MAX_PROFILES`` multisets or
-    ``_EXACT_MAX_AGENTS`` agents.
+    Cells are those of ``_cells``; empty ones are left out.  Types are iid
+    and continuous, so a profile is a multiset of n cells, weighted by its
+    multinomial count times the product of its cells' masses; agents
+    sharing a cell are exchangeable and ties have probability 0.  Returns
+    (bin, region) of the cell at each descending position and the profile
+    probabilities, or None when there are more than ``_EXACT_MAX_PROFILES``
+    multisets or ``_EXACT_MAX_AGENTS`` agents.
     """
     n = inst.n
-    cuts = np.unique(np.concatenate([np.linspace(0.0, 1.0, bins + 1),
-                                     [iv.lo for iv in part.intervals]]))
-    mass = np.diff(np.asarray(inst.dist.cdf(cuts), dtype=float))
-    keep = mass > 0
-    mid = 0.5 * (cuts[:-1] + cuts[1:])[keep]
-    mass = mass[keep]
+    grid, reg = _cells(inst, part, bins)
+    keep = grid.mass > 0
+    mass = grid.mass[keep]
     cells = len(mass)
     if n > _EXACT_MAX_AGENTS or math.comb(cells + n - 1, n) > _EXACT_MAX_PROFILES:
         return None
@@ -435,8 +463,8 @@ def _profile_table(inst: ProblemInstance, part: RegionPartition, bins: int):
     prob *= np.prod(mass[table], axis=1)
 
     desc = table[:, ::-1]
-    cell_bin = _bin_index(mid, bins).astype(np.int16)
-    return cell_bin[desc], _regions(mid, part)[desc], prob
+    cell_bin = grid.bin[keep].astype(np.int16)
+    return cell_bin[desc], reg[keep][desc], prob
 
 
 @dataclass(frozen=True)
@@ -444,21 +472,21 @@ class _StageMap:
     """Exact per-bin hit rate of one weighted draw as a function of the
     bin weights.
 
-    ``draws`` and ``fixed`` are the expected tallied agents and the expected
-    hits no weight can move (certain lottery wins, forced audits) per bin.
+    ``draws`` and ``sure`` are the expected tallied agents and their
+    expected sure hits (certain lottery wins, forced audits) per bin.
     Each group holds the profiles whose draw is a real choice, 0 < quota <
     pool size, with one quota and pool size: the pool members' bins and the
     profile probabilities.
     """
 
     draws: np.ndarray
-    fixed: np.ndarray
+    sure: np.ndarray
     groups: tuple
     multisets: int
 
     def rate(self, w: np.ndarray) -> np.ndarray:
         bins = len(self.draws)
-        hits = self.fixed.copy()
+        hits = self.sure.copy()
         for quota, pool_bins, prob in self.groups:
             top = _plackett_luce_top(w[pool_bins], quota)
             hits += np.bincount(pool_bins.ravel(), weights=(prob[:, None] * top).ravel(),
@@ -475,29 +503,14 @@ def _stage_map(inst: ProblemInstance, part: RegionPartition, bins: int,
     if table is None:
         return None
     cell_bin, reg, prob = table
-    n, m, k = inst.n, inst.m, inst.k
-    rank = np.arange(n)
-    merit = ((reg == 2) & (rank < m)) | ((reg == 1) & (rank < k))
-    won = _row_count(merit)
-    if stage == "lottery":
-        tallied = reg <= 1
-        pool = tallied & ~merit
-        size = _row_count(pool)
-        quota = np.minimum(m - won, size)
-        fixed = pool & (quota == size)[:, None]  # every eligible agent wins
-    else:
-        # with more than k winners the pool exceeds its quota; with at most
-        # k every supply-region winner is audited
-        tallied = reg == 2
-        over = won > k
-        pool = merit & tallied & over[:, None]
-        size = _row_count(pool)
-        quota = np.where(over, k - _row_count(merit & (reg == 1)), 0)
-        fixed = merit & tallied & ~over[:, None]
-
-    def per_bin(mask):
-        return np.bincount(cell_bin.ravel(), weights=(prob[:, None] * mask).ravel(),
-                           minlength=bins)
+    # positions hold descending types, so the merit stage reads the ranks
+    rank = np.arange(inst.n)
+    merit = ((reg == 2) & (rank < inst.m)) | ((reg == 1) & (rank < inst.k))
+    tallied, pool, quota, sure = _stage_rule(stage, reg, merit, inst.m, inst.k)
+    size = _row_count(pool)
+    draws, sure = (np.bincount(cell_bin.ravel(), minlength=bins,
+                               weights=(prob[:, None] * (mask & tallied)).ravel())
+                   for mask in (tallied, sure))
 
     # a draw depends only on its quota and its pool's bins (in descending
     # order), so profiles sharing both are merged into one row
@@ -512,7 +525,7 @@ def _stage_map(inst: ProblemInstance, part: RegionPartition, bins: int,
         first[1:] = (pool_bins[1:] != pool_bins[:-1]).any(axis=1)
         merged = np.bincount(np.cumsum(first) - 1, weights=prob[rows])
         groups.append((q, pool_bins[first], merged))
-    return _StageMap(per_bin(tallied), per_bin(fixed), tuple(groups), len(prob))
+    return _StageMap(draws, sure, tuple(groups), len(prob))
 
 
 def _forced_audit_error(b: int, bins: int, forced: float,
@@ -532,10 +545,10 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
     bins = len(target)
     active = (smap.draws > 0) & np.isfinite(target)
     with np.errstate(invalid="ignore", divide="ignore"):
-        excess = np.where(active, smap.fixed / smap.draws - target, -np.inf)
+        excess = np.where(active, smap.sure / smap.draws - target, -np.inf)
     if stage == "audit" and excess.max() > _EXACT_TOL:
         b = int(np.argmax(excess))
-        raise _forced_audit_error(b, bins, smap.fixed[b] / smap.draws[b], target[b])
+        raise _forced_audit_error(b, bins, smap.sure[b] / smap.draws[b], target[b])
     w = np.ones(bins)
     for it in range(1, _EXACT_MAX_ITER + 1):
         rate = smap.rate(w)
@@ -565,25 +578,23 @@ def _bin_counts(idx: np.ndarray, mask: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
-                 tally, *, stage: str, trials: int, seed: int, bins: int,
-                 max_rounds: int, damping: float, polish_trials: Optional[int],
-                 polish_rounds: int) -> BinWeights:
+                 *, stage: str, trials: int, seed: int, bins: int,
+                 polish_trials: Optional[int]) -> BinWeights:
     """Damped multiplicative fixed point for the weights of one stage.
 
-    ``target`` is the per-bin hit probability wanted among draws (NaN marks
-    a bin with no target) and ``tally(reg, lottery, audited)`` returns the
-    (draw, hit) masks of a batch.  Each round measures the stage on fresh
-    rows with the other stage switched off and sets w <- w * (target /
-    empirical)^damping per bin, normalised to unit geometric mean, until
-    every bin deviation is under two standard errors.  Polish rounds then
-    continue with lower damping on a larger sample, and the log-weights of
-    the polish rounds are averaged.
+    ``target`` is the per-bin hit probability wanted among the stage's
+    tallied agents (NaN marks a bin with no target).  Each round measures
+    the stage on fresh rows with the other stage switched off and sets
+    w <- w * (target / empirical)^``_DAMPING`` per bin, normalised to unit
+    geometric mean, until every bin deviation is under two standard errors
+    (``CalibrationError`` after ``_MAX_ROUNDS`` rounds).  ``_POLISH_ROUNDS`` rounds then
+    continue with lower damping on ``polish_trials`` rows each, and the
+    log-weights of the polish rounds are averaged.
 
     Audit calibration fails at once when no weights can reach the target:
-    supply-region merit winners in a row with at most k winners are always
-    audited, and if that forced rate alone exceeds a bin's target by more
-    than six standard errors in the first round, the fixed point cannot
-    converge.  The fitted weights carry the work done in ``stats``.
+    if the sure audits alone exceed a bin's target by more than six
+    standard errors in the first round, the fixed point cannot converge.
+    The fitted weights carry the work done in ``stats``.
     """
     lottery_stage = stage == "lottery"
     stream = 0 if lottery_stage else 1
@@ -591,51 +602,44 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
     flat = BinWeights.uniform(bins)
     w = np.ones(bins)
 
-    def measure(weights: np.ndarray, rows: int, rng, count_forced: bool):
+    def measure(weights: np.ndarray, rows: int, rng):
+        """Per-bin hits, tallied agents and sure hits of the stage."""
         fitted = BinWeights(edges, weights)
         lottery_w, audit_w = (fitted, flat) if lottery_stage else (flat, fitted)
-        hits = np.zeros(bins)
-        draws = np.zeros(bins)
-        forced = np.zeros(bins)
-        done = 0
-        while done < rows:
-            block = min(_CHUNK, rows - done)
-            types = _sample_types(inst, block, rng)
+        counts = np.zeros((3, bins))
+        for done in range(0, rows, _CHUNK):
+            types = _sample_types(inst, min(_CHUNK, rows - done), rng)
             reg, merit, lottery, _, audited, _ = _mechanism_batch(
                 types, part, inst, lottery_w, audit_w, rng,
                 run_lottery=lottery_stage, run_audit=not lottery_stage,
             )
             idx = _bin_index(types, bins).ravel()
-            in_pool, hit = tally(reg, lottery, audited)
-            hits += _bin_counts(idx, hit, bins)
-            draws += _bin_counts(idx, in_pool, bins)
-            if count_forced:
-                fits = (_row_count(merit) <= inst.k)[:, None]
-                forced += _bin_counts(idx, merit & (reg == 2) & fits, bins)
-            done += block
-        return hits, draws, forced
+            tallied, _, _, sure = _stage_rule(stage, reg, merit, inst.m, inst.k)
+            for row, hit in zip(counts, (lottery if lottery_stage else audited, tallied, sure)):
+                row += _bin_counts(idx, hit & tallied, bins)
+        return counts
 
-    def step(weights, rows, rng, clip_lo, clip_hi, power, count_forced=False):
-        hits, draws, forced = measure(weights, rows, rng, count_forced)
+    def step(weights, rows, rng, clip_lo, clip_hi, power, check_sure=False):
+        hits, draws, sure_hits = measure(weights, rows, rng)
         active = (draws > 0) & np.isfinite(target)
         with np.errstate(invalid="ignore", divide="ignore"):
             emp = hits / draws
             se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
             dev = np.abs(emp - target) / se
             ratio = np.where(active & (hits > 0), target / np.where(hits > 0, emp, 1.0), 1.0)
-            forced_rate = forced / draws
-            excess = np.where(active, (forced_rate - target) / se, -np.inf)
-        if excess.max() > 6.0:
+            sure_rate = sure_hits / draws
+            excess = np.where(active, (sure_rate - target) / se, -np.inf)
+        if check_sure and excess.max() > 6.0:
             b = int(np.argmax(excess))
-            raise _forced_audit_error(b, bins, forced_rate[b], target[b])
+            raise _forced_audit_error(b, bins, sure_rate[b], target[b])
         ratio = np.clip(np.nan_to_num(ratio, nan=1.0), clip_lo, clip_hi)
         worst = float(np.nanmax(np.where(active, dev, 0.0)))
         return active, dev, worst, weights * ratio**power
 
-    for rnd in range(max_rounds):
+    for rnd in range(_MAX_ROUNDS):
         active, dev, worst, stepped = step(
-            w, trials, _philox(seed, stream, rnd), 0.25, 4.0, damping,
-            count_forced=rnd == 0 and not lottery_stage,
+            w, trials, _philox(seed, stream, rnd), 0.25, 4.0, _DAMPING,
+            check_sure=rnd == 0 and not lottery_stage,
         )
         if worst < 2.0:
             break
@@ -645,25 +649,26 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
             "; check that the target is above the forced-audit floor")
         raise CalibrationError(
             f"{stage} calibration did not reach the 2-standard-error band in "
-            f"{max_rounds} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
+            f"{_MAX_ROUNDS} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
         )
     stats = {"method": "monte_carlo", "rounds": rnd + 1, "polish_rounds": 0,
              "rows": (rnd + 1) * trials, "max_dev": worst}
 
-    if polish_trials and polish_rounds and np.isfinite(target).any():
+    if polish_trials and np.isfinite(target).any():
         logs = []
-        for rnd in range(polish_rounds):
-            rng = _philox(seed, stream, max_rounds + rnd)
+        for rnd in range(_POLISH_ROUNDS):
+            rng = _philox(seed, stream, _MAX_ROUNDS + rnd)
             _, _, worst, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
             logs.append(np.log(w))
         w = np.exp(np.mean(logs, axis=0))
-        stats.update(polish_rounds=polish_rounds, max_dev=worst,
-                     rows=stats["rows"] + polish_rounds * polish_trials)
+        stats.update(polish_rounds=_POLISH_ROUNDS, max_dev=worst,
+                     rows=stats["rows"] + _POLISH_ROUNDS * polish_trials)
     return BinWeights(edges=edges, values=w, stats=stats)
 
 
 def _calibrate(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
-               tally, *, stage: str, trials: int, bins: int, **fit) -> BinWeights:
+               *, stage: str, trials: int, seed: int, bins: int,
+               polish_trials: Optional[int]) -> BinWeights:
     """Fit one stage's weights on the exact map where it covers the
     instance, and by the Monte Carlo fixed point otherwise."""
     if trials < 1:
@@ -671,41 +676,32 @@ def _calibrate(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
     smap = _stage_map(inst, part, bins, stage)
     if smap is not None:
         return _fit_exact(smap, target, stage)
-    return _fit_weights(inst, part, target, tally, stage=stage, trials=trials,
-                        bins=bins, **fit)
+    return _fit_weights(inst, part, target, stage=stage, trials=trials, seed=seed,
+                        bins=bins, polish_trials=polish_trials)
 
 
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
                       trials: int = 200_000, seed: int = 0, bins: int = 64,
-                      max_rounds: int = 100, damping: float = 0.5,
-                      polish_trials: Optional[int] = None,
-                      polish_rounds: int = 3) -> BinWeights:
+                      polish_trials: Optional[int] = None) -> BinWeights:
     """Fit lottery weights so each audit/incentive-region type wins with
     probability phi.
 
-    ``trials``, ``seed``, ``max_rounds``, ``damping``, ``polish_trials`` and
-    ``polish_rounds`` steer the Monte Carlo fallback only; the exact map
-    ignores them.  When the audit region is empty every eligible type
-    survives the merit stage with the same probability, so the uniform
-    start is already a fixed point and the first round converges.
+    ``trials``, ``seed`` and ``polish_trials`` steer the Monte Carlo
+    fallback only; the exact map ignores them.  When the audit region is
+    empty every eligible type survives the merit stage with the same
+    probability, so the uniform start is already a fixed point and the
+    first round converges.
     """
-    return _calibrate(
-        inst, part, np.full(bins, part.phi),
-        lambda reg, lottery, audited: (reg <= 1, lottery),
-        stage="lottery", trials=trials, seed=seed, bins=bins,
-        max_rounds=max_rounds, damping=damping,
-        polish_trials=polish_trials, polish_rounds=polish_rounds,
-    )
+    return _calibrate(inst, part, np.full(bins, part.phi), stage="lottery",
+                      trials=trials, seed=seed, bins=bins, polish_trials=polish_trials)
 
 
 def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
                     rules: InterimRules, *,
                     trials: int = 200_000, seed: int = 0, bins: int = 64,
-                    max_rounds: int = 100, damping: float = 0.5,
-                    polish_trials: Optional[int] = None,
-                    polish_rounds: int = 3) -> BinWeights:
+                    polish_trials: Optional[int] = None) -> BinWeights:
     """Fit audit-selection weights so every supply-region type is audited
-    with probability P(t) - phi.
+    with probability P(t) - phi, P read from ``rules``.
 
     Audit-region winners are audited unconditionally, which already matches
     their target; the weights only steer the choice among supply-region
@@ -713,27 +709,9 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
     forced audits alone exceed its target raises ``CalibrationError``
     naming the bin.  The other keywords are as in ``calibrate_lottery``.
     """
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    breakpoints = [iv.lo for iv in part.intervals]
-
-    def allo_target(t: float) -> float:
-        if part.region_of(t) == LABEL_ALLO:
-            return allocation_branch(LABEL_ALLO, t, part.phi, inst) - part.phi
-        return 0.0
-
-    # conditional target: audited probability given a supply-region draw
-    num = bin_average(allo_target, inst.dist, edges, breakpoints)
-    ind = bin_average(lambda t: 1.0 if part.region_of(t) == LABEL_ALLO else 0.0,
-                      inst.dist, edges, breakpoints)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        target = np.where(ind > 0, num / np.where(ind > 0, ind, 1.0), np.nan)
-    return _calibrate(
-        inst, part, target,
-        lambda reg, lottery, audited: (reg == 2, audited & (reg == 2)),
-        stage="audit", trials=trials, seed=seed, bins=bins,
-        max_rounds=max_rounds, damping=damping,
-        polish_trials=polish_trials, polish_rounds=polish_rounds,
-    )
+    _, _, target = _cell_targets(inst, part, rules, bins)
+    return _calibrate(inst, part, target, stage="audit",
+                      trials=trials, seed=seed, bins=bins, polish_trials=polish_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -790,19 +768,13 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
         )
         stats["audit"] = audit_weights.stats
 
-    draws = np.zeros(bins)
-    alloc_hits = np.zeros(bins)
-    audit_hits = np.zeros(bins)
-    merit_hits = np.zeros(bins)
+    draws, alloc_hits, audit_hits, merit_hits = np.zeros((4, bins))
     violations = 0
     payoff_sum = 0.0
 
-    done = 0
-    chunk_id = 0
-    while done < trials:
-        block = min(_CHUNK, trials - done)
+    for chunk_id, done in enumerate(range(0, trials, _CHUNK)):
         rng = _philox(seed, 2, chunk_id)
-        types = _sample_types(inst, block, rng)
+        types = _sample_types(inst, min(_CHUNK, trials - done), rng)
         reg, merit, lottery, allocated, audited, tie = _mechanism_batch(
             types, part, inst, lottery_weights, audit_weights, rng
         )
@@ -816,8 +788,6 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
         over_audit = _row_count(audited) > inst.k
         orphan = _row_count(audited & ~allocated) > 0
         violations += int((over_alloc | over_audit | orphan).sum())
-        done += block
-        chunk_id += 1
 
     with np.errstate(invalid="ignore", divide="ignore"):
         p_hat = np.where(draws > 0, alloc_hits / draws, 0.0)

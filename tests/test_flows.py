@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import merit_rule_on_grid, snapped_discretization
+from verialloc import flows
 from verialloc.envelope import LABEL_ALLO, LABEL_AUD
 from verialloc.flows import (
     DiscreteInstance,
@@ -239,6 +240,29 @@ class TestSymmetricAllocation:
                                        construct=False)
         assert not bad.feasible
         assert bad.violating_set.check_set == (frozenset({3}),) * 3
+
+    def test_screen_matches_threshold_sets_by_enumeration(self):
+        # the screen's verdict is the first threshold set {tau >= e} whose
+        # exact demand exceeds its exact supply, summed profile by profile
+        rng = np.random.default_rng(8)
+        violated = 0
+        for _ in range(60):
+            inst = random_symmetric_instance(rng)
+            n, size = inst.n_agents, inst.sizes[0]
+            p = np.sort(rng.uniform(0.0, 1.0, size)).tolist()
+            sc = flows._Scaled(inst, [p] * n, flows.DEFAULT_SCALE)
+            expected = None
+            for e in range(size + 1):
+                E = (frozenset(range(e, size)),) * n
+                lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
+                if lhs > rhs:
+                    expected = flows.ViolatingSet(E, sc.to_float(lhs), sc.to_float(rhs))
+                    break
+            verdict = check_interim_allocation(inst, p, construct=False)
+            assert verdict.feasible == (expected is None)
+            assert verdict.violating_set == expected
+            violated += expected is not None
+        assert 10 <= violated <= 50
 
 
 def random_symmetric_instance(rng):

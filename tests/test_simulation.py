@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verialloc import simulation
-from verialloc.distributions import make_uniform
+from verialloc import distributions, simulation
+from verialloc.distributions import integrate, make_power, make_uniform
 from verialloc.envelope import (
     LABEL_ALLO,
     LABEL_AUD,
@@ -386,6 +386,86 @@ class TestCalibration:
         c = calibrate_audit(ex_inst, part, rules, seed=1)
         d = calibrate_audit(ex_inst, part, rules, seed=2)
         assert np.array_equal(c.values, d.values)
+
+
+def _reference_targets(inst, part, rules, bins):
+    """Per-bin P, merit-stage and supply-region audit targets, each by one
+    ``integrate`` call per bin split at the region cutoffs; NaN where the
+    mass divided by is below the smallest normal float."""
+    tiny = np.finfo(float).tiny
+    dist, phi, cuts = inst.dist, part.phi, [iv.lo for iv in part.intervals]
+
+    def merit(t):
+        label = part.region_of(t)
+        return 0.0 if label == LABEL_IC else rules.P(t) - phi * (label == LABEL_AUD)
+
+    def supply(f):
+        return lambda t: f(t) if part.region_of(t) == LABEL_ALLO else 0.0
+
+    out = []
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mass = float(dist.cdf(hi)) - float(dist.cdf(lo))
+        share = integrate(supply(lambda t: 1.0), dist, lo, hi, cuts)
+        out.append([
+            integrate(rules.P, dist, lo, hi, cuts) / mass if mass >= tiny else np.nan,
+            integrate(merit, dist, lo, hi, cuts) / mass if mass >= tiny else np.nan,
+            integrate(supply(lambda t: rules.P(t) - phi), dist, lo, hi, cuts) / share
+            if share >= tiny else np.nan,
+        ])
+    return np.array(out).T
+
+
+class TestCellTargets:
+    """Targets from one integral of P per cell of the cell grid."""
+
+    @pytest.mark.parametrize("n, m, k, alpha, phi, bins", [
+        (3, 2, 1, 1.0, "star", 64), (12, 6, 2, 0.3, "star", 64),
+        (3, 2, 1, 1.0, 2 / 3, 16), (3, 2, 1, 400.0, "star", 64),
+    ])
+    def test_match_per_bin_integrals(self, n, m, k, alpha, phi, bins):
+        inst = ProblemInstance(n, m, k, make_uniform() if alpha == 1.0 else make_power(alpha))
+        part = partition(solve(inst).phi_star if phi == "star" else phi, inst)
+        rules = merit_with_guarantee(part.phi, inst, part)
+        p_t, m_t, a_t = simulation._cell_targets(inst, part, rules, bins)
+        ref_p, ref_m, ref_a = _reference_targets(inst, part, rules, bins)
+        assert np.array_equal(p_t, ref_p, equal_nan=True)
+        for got, ref in ((m_t, ref_m), (a_t, ref_a)):
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            assert np.max(np.abs(got - ref)[~np.isnan(ref)], initial=0.0) <= 1e-13
+        if phi == 2 / 3:
+            # the supply region is the single point 1: no bin has a target
+            assert np.isnan(a_t).all()
+        if alpha == 400.0:
+            assert 2 <= np.isnan(p_t).sum() < bins
+
+    def test_one_integral_per_cell_in_each_target_pass(self, ex_inst, ex_solved,
+                                                       monkeypatch):
+        # bin_targets and calibrate_audit each integrate P once per cell
+        calls = []
+        real = distributions.integrate
+        monkeypatch.setattr(distributions, "integrate",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        simulate(ex_inst, ex_solved.phi_star, 1_000, seed=1)
+        cells = len(simulation._cells(ex_inst, ex_solved.partition, 64)[0].mass)
+        assert cells == 64 + 2  # cut at gamma1 and gamma3
+        assert len(calls) == 2 * cells
+
+    def test_subnormal_cell_is_empty(self):
+        # under power(400) bin 9 has mass 3.5e-323, too few significant bits
+        # to divide by: the bin has no target and no calibrated weight
+        inst = ProblemInstance(3, 2, 1, make_power(400.0))
+        phi = solve(inst).phi_star
+        bin_mass = inst.dist.cdf(10 / 64) - inst.dist.cdf(9 / 64)
+        assert 0.0 < bin_mass < np.finfo(float).tiny
+        grid, _ = simulation._cells(inst, partition(phi, inst), 64)
+        assert grid.bin_mass[9] == 0.0 and grid.mass[grid.bin == 9].max() == 0.0
+        report = simulate(inst, phi, 20_000, seed=1)
+        assert np.isnan(report.p_target[9]) and report.draws[9] == 0
+        for stage in ("lottery", "audit"):
+            assert report.stats[stage]["method"] == "exact"
+            assert report.stats[stage]["max_residual"] <= 1e-10
+        assert report.bins_within_3se_p == report.bins_within_3se_a == 64
 
 
 def _successive_draws(w, quota):
