@@ -302,6 +302,31 @@ _NEAR_ONE = 1.0 - np.geomspace(1e-6, 1.0, 24, endpoint=False)[::-1]
 _PAST_PEAK = 1.0 - np.geomspace(1e-7, 1.0, 30, endpoint=False)[::-1]
 
 
+def _differences(phi: float, inst: ProblemInstance):
+    """c_ic - c_allo, c_aud - c_ic and c_allo - c_aud at a checked phi.
+
+    The root searches call these tens of thousands of times on q in [0, 1]
+    and a phi that ``partition`` has already clipped, so they skip the
+    public functions' validation; each side is the public expression, so
+    the values are the same bit for bit.
+    """
+    n, m, k = inst.n, inst.m, inst.k
+
+    def ic_minus_allo(q):
+        return (m - n * q * phi) - _capped_count_expectation(n, m, 1.0 - q)
+
+    def aud_minus_ic(q):
+        above = 1.0 - q
+        return (_capped_count_expectation(n, k, above) + n * above * phi) - (m - n * q * phi)
+
+    def allo_minus_aud(q):
+        above = 1.0 - q
+        return (_capped_count_expectation(n, m, above)
+                - (_capped_count_expectation(n, k, above) + n * above * phi))
+
+    return ic_minus_allo, aud_minus_ic, allo_minus_aud
+
+
 def _locate_crossings(phi: float, inst: ProblemInstance) -> dict:
     """Find the pairwise crossing points in quantile space.
 
@@ -313,15 +338,7 @@ def _locate_crossings(phi: float, inst: ProblemInstance) -> dict:
     every bracketed root is then polished by Brent iteration to ROOT_TOL.
     """
     crossings: dict = {}
-
-    def ic_minus_allo(q):
-        return c_ic(q, phi, inst) - c_allo(q, inst)
-
-    def aud_minus_ic(q):
-        return c_aud(q, phi, inst) - c_ic(q, phi, inst)
-
-    def allo_minus_aud(q):
-        return c_allo(q, inst) - c_aud(q, phi, inst)
+    ic_minus_allo, aud_minus_ic, allo_minus_aud = _differences(phi, inst)
 
     # z1: both equal m at q=0; the difference dips negative then rises to
     # m - n*phi >= 0 at q=1 (convexity of ic - allo), so it is negative on

@@ -18,8 +18,10 @@ with all capacities scaled to exact integers, so verdicts are exact for
 the quantized data: the rule is feasible iff the max flow saturates every
 demand arc.  On success the flow decomposes into per-profile allocation
 probabilities; on failure the sink side of a min cut yields a violated
-set E.  Symmetric rules on symmetric instances run the same network with
-type multisets as rows and one type node per type.
+set E.  Non-monotone symmetric rules on symmetric instances run the same
+network with type multisets as rows and one type node per type.  Monotone
+symmetric rules need no flow: an exact threshold screen decides them, and
+a feasible one is built as a mixture of pooled-efficient rules.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -559,13 +562,15 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
                              construct: bool = True) -> FeasibilityVerdict:
     """Feasibility of a symmetric interim allocation rule under h(t) = m.
 
-    For non-decreasing P on a symmetric instance with constant capacity and
-    universal eligibility, checking threshold sets E = {tau >= e} suffices;
-    the thresholds are screened exactly via a binomial count expansion, and
-    without ``construct`` that screen is the whole answer.  Otherwise the
-    rule goes to the multiset-collapsed flow, which builds the ex-post rule
-    (monotone P) or decides and builds (non-monotone P); like every flow
-    check it refuses instances above ``max_profiles`` profiles.
+    For a rule that is non-decreasing on the quantized grid, on a symmetric
+    instance with constant capacity and universal eligibility, checking
+    threshold sets E = {tau >= e} suffices; the thresholds are screened
+    exactly via a binomial count expansion, and without ``construct`` that
+    screen is the whole answer.  With it, a feasible monotone rule is built
+    without a flow, as a mixture of pooled-efficient rules
+    (``_pooled_rules``).  A non-monotone rule goes to the multiset-collapsed
+    flow, which decides and builds.  Every construction refuses instances
+    above ``max_profiles`` profiles.
     """
     if not inst.is_symmetric():
         raise ValueError("check_interim_allocation expects a symmetric instance")
@@ -586,21 +591,21 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
         raise ValueError("interim rule length must match the grid")
     sc = _Scaled(inst, [p_row] * n, scale)
 
-    monotone = all(a <= b + 1e-12 for a, b in zip(p_row, p_row[1:]))
-    if monotone:
+    p_units = sc.p_units[0]
+    if all(a <= b for a, b in zip(p_units, p_units[1:])):
         denom = sc.denoms[0]
         m = inst.capacity_default
         # exact binomial screen over thresholds, in units of sc.common, on
         # suffix sums of the mass units and the demands
         mass_above = list(itertools.accumulate(reversed(sc.units[0]), initial=0))[::-1]
         demand_above = list(itertools.accumulate(reversed(sc.demand[0]), initial=0))[::-1]
+        supply = [
+            scale * sum(math.comb(n, x) * above**x * (denom - above) ** (n - x) * min(x, m)
+                        for x in range(1, n + 1))
+            for above in mass_above
+        ]
         for e in range(size + 1):
-            above = mass_above[e]
-            rhs = scale * sum(
-                math.comb(n, x) * above**x * (denom - above) ** (n - x) * min(x, m)
-                for x in range(1, n + 1)
-            )
-            lhs = n * demand_above[e]
+            lhs, rhs = n * demand_above[e], supply[e]
             if lhs > rhs:
                 E = tuple(frozenset(range(e, size)) for _ in range(n))
                 return FeasibilityVerdict(
@@ -610,14 +615,145 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
                 )
         if not construct:
             return FeasibilityVerdict(feasible=True)
+        _require_enumerable(inst, max_profiles)
+        rules = _pooled_rules(p_units, mass_above, supply, n * denom ** (n - 1))
+        table = multiset_table(size, n)
+        share = _mix_pooled(rules, table, m)
+        return FeasibilityVerdict(feasible=True, expost=_expand_multisets(
+            inst, table, np.repeat(np.arange(len(table)), n), table.ravel(), share.ravel()))
     _require_enumerable(inst, max_profiles)
-    verdict = _symmetric_flow_verdict(sc, want_expost=construct)
-    if monotone and not verdict.feasible:
-        raise RuntimeError(
-            "threshold screen passed but the flow found a violation; "
-            "the monotone shortcut does not apply to this instance"
-        )
-    return verdict
+    return _symmetric_flow_verdict(sc, want_expost=construct)
+
+
+def _pooled_rules(p_units: Sequence[int], mass_above: Sequence[int],
+                  supply: Sequence[int], unit: int) -> list[tuple[Fraction, list]]:
+    """Write a feasible monotone rule as a mixture of pooled-efficient rules.
+
+    A pooled-efficient rule groups adjacent types into pools, serves the
+    pools from the top with min(1, objects left / agents in the pool) per
+    agent, and gives nothing to the types below its lowest pool.  In terms
+    of X(e) = n * demand of {tau >= e}, it interpolates the supply curve
+    G(e) = ``supply[e]`` at the pool edges and is flat below them; a rule
+    that passes the threshold screen has X concave, nondecreasing and at
+    most G, so it is weakly majorized by the efficient rule and such
+    mixtures reach it (Hart & Reny 2015; Kleiner, Moldovanu & Strack 2021).
+
+    The walk is Caratheodory's: the pools of the next rule are the maximal
+    runs of equal positive residual value, and its weight is the largest
+    that keeps the residual nondecreasing and nonnegative, so each step
+    merges two pools or empties the lowest one and at most size + 1 rules
+    come out.  The residual is exact: ``p_units`` in units of 1/scale,
+    ``mass_above[e]`` the mass units of {tau >= e}, and ``unit`` turns a
+    pool's supply per mass unit into an interim probability in 1/scale.
+    Returns (weight, pools) pairs with pools as inclusive (lo, hi) type
+    ranges, bottom to top; the weights are positive and sum to 1.
+    """
+    pools = []  # [lo, hi, residual value], bottom to top
+    for t, p in enumerate(p_units):
+        if not p:
+            continue
+        if pools and pools[-1][2] == p:
+            pools[-1][1] = t
+        else:
+            pools.append([t, t, Fraction(p)])
+    rules = []
+    left = Fraction(1)
+    for _ in range(len(p_units) + 1):
+        y = [Fraction(supply[lo] - supply[hi + 1], unit * (mass_above[lo] - mass_above[hi + 1]))
+             for lo, hi, _ in pools]
+        w = left
+        for (_, _, v), yv in zip(pools, y):
+            if yv * w > v:
+                w = v / yv
+        for (_, _, v0), (_, _, v1), y0, y1 in zip(pools, pools[1:], y, y[1:]):
+            if (y1 - y0) * w > v1 - v0:
+                # unless y rises, no positive weight keeps this pair in order
+                w = (v1 - v0) / (y1 - y0) if y1 > y0 else Fraction(0)
+        if w <= 0:
+            raise RuntimeError(f"pooled-rule walk took a step of weight {w}; "
+                               "the rule is not monotone and feasible")
+        rules.append((w, [(lo, hi) for lo, hi, _ in pools]))
+        left -= w
+        residual = []
+        for (lo, hi, v), yv in zip(pools, y):
+            v -= w * yv
+            if not v:
+                continue
+            if residual and residual[-1][2] == v:
+                residual[-1][1] = hi
+            else:
+                residual.append([lo, hi, v])
+        pools = residual
+        if not left:
+            break
+    if pools or sum(w for w, _ in rules) != 1:
+        raise RuntimeError("pooled-rule walk left a residual or weights that do not sum "
+                           "to 1; the threshold screen does not imply feasibility here")
+    return rules
+
+
+def _mix_pooled(rules: list[tuple[Fraction, list]], table: np.ndarray, m: int) -> np.ndarray:
+    """Shares of the mixed pooled-efficient rules, one per entry of ``table``.
+
+    Entry (r, j) is the probability that the agent holding type table[r, j]
+    in multiset r gets an object.  Under one rule an agent of pool (lo, hi)
+    gets min(1, max(0, m - above) / within), where above counts the agents
+    of the multiset with type past hi and within those in the pool.
+    """
+    n_rows, n = table.shape
+    size = int(table.max(initial=0)) + 1
+    count = np.int8 if n < 2**7 else np.int16
+    # below[r, x]: agents of multiset r with type < x, for x = 0..size
+    below = np.zeros((n_rows, size + 1), dtype=count)
+    rows = np.arange(n_rows)
+    for j in range(n):
+        below[rows, table[:, j].astype(np.intp) + 1] += 1
+    np.cumsum(below, axis=1, dtype=count, out=below)
+    below = below.ravel()
+    # share by (above, within); within = 0 marks a type outside every pool
+    per_agent = np.zeros((n + 1, n + 1))
+    for above in range(n + 1):
+        for within in range(1, n + 1 - above):
+            per_agent[above, within] = min(1.0, max(0, m - above) / within)
+    per_agent = per_agent.ravel()
+    at = (rows * (size + 1))[:, None]
+    lo_of = np.empty(size, dtype=np.intp)
+    end_of = np.empty(size, dtype=np.intp)
+    share = np.zeros(table.shape)
+    for w, pools in rules:
+        if not pools:
+            continue
+        lo_of[:] = end_of[:] = np.arange(size)
+        for lo, hi in pools:
+            lo_of[lo:hi + 1] = lo
+            end_of[lo:hi + 1] = hi + 1
+        end = below[at + end_of[table]].astype(np.intp)
+        within = end - below[at + lo_of[table]]
+        share += float(w) * per_agent[(n - end) * (n + 1) + within]
+    return share
+
+
+def _expand_multisets(inst: DiscreteInstance, table: np.ndarray, mid: np.ndarray,
+                      node: np.ndarray, share: np.ndarray) -> ExPostRule:
+    """Per-profile rule from shares on (multiset, type) pairs.
+
+    ``mid`` indexes rows of ``table`` (every multiset as a sorted row) and
+    ``node`` a type; the pairs must be sorted by (mid, node), and pairs
+    not listed get 0.  Agent i at profile p takes the share of (p's multiset,
+    p_i): one sorted-multiset lookup per agent column.
+    """
+    n, size = inst.n_agents, inst.sizes[0]
+    keys = np.append(mid * size + node, np.iinfo(np.int64).max)
+    share = np.append(share, 0.0)
+    prof = np.indices(inst.sizes, dtype=table.dtype).reshape(n, -1)
+    digits = size ** np.arange(n - 1, -1, -1)
+    mid = np.searchsorted(table @ digits, digits @ np.sort(prof, axis=0))
+    alloc = np.empty((inst.n_profiles, n))
+    for i in range(n):
+        key = mid * size + prof[i]
+        at = np.searchsorted(keys, key)
+        alloc[:, i] = np.where(keys[at] == key, share[at], 0.0)
+    return ExPostRule(inst=inst, alloc=alloc)
 
 
 def _symmetric_flow_verdict(sc: _Scaled, *, want_expost: bool) -> FeasibilityVerdict:
@@ -655,21 +791,7 @@ def _symmetric_flow_verdict(sc: _Scaled, *, want_expost: bool) -> FeasibilityVer
         return FeasibilityVerdict(feasible=False, violating_set=_violation(sc, E))
     if shares is None:
         return FeasibilityVerdict(feasible=True)
-
-    # agent i at profile p takes the share of (p's multiset, p_i) among the
-    # flowing arcs, whose keys ascend in arc order; one column at a time
-    mid, node, share = shares
-    keys = np.append(mid * size + node, np.iinfo(np.int64).max)
-    share = np.append(share, 0.0)
-    prof = np.indices(inst.sizes, dtype=table.dtype).reshape(n, -1)
-    digits = size ** np.arange(n - 1, -1, -1)
-    mid = np.searchsorted(table @ digits, digits @ np.sort(prof, axis=0))
-    alloc = np.empty((inst.n_profiles, n))
-    for i in range(n):
-        key = mid * size + prof[i]
-        at = np.searchsorted(keys, key)
-        alloc[:, i] = np.where(keys[at] == key, share[at], 0.0)
-    return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=alloc))
+    return FeasibilityVerdict(feasible=True, expost=_expand_multisets(inst, table, *shares))
 
 
 def construct_expost(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,

@@ -23,6 +23,7 @@ from verialloc.envelope import (
     envelope_value,
     partition,
 )
+from verialloc.envelope import _differences
 from verialloc.interim import allocation_branch
 from verialloc.optimizer import solve
 
@@ -321,6 +322,22 @@ class TestArrayPath:
                 assert isinstance(vec, np.ndarray) and vec.shape == qs.shape
                 assert all(type(v) is float for v in scalars)
                 assert np.array_equal(vec, np.array(scalars))
+
+    def test_crossing_differences_match_public_functions_bit_for_bit(self, uniform):
+        # the root searches' unchecked differences against the checked c_*
+        rng = np.random.default_rng(6)
+        qs = np.concatenate([[0.0, 1.0, 1e-15, 1.0 - 1e-15], rng.random(200)])
+        for n, m, k in [(3, 2, 1), (12, 6, 2), (40, 10, 3), (1000, 500, 100)]:
+            inst = ProblemInstance(n, m, k, uniform)
+            for phi in (0.0, inst.phi_floor, 0.5 * (inst.phi_floor + inst.phi_max),
+                        inst.phi_max):
+                public = (lambda q: c_ic(q, phi, inst) - c_allo(q, inst),
+                          lambda q: c_aud(q, phi, inst) - c_ic(q, phi, inst),
+                          lambda q: c_allo(q, inst) - c_aud(q, phi, inst))
+                for fast, slow in zip(_differences(phi, inst), public):
+                    assert fast(qs).tobytes() == slow(qs).tobytes()
+                    assert (np.array([fast(float(q)) for q in qs]).tobytes()
+                            == np.array([slow(float(q)) for q in qs]).tobytes())
 
     def test_array_domain_checked(self, ex_inst):
         with pytest.raises(ValueError, match="-0.5"):

@@ -1,8 +1,13 @@
 import itertools
 import json
+import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import merit_rule_on_grid, snapped_discretization
 from verialloc import flows
@@ -316,6 +321,133 @@ class TestCollapsedAgainstBruteForce:
                 assert all(Ei == E[0] for Ei in E)
                 assert border_lhs(inst, [p] * n, E) > border_rhs(inst, E)
         assert infeasible_seen >= 5 and non_monotone_seen >= 5
+
+    def test_monotone_is_decided_on_quantized_units(self):
+        # 0.3 - 1e-13 passes a float test for monotonicity against 0.3, but
+        # it floors one unit lower on the 1e-9 grid: the quantized rule
+        # decreases, the threshold screen does not cover it, and the
+        # collapsed flow decides it
+        inst = DiscreteInstance.symmetric(2, (0.2, 0.8), (0.5, 0.5), capacity=1)
+        p = [0.3, 0.3 - 1e-13]
+        assert flows._Scaled(inst, [p] * 2, flows.DEFAULT_SCALE).p_units[0] == [
+            300_000_000, 299_999_999]
+        with mock.patch.object(flows, "_symmetric_flow_verdict",
+                               wraps=flows._symmetric_flow_verdict) as flow, \
+                mock.patch.object(flows, "_pooled_rules") as pooled:
+            verdict = check_interim_allocation(inst, p)
+        assert flow.call_count == 1 and pooled.call_count == 0
+        assert verdict.feasible == brute_force_verdict(inst, [p] * 2).feasible
+        for row in verdict.expost.marginals():
+            assert np.max(np.abs(row - np.array(p))) <= 1e-9
+
+
+def _exact_supply(inst):
+    """G[e] = E[min(#agents with type >= e, m)] and the mass of {tau >= e},
+    as exact fractions of the instance's mass units."""
+    n, size, m = inst.n_agents, inst.sizes[0], inst.capacity_default
+    sc = flows._Scaled(inst, [[0.0] * size] * n, flows.DEFAULT_SCALE)
+    units, denom = sc.units[0], sc.denoms[0]
+    above = [Fraction(sum(units[e:]), denom) for e in range(size + 1)]
+    supply = [sum(math.comb(n, x) * a**x * (1 - a) ** (n - x) * min(x, m)
+                  for x in range(1, n + 1)) for a in above]
+    return above, supply
+
+
+def _pooled_interim(inst, starts):
+    """Exact interim rule of the pooled-efficient rule whose pools begin at
+    the sorted type indices ``starts`` (types below the first get 0)."""
+    n, size = inst.n_agents, inst.sizes[0]
+    above, supply = _exact_supply(inst)
+    rule = [Fraction(0)] * size
+    for lo, end in zip(starts, [*starts[1:], size]):
+        y = (supply[lo] - supply[end]) / (n * (above[lo] - above[end]))
+        rule[lo:end] = [y] * (end - lo)
+    return rule
+
+
+@st.composite
+def monotone_cases(draw):
+    """A symmetric instance and a feasible nondecreasing rule on the 1e-9
+    grid: a random shape at the screen's boundary, a pooled-efficient rule,
+    the efficient rule, the zero rule or a constant at the boundary."""
+    n = draw(st.integers(2, 5))
+    size = draw(st.integers(1, {2: 8, 3: 8, 4: 6, 5: 5}[n]))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=size, max_size=size)))
+    inst = DiscreteInstance.symmetric(n, tuple(np.linspace(0, 1, size)),
+                                      tuple(weights / weights.sum()),
+                                      capacity=draw(st.integers(1, n)))
+    kind = draw(st.sampled_from(["random", "pooled", "efficient", "zero", "constant"]))
+    if kind == "pooled":
+        starts = sorted(draw(st.sets(st.integers(0, size - 1), min_size=1)))
+        rule = _pooled_interim(inst, starts)
+    elif kind == "efficient":
+        rule = _pooled_interim(inst, list(range(size)))
+    elif kind == "zero":
+        rule = [Fraction(0)] * size
+    else:
+        shape = ([1] * size if kind == "constant" else
+                 sorted(draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))))
+        above, supply = _exact_supply(inst)
+        mass = [above[t] - above[t + 1] for t in range(size)]
+        # largest factor whose multiple of the shape passes every threshold
+        factor = min((supply[e] / (n * sum(s * w for s, w in zip(shape[e:], mass[e:])))
+                      for e in range(size) if any(shape[e:])), default=Fraction(0))
+        factor *= draw(st.sampled_from([Fraction(1), Fraction(99, 100), Fraction(1, 2)]))
+        rule = [factor * s for s in shape]
+    # flooring onto the grid keeps the rule feasible and nondecreasing
+    p = [math.floor(x * flows.DEFAULT_SCALE) / flows.DEFAULT_SCALE for x in rule]
+    return inst, p
+
+
+class TestPooledConstruction:
+    """The flow-free construction for monotone rules against exact sums and
+    the general profile network."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=monotone_cases())
+    def test_mixture_realizes_the_rule(self, case):
+        inst, p = case
+        n, size = inst.n_agents, inst.sizes[0]
+        walk, walks = flows._pooled_rules, []
+
+        def record(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        with mock.patch.object(flows, "_pooled_rules", side_effect=record):
+            verdict = check_interim_allocation(inst, p)
+        assert verdict.feasible
+        (rules,) = walks
+        assert len(rules) <= size + 1
+        assert all(w > 0 for w, _ in rules) and sum(w for w, _ in rules) == 1
+        alloc = verdict.expost.alloc
+        assert alloc.min() >= 0.0 and alloc.max() <= 1.0
+        assert verdict.expost.max_violation() <= 1e-12
+        for row in verdict.expost.marginals():
+            assert np.max(np.abs(row - np.array(p))) <= 1e-9
+        assert check_feasible(inst, [p] * n, want_expost=False).feasible
+
+    def test_walk_refuses_a_decreasing_rule(self):
+        # two agents, one object, two types of mass 1/2 each, scale 8: the
+        # pooled-efficient interim values are 2/8 (low) and 6/8 (high)
+        mass_above, supply, unit = [2, 1, 0], [32, 24, 0], 4
+        with pytest.raises(RuntimeError, match="weight"):
+            flows._pooled_rules([2, 1], mass_above, supply, unit)
+        # with two objects every pool's value is 8/8, and no step exists
+        with pytest.raises(RuntimeError, match="weight"):
+            flows._pooled_rules([2, 1], mass_above, [64, 32, 0], unit)
+
+    def test_walk_refuses_a_rule_above_supply(self):
+        # 7/8 for both types needs 7/4 objects in expectation; there is one
+        with pytest.raises(RuntimeError, match="residual"):
+            flows._pooled_rules([7, 7], [2, 1, 0], [32, 24, 0], 4)
+
+    def test_walk_recovers_a_mixture(self):
+        # half the efficient rule (2/8, 6/8) plus half the pooled one (4/8,
+        # 4/8) is (3/8, 5/8): one step to each, then nothing left
+        rules = flows._pooled_rules([3, 5], [2, 1, 0], [32, 24, 0], 4)
+        assert rules == [(Fraction(1, 2), [(0, 0), (1, 1)]),
+                         (Fraction(1, 2), [(0, 1)])]
 
 
 class TestConstructExpost:
