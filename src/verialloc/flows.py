@@ -18,10 +18,9 @@ with all capacities scaled to exact integers, so verdicts are exact for
 the quantized data: the rule is feasible iff the max flow saturates every
 demand arc.  On success the flow decomposes into per-profile allocation
 probabilities; on failure the sink side of a min cut yields a violated
-set E.  Non-monotone symmetric rules on symmetric instances run the same
-network with type multisets as rows and one type node per type.  Monotone
-symmetric rules need no flow: an exact threshold screen decides them, and
-a feasible one is built as a mixture of pooled-efficient rules.
+set E.  Symmetric rules on symmetric instances with constant capacity need
+no flow: sorted by P they are monotone, an exact threshold screen decides
+them, and a feasible one is built as a mixture of pooled-efficient rules.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -376,59 +374,10 @@ def multiset_table(size: int, n: int) -> np.ndarray:
     return table
 
 
-# ---------------------------------------------------------------------------
-# the flow core
-# ---------------------------------------------------------------------------
-
-def _solve_network(demand: Sequence[int], rows, n_rows: int, scale: int,
-                   want_shares: bool):
-    """Max-flow on  source --(w h scale)--> row --(w mult scale)--> type node
-    --(demand)--> sink.
-
-    ``rows`` yields (w, h, arcs) for each row node, ``arcs`` its (type node,
-    multiplicity) pairs; it is consumed once, as the network is built.
-    Returns (cut, shares): when the flow misses some demand, ``cut`` lists
-    the type nodes on the sink side of a minimum cut; otherwise ``cut`` is
-    None and, if asked for, ``shares`` holds (row, type node, flow /
-    capacity) arrays of the row arcs that carry flow, in arc order.
-    """
-    n_types = len(demand)
-    first_type = 1 + n_rows
-    sink = first_type + n_types
-    mf = MaxFlow(sink + 1)
-    # demand arcs first: every row arc then has an id above 2 * n_types
-    for node, d in enumerate(demand):
-        mf.add_edge(first_type + node, sink, d)
-    for row, (w, h, arcs) in enumerate(rows, start=1):
-        mf.add_edge(0, row, w * h * scale)
-        for node, mult in arcs:
-            mf.add_edge(row, first_type + node, w * mult * scale)
-
-    if mf.max_flow(0, sink) != sum(demand):
-        reachable = mf.reachable_from(0)
-        return [node for node in range(n_types) if not reachable[first_type + node]], None
-    if not want_shares:
-        return None, None
-    # past the demand arcs, a forward arc's flow is its reverse residual and
-    # its capacity the sum of both; int / int rounds as float(Fraction) does
-    first = 2 * n_types
-    to = np.frombuffer(mf.to, dtype=np.int64)
-    flow, left = mf.cap[first + 1::2], mf.cap[first::2]
-    tail, head = to[first + 1::2], to[first::2]
-    used = np.flatnonzero(np.fromiter(map(bool, flow), bool, len(flow)) & (tail != 0))
-    share = np.array([flow[a] / (flow[a] + left[a]) for a in used.tolist()])
-    return None, (tail[used] - 1, head[used] - first_type, share)
-
-
-def _violation(sc: _Scaled, E: CheckSet) -> ViolatingSet:
-    """The min-cut set E with its exact sides; it must be violated."""
-    lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
-    if lhs <= rhs:
-        raise RuntimeError(
-            "min-cut extraction produced a non-violating set; "
-            "this indicates a flow construction bug"
-        )
-    return ViolatingSet(check_set=E, lhs=sc.to_float(lhs), rhs=sc.to_float(rhs))
+def _refuted(sc: _Scaled, E: CheckSet, lhs: int, rhs: int) -> FeasibilityVerdict:
+    """The infeasible verdict with witness E and its exact sides."""
+    return FeasibilityVerdict(feasible=False, violating_set=ViolatingSet(
+        check_set=E, lhs=sc.to_float(lhs), rhs=sc.to_float(rhs)))
 
 
 def _tightest(sc: _Scaled, family) -> tuple[int, CheckSet, int, int]:
@@ -490,25 +439,44 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
     _require_enumerable(inst, max_profiles)
     sc = _Scaled(inst, P, scale)
     n, sizes = inst.n_agents, inst.sizes
-    offset = [sum(sizes[:i]) for i in range(n)]
+    demand = [d for row in sc.demand for d in row]
+    # nodes: source 0, profiles 1..n_profiles, then one per (agent, type)
+    first_type = 1 + inst.n_profiles
+    sink = first_type + len(demand)
+    offset = [first_type + sum(sizes[:i]) for i in range(n)]
+    mf = MaxFlow(sink + 1)
+    # demand arcs first: every profile arc then has an id above 2 * len(demand)
+    for node, d in enumerate(demand):
+        mf.add_edge(first_type + node, sink, d)
+    for row, prof in enumerate(inst.profiles(), start=1):
+        w = sc.weight(prof)
+        mf.add_edge(0, row, w * inst.h(prof) * scale)
+        for i in inst.J(prof):
+            mf.add_edge(row, offset[i] + prof[i], w * scale)
 
-    def rows():
-        for prof in inst.profiles():
-            yield (sc.weight(prof), inst.h(prof),
-                   [(offset[i] + prof[i], 1) for i in inst.J(prof)])
-
-    cut, shares = _solve_network([d for row in sc.demand for d in row], rows(),
-                                 inst.n_profiles, scale, want_expost)
-    if cut is not None:
-        cut = set(cut)
-        E = tuple(frozenset(t for t in range(s) if offset[i] + t in cut)
+    if mf.max_flow(0, sink) != sum(demand):
+        reachable = mf.reachable_from(0)
+        E = tuple(frozenset(t for t in range(s) if not reachable[offset[i] + t])
                   for i, s in enumerate(sizes))
-        return FeasibilityVerdict(feasible=False, violating_set=_violation(sc, E))
-    if shares is None:
+        lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
+        if lhs <= rhs:
+            raise RuntimeError(
+                "min-cut extraction produced a non-violating set; "
+                "this indicates a flow construction bug"
+            )
+        return _refuted(sc, E, lhs, rhs)
+    if not want_expost:
         return FeasibilityVerdict(feasible=True)
-    pid, node, share = shares
+    # past the demand arcs, a forward arc's flow is its reverse residual and
+    # its capacity the sum of both; int / int rounds as float(Fraction) does
+    first = 2 * len(demand)
+    to = np.frombuffer(mf.to, dtype=np.int64)
+    flow, left = mf.cap[first + 1::2], mf.cap[first::2]
+    tail, head = to[first + 1::2], to[first::2]
+    used = np.flatnonzero(np.fromiter(map(bool, flow), bool, len(flow)) & (tail != 0))
     alloc = np.zeros((inst.n_profiles, n))
-    alloc[pid, np.repeat(np.arange(n), sizes)[node]] = share
+    alloc[tail[used] - 1, np.repeat(np.arange(n), sizes)[head[used] - first_type]] = [
+        flow[a] / (flow[a] + left[a]) for a in used.tolist()]
     return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=alloc))
 
 
@@ -528,13 +496,7 @@ def brute_force_verdict(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
         for s in inst.sizes
     ]
     slack, E, lhs, rhs = _tightest(sc, itertools.product(*subsets_per_agent))
-    if slack < 0:
-        return FeasibilityVerdict(
-            feasible=False,
-            violating_set=ViolatingSet(check_set=E, lhs=sc.to_float(lhs),
-                                       rhs=sc.to_float(rhs)),
-        )
-    return FeasibilityVerdict(feasible=True)
+    return _refuted(sc, E, lhs, rhs) if slack < 0 else FeasibilityVerdict(feasible=True)
 
 
 def upper_set_report(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
@@ -562,15 +524,15 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
                              construct: bool = True) -> FeasibilityVerdict:
     """Feasibility of a symmetric interim allocation rule under h(t) = m.
 
-    For a rule that is non-decreasing on the quantized grid, on a symmetric
-    instance with constant capacity and universal eligibility, checking
-    threshold sets E = {tau >= e} suffices; the thresholds are screened
-    exactly via a binomial count expansion, and without ``construct`` that
-    screen is the whole answer.  With it, a feasible monotone rule is built
-    without a flow, as a mixture of pooled-efficient rules
-    (``_pooled_rules``).  A non-monotone rule goes to the multiset-collapsed
-    flow, which decides and builds.  Every construction refuses instances
-    above ``max_profiles`` profiles.
+    On a symmetric instance with constant capacity and universal
+    eligibility, feasibility depends on the types only through their
+    masses and P, and checking the sets of the types with the highest P
+    suffices (Border 1991).  Sorted by P, the rule is monotone: its
+    threshold sets are screened exactly via a binomial count expansion, and
+    without ``construct`` that screen is the whole answer.  With it, a
+    feasible rule is built without a flow, as a mixture of pooled-efficient
+    rules (``_pooled_rules``), which refuses instances above
+    ``max_profiles`` profiles.
     """
     if not inst.is_symmetric():
         raise ValueError("check_interim_allocation expects a symmetric instance")
@@ -589,40 +551,49 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
         p_row = [float(x) for x in P]
     if len(p_row) != size:
         raise ValueError("interim rule length must match the grid")
-    sc = _Scaled(inst, [p_row] * n, scale)
+    return _symmetric_flow_verdict(_Scaled(inst, [p_row] * n, scale),
+                                   construct=construct, max_profiles=max_profiles)
 
-    p_units = sc.p_units[0]
-    if all(a <= b for a, b in zip(p_units, p_units[1:])):
-        denom = sc.denoms[0]
-        m = inst.capacity_default
-        # exact binomial screen over thresholds, in units of sc.common, on
-        # suffix sums of the mass units and the demands
-        mass_above = list(itertools.accumulate(reversed(sc.units[0]), initial=0))[::-1]
-        demand_above = list(itertools.accumulate(reversed(sc.demand[0]), initial=0))[::-1]
-        supply = [
-            scale * sum(math.comb(n, x) * above**x * (denom - above) ** (n - x) * min(x, m)
-                        for x in range(1, n + 1))
-            for above in mass_above
-        ]
-        for e in range(size + 1):
-            lhs, rhs = n * demand_above[e], supply[e]
-            if lhs > rhs:
-                E = tuple(frozenset(range(e, size)) for _ in range(n))
-                return FeasibilityVerdict(
-                    feasible=False,
-                    violating_set=ViolatingSet(check_set=E, lhs=sc.to_float(lhs),
-                                               rhs=sc.to_float(rhs)),
-                )
-        if not construct:
-            return FeasibilityVerdict(feasible=True)
-        _require_enumerable(inst, max_profiles)
-        rules = _pooled_rules(p_units, mass_above, supply, n * denom ** (n - 1))
-        table = multiset_table(size, n)
-        share = _mix_pooled(rules, table, m)
-        return FeasibilityVerdict(feasible=True, expost=_expand_multisets(
-            inst, table, np.repeat(np.arange(len(table)), n), table.ravel(), share.ravel()))
+
+def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
+                            max_profiles: int) -> FeasibilityVerdict:
+    """Decide, and with ``construct`` build, a symmetric rule on a
+    symmetric instance with constant capacity and full eligibility.
+
+    No flow runs: the name is the one the benchmark's tracer wraps.  The
+    types are stable-sorted by their quantized P (the identity for a
+    monotone rule), the sorted threshold sets {order[e:]} are screened
+    exactly, and a feasible rule is peeled into pooled-efficient rules on
+    the sorted types, mixed per type multiset and expanded to profiles.
+    """
+    inst = sc.inst
+    n, size, m = inst.n_agents, inst.sizes[0], inst.capacity_default
+    denom = sc.denoms[0]
+    order = sorted(range(size), key=sc.p_units[0].__getitem__)
+    p_units, units, demand = ([row[t] for t in order]
+                              for row in (sc.p_units[0], sc.units[0], sc.demand[0]))
+    # exact binomial screen over thresholds, in units of sc.common, on
+    # suffix sums of the mass units and the demands in sorted order
+    mass_above = list(itertools.accumulate(reversed(units), initial=0))[::-1]
+    demand_above = list(itertools.accumulate(reversed(demand), initial=0))[::-1]
+    supply = [
+        sc.scale * sum(math.comb(n, x) * above**x * (denom - above) ** (n - x) * min(x, m)
+                       for x in range(1, n + 1))
+        for above in mass_above
+    ]
+    for e in range(size + 1):
+        lhs, rhs = n * demand_above[e], supply[e]
+        if lhs > rhs:
+            return _refuted(sc, (frozenset(order[e:]),) * n, lhs, rhs)
+    if not construct:
+        return FeasibilityVerdict(feasible=True)
     _require_enumerable(inst, max_profiles)
-    return _symmetric_flow_verdict(sc, want_expost=construct)
+    rules = _pooled_rules(p_units, mass_above, supply, n * denom ** (n - 1))
+    table = multiset_table(size, n)
+    rank = np.empty(size, dtype=table.dtype)
+    rank[order] = np.arange(size)
+    return FeasibilityVerdict(feasible=True, expost=_expand_multisets(
+        inst, table, _mix_pooled(rules, rank[table], m)))
 
 
 def _pooled_rules(p_units: Sequence[int], mass_above: Sequence[int],
@@ -730,68 +701,28 @@ def _mix_pooled(rules: list[tuple[Fraction, list]], table: np.ndarray, m: int) -
         end = below[at + end_of[table]].astype(np.intp)
         within = end - below[at + lo_of[table]]
         share += float(w) * per_agent[(n - end) * (n + 1) + within]
-    return share
+    # the weights sum to 1 exactly but their floats need not, so a share
+    # that is exactly 1 can come out one ulp above it
+    return np.minimum(share, 1.0, out=share)
 
 
-def _expand_multisets(inst: DiscreteInstance, table: np.ndarray, mid: np.ndarray,
-                      node: np.ndarray, share: np.ndarray) -> ExPostRule:
-    """Per-profile rule from shares on (multiset, type) pairs.
+def _expand_multisets(inst: DiscreteInstance, table: np.ndarray,
+                      share: np.ndarray) -> ExPostRule:
+    """Per-profile rule from shares on the entries of ``table``.
 
-    ``mid`` indexes rows of ``table`` (every multiset as a sorted row) and
-    ``node`` a type; the pairs must be sorted by (mid, node), and pairs
-    not listed get 0.  Agent i at profile p takes the share of (p's multiset,
-    p_i): one sorted-multiset lookup per agent column.
+    ``table`` holds every type multiset as a sorted row and ``share[r, j]``
+    the share of the agent at place j of multiset r.  Agent i at profile p
+    takes the share at p's multiset and its place in a sort of p; tied
+    types have equal shares, so the order among ties does not matter.
     """
     n, size = inst.n_agents, inst.sizes[0]
-    keys = np.append(mid * size + node, np.iinfo(np.int64).max)
-    share = np.append(share, 0.0)
     prof = np.indices(inst.sizes, dtype=table.dtype).reshape(n, -1)
+    col = np.argsort(prof, axis=0)
     digits = size ** np.arange(n - 1, -1, -1)
-    mid = np.searchsorted(table @ digits, digits @ np.sort(prof, axis=0))
+    mid = np.searchsorted(table @ digits, digits @ np.take_along_axis(prof, col, axis=0))
     alloc = np.empty((inst.n_profiles, n))
-    for i in range(n):
-        key = mid * size + prof[i]
-        at = np.searchsorted(keys, key)
-        alloc[:, i] = np.where(keys[at] == key, share[at], 0.0)
+    np.put_along_axis(alloc, col.T, share[mid], axis=1)
     return ExPostRule(inst=inst, alloc=alloc)
-
-
-def _symmetric_flow_verdict(sc: _Scaled, *, want_expost: bool) -> FeasibilityVerdict:
-    """Flow check for symmetric instances on the multiset-collapsed network.
-
-    A symmetric instance with a symmetric rule admits a symmetric ex-post
-    rule (average any witness over agent permutations), so profiles that
-    are permutations of each other can be merged into one row node, and
-    the agents' copies of a type into one type node: a symmetric cut of
-    the profile network has the capacity of the collapsed cut.  This cuts
-    the profile count from size^n to C(size+n-1, n) and is what makes
-    fine grids tractable; the expanded per-profile rule and its exact
-    marginals are recovered from the collapsed flow.
-    """
-    inst = sc.inst
-    n, size = inst.n_agents, inst.sizes[0]
-    units = sc.units[0]
-    table = multiset_table(size, n)
-    fact = [math.factorial(i) for i in range(n + 1)]
-
-    def rows():
-        h = inst.capacity_default
-        for ms in table.tolist():
-            # multinomial count times the product of mass numerators
-            runs = Counter(ms)
-            w = fact[n]
-            for t, cnt in runs.items():
-                w = w // fact[cnt] * units[t] ** cnt
-            yield w, h, runs.items()
-
-    cut, shares = _solve_network([n * d for d in sc.demand[0]], rows(), len(table),
-                                 sc.scale, want_expost)
-    if cut is not None:
-        E = tuple(frozenset(cut) for _ in range(n))
-        return FeasibilityVerdict(feasible=False, violating_set=_violation(sc, E))
-    if shares is None:
-        return FeasibilityVerdict(feasible=True)
-    return FeasibilityVerdict(feasible=True, expost=_expand_multisets(inst, table, *shares))
 
 
 def construct_expost(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
@@ -857,7 +788,8 @@ def discretize_rules(cont_inst, rules, bins: int, *,
     interim value on a cell is the conditional average of P over the cell
     (the cell's demand then integrates exactly), not the midpoint sample:
     midpoint sampling overstates demand wherever P is concave and falsely
-    breaks feasibility at binding thresholds.
+    breaks feasibility at binding thresholds.  Empty bins (see
+    ``cell_grid``) carry no type and are left out of the grid.
 
     With ``offsets`` each agent's midpoints are nudged by a distinct tiny
     amount so no two agents can ever report equal values; rank-based
@@ -868,10 +800,11 @@ def discretize_rules(cont_inst, rules, bins: int, *,
         if rules.partition is not None else []
     )
     grid = cell_grid(cont_inst.dist, bins, breakpoints)
-    p_avg = grid.bin_mean(grid.integrate(rules.P)).tolist()
+    keep = grid.bin_mass > 0
+    p_avg = grid.bin_mean(grid.integrate(rules.P))[keep].tolist()
     edges = np.linspace(0.0, 1.0, bins + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    masses = grid.bin_mass.tolist()
+    mids = (0.5 * (edges[:-1] + edges[1:]))[keep]
+    masses = grid.bin_mass[keep].tolist()
     total = sum(masses)
     masses = tuple(w / total for w in masses)
     width = edges[1] - edges[0] if offsets else 0.0
