@@ -222,17 +222,15 @@ def cmd_plotdata(args) -> int:
     part = partition(phi, inst)
     rules = merit_with_guarantee(phi, inst, part)
 
+    qs = np.linspace(0.0, 1.0, args.grid)
+    value, tag = envelope_value(qs, phi, inst)
+    columns = [qs, c_allo(qs, inst), c_aud(qs, phi, inst), c_ic(qs, phi, inst), value]
     constraints_path = f"{args.prefix}_constraints.csv"
     with open(constraints_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "c_allo", "c_aud", "c_ic", "envelope", "binding"])
-        for q in np.linspace(0.0, 1.0, args.grid):
-            q = float(q)
-            value, tag = envelope_value(q, phi, inst)
-            writer.writerow([
-                _fmt(q), _fmt(c_allo(q, inst)), _fmt(c_aud(q, phi, inst)),
-                _fmt(c_ic(q, phi, inst)), _fmt(value), tag,
-            ])
+        for *row, label in zip(*(c.tolist() for c in columns), tag.tolist()):
+            writer.writerow([*map(_fmt, row), label])
     rules_path = f"{args.prefix}_rules.csv"
     rules.to_csv(rules_path, grid=args.grid)
     print(f"wrote {constraints_path} and {rules_path} (phi={_fmt(phi)})")

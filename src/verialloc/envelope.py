@@ -17,17 +17,13 @@ type space into the regions where each constraint binds.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import bdtr, bdtrc
 
 from .distributions import TypeDistribution
-
-ROOT_TOL = 1e-12
 
 LABEL_IC = "ic"
 LABEL_AUD = "aud"
@@ -168,22 +164,13 @@ def _capped_count_expectation(n_trials: int, cap: int, p):
     return n_trials * p * bdtr(cap - 1, n_trials - 1, p) + cap * bdtrc(cap, n_trials, p)
 
 
-def _check_q(q):
-    """q as a float, or as a float array for array input, checked to lie in [0, 1]."""
-    if np.isscalar(q):
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        return float(q)
+def _check_q(q) -> np.ndarray:
+    """q as a float array (0-d for a float), checked to lie in [0, 1]."""
     arr = np.asarray(q, dtype=float)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         bad = arr[~((arr >= 0.0) & (arr <= 1.0))].flat[0]
         raise ValueError(f"quantile {bad} outside [0, 1]")
     return arr
-
-
-def _like(value):
-    """An array result as it is; a scalar one as a Python float."""
-    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def _check_phi(phi: float, inst: ProblemInstance) -> float:
@@ -193,40 +180,40 @@ def _check_phi(phi: float, inst: ProblemInstance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# constraint functions and derivatives; q may be a scalar or an array
+# constraint functions and derivatives, elementwise in q
 # ---------------------------------------------------------------------------
 
 def c_allo(q, inst: ProblemInstance):
     """Supply bound: expected count min(#above, m); equals m at q=0 and 0 at q=1."""
     above = 1.0 - _check_q(q)
-    return _like(_capped_count_expectation(inst.n, inst.m, above))
+    return _capped_count_expectation(inst.n, inst.m, above)
 
 
 def c_aud(q, phi: float, inst: ProblemInstance):
     """Audit bound: expected count min(#above, k) plus the guarantee term n(1-q)phi."""
     above = 1.0 - _check_q(q)
     phi = _check_phi(phi, inst)
-    return _like(_capped_count_expectation(inst.n, inst.k, above) + inst.n * above * phi)
+    return _capped_count_expectation(inst.n, inst.k, above) + inst.n * above * phi
 
 
 def c_ic(q, phi: float, inst: ProblemInstance):
     """Incentive bound: m - n q phi."""
     q = _check_q(q)
     phi = _check_phi(phi, inst)
-    return _like(inst.m - inst.n * q * phi)
+    return inst.m - inst.n * q * phi
 
 
 def d_c_allo(q, inst: ProblemInstance):
     """Derivative of c_allo in q: -n * P(Binomial(n-1, 1-q) <= m-1)."""
     above = 1.0 - _check_q(q)
-    return _like(-inst.n * _binom_cdf(inst.m - 1, inst.n - 1, above))
+    return -inst.n * _binom_cdf(inst.m - 1, inst.n - 1, above)
 
 
 def d_c_aud(q, phi: float, inst: ProblemInstance):
     """Derivative of c_aud in q: -n * P(Binomial(n-1, 1-q) <= k-1) - n phi."""
     above = 1.0 - _check_q(q)
     phi = _check_phi(phi, inst)
-    return _like(-inst.n * _binom_cdf(inst.k - 1, inst.n - 1, above) - inst.n * phi)
+    return -inst.n * _binom_cdf(inst.k - 1, inst.n - 1, above) - inst.n * phi
 
 
 def d_c_ic(phi: float, inst: ProblemInstance) -> float:
@@ -235,209 +222,176 @@ def d_c_ic(phi: float, inst: ProblemInstance) -> float:
     return -inst.n * phi
 
 
-def envelope_value(q: float, phi: float, inst: ProblemInstance) -> tuple[float, str]:
-    """Pointwise minimum of the three constraints and which one attains it.
+def envelope_value(q, phi: float, inst: ProblemInstance):
+    """Pointwise minimum of the three constraints and which one attains it,
+    elementwise in q.
 
     Exact ties are labeled by the fixed priority ic > aud > allo, which only
     affects zero-measure boundary points.
     """
-    values = {
-        LABEL_IC: c_ic(q, phi, inst),
-        LABEL_AUD: c_aud(q, phi, inst),
-        LABEL_ALLO: c_allo(q, inst),
-    }
-    vmin = min(values.values())
-    tol = 1e-12 * max(1.0, abs(vmin))
-    for label in _PRIORITY:
-        if values[label] <= vmin + tol:
-            return vmin, label
-    raise AssertionError("unreachable")
+    values = [c_ic(q, phi, inst), c_aud(q, phi, inst), c_allo(q, inst)]
+    vmin = np.minimum(np.minimum(values[0], values[1]), values[2])
+    tol = 1e-12 * np.maximum(1.0, np.abs(vmin))
+    return vmin, np.select([v <= vmin + tol for v in values], _PRIORITY, LABEL_ALLO)
 
 
 # ---------------------------------------------------------------------------
-# crossing location and the region partition
+# the three phi-free curves behind the crossings
 # ---------------------------------------------------------------------------
+# With X ~ Binomial(n, 1-q) agents above quantile q, each crossing at
+# guarantee phi is where a curve that does not depend on phi equals phi:
+#   c_ic < c_allo   where  z1 curve  E[(m-X)^+] / (n q)                    < phi,
+#   c_aud < c_ic    where  z2 curve  (m - k + E[(k-X)^+]) / n              > phi,
+#   c_aud < c_allo  where  band      (E[min(X,m)] - E[min(X,k)]) / (n(1-q)) > phi.
+# z1 and z2 rise from 0 and (m-k)/n to m/n; the band rises from (m-k)/n to
+# one interior peak and falls to 0 (its slope has the sign of m P(X > m) -
+# k P(X > k), which changes once as P(X > m) / P(X > k) rises in 1-q).
 
-def _bracketed_root(f, a: float, b: float) -> float:
-    return float(brentq(f, a, b, xtol=ROOT_TOL, maxiter=200))
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximizer of a scalar unimodal function on [a, b]."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
+def _shortfall(n_trials: int, cap: int, p):
+    """E[(cap - X)^+] for X ~ Binomial(n_trials, p): cap P(X <= cap-1) minus
+    E[X; X <= cap-1].  Unlike cap - E[min(X, cap)] it keeps its relative
+    precision where it is small."""
+    return (cap * _binom_cdf(cap - 1, n_trials, p)
+            - n_trials * p * _binom_cdf(cap - 2, n_trials - 1, p))
 
 
-def _scan_sign(f, grid: np.ndarray, want_negative: bool) -> Optional[float]:
-    """First grid point, in grid order, where the array-valued f has the wanted sign."""
-    v = f(grid)
-    hits = np.flatnonzero(v < 0.0 if want_negative else v > 0.0)
-    return float(grid[hits[0]]) if hits.size else None
+def _band(n: int, m: int, k: int, p):
+    """E[min(X, m)] - E[min(X, k)] for X ~ Binomial(n, p), by upper tails."""
+    return (n * p * (bdtrc(k - 1, n - 1, p) - bdtrc(m - 1, n - 1, p))
+            + m * bdtrc(m, n, p) - k * bdtrc(k, n, p))
 
 
-# probes for the dip of c_ic - c_allo below zero, in scan order; the decades
-# under 1e-6 come last and matter only for phi so small that the dip is
-# narrower than the first probe
-_Z1_PROBES = np.array([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9,
-                       *np.geomspace(1e-7, 1e-15, 9)])
-# grids of the allo/aud scans: interior points of [0, 1]; probes away from
-# q=0 and toward q=1; and steps from a peak toward q=1, as shares of 1 - peak
-_AUD_SCAN = np.linspace(0.0, 1.0, 129)[1:-1]
-_NEAR_ZERO = np.array([0.0, 1e-5, 1e-3, 1e-2])
-_NEAR_ONE = 1.0 - np.geomspace(1e-6, 1.0, 24, endpoint=False)[::-1]
-_PAST_PEAK = 1.0 - np.geomspace(1e-7, 1.0, 30, endpoint=False)[::-1]
+def _curve_z1(q, n: int, m: int, k: int):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q > 0.0, _shortfall(n, m, 1.0 - q) / (n * q), 0.0)
 
 
-def _differences(phi: float, inst: ProblemInstance):
-    """c_ic - c_allo, c_aud - c_ic and c_allo - c_aud at a checked phi.
+def _curve_z2(q, n: int, m: int, k: int):
+    return (m - k + _shortfall(n, k, 1.0 - q)) / n
 
-    The root searches call these tens of thousands of times on q in [0, 1]
-    and a phi that ``partition`` has already clipped, so they skip the
-    public functions' validation; each side is the public expression, so
-    the values are the same bit for bit.
+
+def _curve_band(q, n: int, m: int, k: int):
+    p = 1.0 - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, _band(n, m, k, p) / (n * p), 0.0)
+
+
+# quantiles of the curve tables: 256 equal steps, refined by halvings toward
+# both ends, where the crossings of guarantees near 0 and m/n sit
+_TABLE_Q = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257), 0.5 ** np.arange(9, 61),
+                                     1.0 - 0.5 ** np.arange(9, 54)]))
+
+
+def _bracketed_roots(g, lo, hi, g_lo, g_hi):
+    """A root of g in each bracket [lo[i], hi[i]], where g_lo = g(lo) and
+    g_hi = g(hi) differ in sign, and the number of iterations.
+
+    g(x, rows) evaluates the function of the brackets ``rows`` at x.  All
+    brackets are polished together by the Illinois variant of regula falsi
+    until each is resolved to rounding (the secant step lands on an end or
+    hits a zero); the last iterate is the root.
     """
+    lo, hi, g_lo, g_hi = (np.array(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
+    root = np.where(g_lo == 0.0, lo, hi)
+    last = np.zeros(len(lo), dtype=np.int8)  # the end moved last: -1 lo, 1 hi
+    rows = np.flatnonzero((g_lo != 0.0) & (g_hi != 0.0))
+    iterations = 0
+    while rows.size and iterations < 200:
+        iterations += 1
+        a, b, ga, gb = lo[rows], hi[rows], g_lo[rows], g_hi[rows]
+        x = np.clip(a - ga * (b - a) / (gb - ga), a, b)
+        gx = g(x, rows)
+        root[rows] = x
+        move_lo = np.sign(gx) == np.sign(ga)
+        # Illinois: an end kept twice running has its value halved
+        g_lo[rows] = np.where(move_lo, gx, np.where(last[rows] == 1, 0.5 * ga, ga))
+        g_hi[rows] = np.where(move_lo, np.where(last[rows] == -1, 0.5 * gb, gb), gx)
+        lo[rows], hi[rows] = np.where(move_lo, x, a), np.where(move_lo, b, x)
+        last[rows] = np.where(move_lo, -1, 1)
+        rows = rows[(gx != 0.0) & (x != a) & (x != b)]
+    return root, iterations
+
+
+@functools.lru_cache(maxsize=64)
+def _curves(n: int, m: int, k: int):
+    """The z1, z2 and band curves on _TABLE_Q and the band's peak (q, value),
+    located as the root of the sign of its slope."""
+    q = _TABLE_Q
+    band = _curve_band(q, n, m, k)
+    i = int(np.argmax(band))
+
+    def rise(x, rows):  # the sign of the band's slope in q
+        return m * bdtrc(m, n, 1.0 - x) - k * bdtrc(k, n, 1.0 - x)
+
+    lo, hi = q[i - 1:i], q[i + 1:i + 2]
+    peak, _ = _bracketed_roots(rise, lo, hi, rise(lo, None), rise(hi, None))
+    return (_curve_z1(q, n, m, k), _curve_z2(q, n, m, k), band,
+            float(peak[0]), float(_curve_band(peak[0], n, m, k)))
+
+
+def _crossings(phi: np.ndarray, inst: ProblemInstance):
+    """z1, z2, r1 and r2 at each (checked) guarantee, NaN where r1, r2 do
+    not exist, and the polish iterations.  Each crossing inside its curve's
+    range is bracketed by ``searchsorted`` on a running maximum of the table
+    (valid even where rounding made the table dip); all polish together."""
     n, m, k = inst.n, inst.m, inst.k
+    z1_tab, z2_tab, band_tab, q_peak, band_peak = _curves(n, m, k)
+    q = _TABLE_Q
+    rise, fall = q < q_peak, q > q_peak
+    # within rounding of (m-k)/n the incentive and audit bounds differ by
+    # less than the rounding of m: there is no incentive region to tell
+    # apart, and at phi = 0 the audit bound stays below supply on [0, 1)
+    dominated = phi <= inst.phi_floor + 4.0 * np.finfo(float).eps * inst.phi_max
+    out = np.array([np.where(phi <= 0.0, 0.0, 1.0), np.where(dominated, 0.0, 1.0),
+                    np.where(dominated, 0.0, np.nan), np.where(phi <= 0.0, 1.0, np.nan)])
+    curves = (_curve_z1, _curve_z2, _curve_band)
+    level_sets = (  # (curve, table q, table values, rising, guarantees inside)
+        (0, q, z1_tab, 1.0, (phi > 0.0) & (phi < inst.phi_max)),
+        (1, q, z2_tab, 1.0, ~dominated & (phi < inst.phi_max)),
+        (2, np.append(q[rise], q_peak), np.append(band_tab[rise], band_peak), 1.0,
+         ~dominated & (phi < band_peak)),
+        (2, np.insert(q[fall], 0, q_peak), np.insert(band_tab[fall], 0, band_peak), -1.0,
+         (phi > 0.0) & (phi < band_peak)),
+    )
+    rows = []  # (crossing, phi index, curve, sign, lo, hi, g_lo, g_hi)
+    for c, (curve, tq, tv, sign, inside) in enumerate(level_sets):
+        at = np.flatnonzero(inside)
+        i = np.clip(np.searchsorted(np.maximum.accumulate(sign * tv), sign * phi[at],
+                                    side="right") - 1, 0, len(tq) - 2)
+        rows.append((np.full(at.size, c), at, np.full(at.size, curve), np.full(at.size, sign),
+                     tq[i], tq[i + 1], sign * (tv[i] - phi[at]), sign * (tv[i + 1] - phi[at])))
+    which, at, curve, sign, lo, hi, g_lo, g_hi = map(np.concatenate, zip(*rows))
 
-    def ic_minus_allo(q):
-        return (m - n * q * phi) - _capped_count_expectation(n, m, 1.0 - q)
+    def g(x, rows):
+        value = np.empty(rows.size)
+        for c, fn in enumerate(curves):
+            sel = curve[rows] == c
+            if sel.any():
+                value[sel] = fn(x[sel], n, m, k)
+        return sign[rows] * (value - phi[at[rows]])
 
-    def aud_minus_ic(q):
-        above = 1.0 - q
-        return (_capped_count_expectation(n, k, above) + n * above * phi) - (m - n * q * phi)
-
-    def allo_minus_aud(q):
-        above = 1.0 - q
-        return (_capped_count_expectation(n, m, above)
-                - (_capped_count_expectation(n, k, above) + n * above * phi))
-
-    return ic_minus_allo, aud_minus_ic, allo_minus_aud
-
-
-def _locate_crossings(phi: float, inst: ProblemInstance) -> dict:
-    """Find the pairwise crossing points in quantile space.
-
-    z1: c_ic vs c_allo (unique interior crossing for phi > 0),
-    z2: c_ic vs c_aud (unique crossing when phi > (m-k)/n),
-    r1, r2: c_allo vs c_aud (at most two interior crossings).
-
-    Sign scans evaluate the constraints on a whole probe grid in one call;
-    every bracketed root is then polished by Brent iteration to ROOT_TOL.
-    """
-    crossings: dict = {}
-    ic_minus_allo, aud_minus_ic, allo_minus_aud = _differences(phi, inst)
-
-    # z1: both equal m at q=0; the difference dips negative then rises to
-    # m - n*phi >= 0 at q=1 (convexity of ic - allo), so it is negative on
-    # (0, z1) and any negative probe brackets z1 with q=1
-    if phi <= 0.0:
-        crossings["z1"] = 0.0
-    else:
-        probe = _scan_sign(ic_minus_allo, _Z1_PROBES, True)
-        if probe is None:
-            # no probe sees the dip: it is narrower than 1e-15 or shallower
-            # than rounding, so z1 is indistinguishable from 0
-            crossings["z1"] = 0.0
-        elif ic_minus_allo(1.0) <= 0.0:
-            crossings["z1"] = 1.0
-        else:
-            crossings["z1"] = _bracketed_root(ic_minus_allo, probe, 1.0)
-
-    # z2: c_aud - c_ic is strictly decreasing past 0; positive at q=0 iff
-    # phi > (m-k)/n, and <= 0 at q=1.
-    if phi <= inst.phi_floor:
-        crossings["z2"] = 0.0
-    elif aud_minus_ic(1.0) >= 0.0:
-        crossings["z2"] = 1.0
-    else:
-        crossings["z2"] = _bracketed_root(aud_minus_ic, 0.0, 1.0)
-
-    # r1, r2: allo - aud is concave-difference with at most two interior
-    # zeros and vanishes at q=1.
-    g0 = allo_minus_aud(0.0)
-    if g0 >= 0.0:
-        # single interior crossing down (r1 pinned at 0); phi = 0 keeps the
-        # audit bound below supply everywhere (allo - aud = E[min(X,m) -
-        # min(X,k)] > 0 on [0, 1)) so the crossing sits at q=1, where the
-        # difference is below rounding and is not scanned
-        crossings["r1"] = 0.0
-        neg = None if phi <= 0.0 else _scan_sign(allo_minus_aud, _NEAR_ONE, True)
-        if neg is None:
-            crossings["r2"] = 1.0
-        else:
-            # g0 = m - k - n*phi and the slope at q=0 is n*phi > 0, so a
-            # positive probe exists unless the crossing sits within 1e-5 of 0
-            pos = _scan_sign(allo_minus_aud, _NEAR_ZERO, False)
-            if pos is None:
-                raise RuntimeError(f"failed to bracket the allo/aud crossing at phi={phi}")
-            crossings["r2"] = _bracketed_root(allo_minus_aud, pos, neg)
-    else:
-        # negative at both ends of (0, 1); an audit region exists iff the
-        # difference turns positive somewhere in between
-        vals = allo_minus_aud(_AUD_SCAN)
-        imax = int(np.argmax(vals))
-        q_peak = float(_AUD_SCAN[imax])
-        g_peak = float(vals[imax])
-        if g_peak <= 0.0:
-            # the grid may straddle a narrow positive window near tangency;
-            # refine the unique interior maximum before concluding
-            lo_b = float(_AUD_SCAN[max(imax - 1, 0)])
-            hi_b = float(_AUD_SCAN[min(imax + 1, len(_AUD_SCAN) - 1)])
-            q_peak = _golden_max(allo_minus_aud, lo_b, hi_b, 1e-11)
-            g_peak = allo_minus_aud(q_peak)
-        if g_peak > 0.0:
-            crossings["r1"] = _bracketed_root(allo_minus_aud, 0.0, q_peak)
-            # past the peak the difference falls to -n*phi*(1-q) + o(1-q) < 0
-            # near q=1; the probes reach within 1e-7 (1 - q_peak) of it
-            neg = _scan_sign(allo_minus_aud, q_peak + (1.0 - q_peak) * _PAST_PEAK, True)
-            if neg is None:
-                raise RuntimeError(
-                    f"failed to bracket the upper allo/aud crossing at phi={phi}"
-                )
-            crossings["r2"] = _bracketed_root(allo_minus_aud, q_peak, neg)
-        # otherwise no interior crossings: the audit bound never undercuts supply
-
-    return crossings
+    roots, iterations = _bracketed_roots(g, lo, hi, g_lo, g_hi)
+    out[which, at] = roots
+    return (*out, iterations)
 
 
-def partition(phi: float, inst: ProblemInstance) -> RegionPartition:
-    """Partition the type space by the binding constraint at guarantee phi.
+# ---------------------------------------------------------------------------
+# the region partition
+# ---------------------------------------------------------------------------
 
-    Crossings are located by bracketed root-finding to 1e-12 in quantile
-    space; region labels are then read off as the pointwise argmin between
-    consecutive crossing candidates, so the emitted intervals always agree
-    with the envelope minimum.  Quantile cutoffs are mapped to type space
-    through the distribution's quantile function.
-    """
-    phi = _check_phi(phi, inst)
-    crossings = _locate_crossings(phi, inst)
-
-    # at or below (m-k)/n the audit bound sits weakly under the incentive
-    # bound everywhere (E[min(X,k)] <= m - n*phi), often within float
-    # resolution of it; labeling those stretches "aud" keeps the structure
-    # that the incentive region is empty in this regime
-    ic_dominated = phi <= inst.phi_floor
-
+def _assemble(phi: float, crossings: dict, inst: ProblemInstance) -> RegionPartition:
+    """The partition at phi from its quantile-space crossings."""
     cuts = sorted({0.0, 1.0, *(v for v in crossings.values() if 0.0 < v < 1.0)})
+    at = {"r1": np.nan, "r2": np.nan, **crossings}
     runs: list[list] = []  # [label, q_lo, q_hi]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
+        # the binding bound from the order of the crossings: ic sits under
+        # aud before z2 and under allo before z1, aud under allo on (r1, r2)
         mid = 0.5 * (lo + hi)
-        _, label = envelope_value(mid, phi, inst)
-        if ic_dominated and label == LABEL_IC:
-            label = LABEL_AUD
+        if mid < at["z2"]:
+            label = LABEL_IC if mid < at["z1"] else LABEL_ALLO
+        else:
+            label = LABEL_AUD if at["r1"] < mid < at["r2"] else LABEL_ALLO
         if runs and runs[-1][0] == label:
             runs[-1][2] = hi
         else:
@@ -457,33 +411,41 @@ def partition(phi: float, inst: ProblemInstance) -> RegionPartition:
         for label, lo, hi in runs
     )
 
-    by_label: dict[str, list[RegionInterval]] = {}
+    first: dict[str, RegionInterval] = {}
     for iv in intervals:
-        by_label.setdefault(iv.label, []).append(iv)
-
-    if LABEL_IC in by_label:
-        gamma1 = by_label[LABEL_IC][0].hi
-    else:
-        gamma1 = 0.0
-    if LABEL_AUD in by_label:
-        gamma2 = by_label[LABEL_AUD][0].lo
-        gamma3 = by_label[LABEL_AUD][0].hi
+        first.setdefault(iv.label, iv)
+    gamma1 = first[LABEL_IC].hi if LABEL_IC in first else 0.0
+    if LABEL_AUD in first:
+        gamma2, gamma3 = first[LABEL_AUD].lo, first[LABEL_AUD].hi
     else:
         gamma2 = gamma3 = 1.0 if case_tag == CASE_IC_ALLO else gamma1
     if case_tag == CASE_AUD_ALLO:
         gamma1 = gamma2 = 0.0
-
     if not (-1e-9 <= gamma1 <= gamma2 + 1e-9 <= gamma3 + 2e-9 <= 1.0 + 3e-9):
-        raise RuntimeError(
-            f"cutoff ordering violated: {gamma1}, {gamma2}, {gamma3} at phi={phi}"
-        )
+        raise RuntimeError(f"cutoff ordering violated: {gamma1}, {gamma2}, {gamma3} at phi={phi}")
+    return RegionPartition(phi, case_tag, float(gamma1), float(gamma2), float(gamma3),
+                           intervals, crossings)
 
-    return RegionPartition(
-        phi=phi,
-        case_tag=case_tag,
-        gamma1=float(gamma1),
-        gamma2=float(gamma2),
-        gamma3=float(gamma3),
-        intervals=intervals,
-        crossings=crossings,
-    )
+
+def partitions(phis, inst: ProblemInstance, stats=None) -> list[RegionPartition]:
+    """The partition of the type space at each guarantee in phis.
+
+    The crossings of every phi are level sets of three phi-free curves,
+    tabulated once per (n, m, k), and are polished together to rounding.
+    Region labels are read off the order of the crossings; quantile cutoffs
+    map to types through the quantile function.  ``stats``, a Counter if
+    given, gains the polish iterations.
+    """
+    phi = np.array([_check_phi(p, inst) for p in np.atleast_1d(phis).tolist()])
+    z1, z2, r1, r2, iterations = _crossings(phi, inst)
+    if stats is not None:
+        stats["polish_iterations"] += iterations
+    keys = ("z1", "z2", "r1", "r2")
+    return [_assemble(p, {key: x for key, x in zip(keys, row) if not np.isnan(x)}, inst)
+            for p, *row in zip(phi.tolist(), z1.tolist(), z2.tolist(), r1.tolist(), r2.tolist())]
+
+
+def partition(phi: float, inst: ProblemInstance) -> RegionPartition:
+    """Partition of the type space by the binding constraint at guarantee
+    phi: ``partitions`` of the single guarantee."""
+    return partitions([phi], inst)[0]

@@ -65,27 +65,27 @@ class InterimRules:
                 writer.writerow([f"{x:.12g}" for x in row])
 
 
-def allocation_branch(label: str, t: float, phi: float, inst: ProblemInstance) -> float:
-    """Interim allocation probability of the branch binding on ``label``."""
-    q = float(inst.dist.cdf(t))
+def allocation_branch(label: str, t, phi: float, inst: ProblemInstance):
+    """Interim allocation probability of the branch binding on ``label``,
+    elementwise in t."""
+    above = 1.0 - inst.dist.cdf(t)
     if label == LABEL_IC:
-        return phi
+        return phi + 0.0 * above
     if label == LABEL_AUD:
-        return float(_binom_cdf(inst.k - 1, inst.n - 1, 1.0 - q)) + phi
+        return _binom_cdf(inst.k - 1, inst.n - 1, above) + phi
     if label == LABEL_ALLO:
-        return float(_binom_cdf(inst.m - 1, inst.n - 1, 1.0 - q))
+        return _binom_cdf(inst.m - 1, inst.n - 1, above)
     raise ValueError(f"unknown region label {label!r}")
 
 
-def efficient_rule(t: float, inst: ProblemInstance) -> float:
+def efficient_rule(t, inst: ProblemInstance):
     """First-best interim rule: probability of being among the m highest types."""
     return allocation_branch(LABEL_ALLO, t, 0.0, inst)
 
 
-def top_k_rule(t: float, inst: ProblemInstance) -> float:
+def top_k_rule(t, inst: ProblemInstance):
     """Probability of being among the k highest types."""
-    q = float(inst.dist.cdf(t))
-    return float(_binom_cdf(inst.k - 1, inst.n - 1, 1.0 - q))
+    return allocation_branch(LABEL_AUD, t, 0.0, inst)
 
 
 def merit_with_guarantee(phi: float, inst: ProblemInstance,
@@ -94,16 +94,25 @@ def merit_with_guarantee(phi: float, inst: ProblemInstance,
 
     P follows the analytic derivative of the binding constraint on each
     partition interval, applying the right-hand branch at cutoffs, and
-    A = P - phi binds the incentive constraint everywhere.
+    A = P - phi binds the incentive constraint everywhere.  Both are
+    elementwise in t.
     """
     if part is None:
         part = partition(phi, inst)
     phi = part.phi
 
-    def P(t: float) -> float:
-        return allocation_branch(part.region_of(t), t, phi, inst)
+    def P(t):
+        t = np.asarray(t, dtype=float)
+        if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
+            raise ValueError(f"types outside [0, 1]: {t}")
+        codes = part.region_codes(t)
+        out = np.empty(t.shape)
+        for code, iv in enumerate(part.intervals):
+            hit = codes == code
+            out[hit] = allocation_branch(iv.label, t[hit], phi, inst)
+        return out[()]
 
-    def A(t: float) -> float:
+    def A(t):
         return P(t) - phi
 
     return InterimRules(P=P, A=A, phi=phi, partition=part, inst=inst)

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verialloc
 from verialloc.distributions import (
     expected_value,
     from_config,
+    integrate,
     make_power,
     make_uniform,
     truncated_mean,
@@ -133,3 +140,38 @@ def test_subnormal_piece_integrates_without_quadrature():
     assert truncated_mean(d, 0.0, 5e-324) == 0.0
     assert truncated_mean(d, 0.0, 0.25) == pytest.approx(
         truncated_mean(d, 0.0, 5e-324) + truncated_mean(d, 5e-324, 0.25), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0, 4.0, 8.0])
+@pytest.mark.parametrize("a", [0.0, 1e-12, 1e-6, 0.1])
+def test_power_moments_match_closed_form(alpha, a):
+    # int_a^b t^j dF = alpha (b^(alpha+j) - a^(alpha+j)) / (alpha+j).  For
+    # alpha > 1 the quantile u^(1/alpha) has an infinite slope at u = 0,
+    # where plain Gauss-Legendre loses digits and the halvings must not
+    d = make_power(alpha)
+    for b in (0.5, 1.0):
+        def exact(j):
+            return alpha * (b ** (alpha + j) - a ** (alpha + j)) / (alpha + j)
+
+        assert truncated_mean(d, a, b) == pytest.approx(exact(1), rel=1e-13, abs=0)
+        for j in (0, 2, 3):
+            assert integrate(lambda t: t ** j, d, a, b) == pytest.approx(exact(j), rel=1e-13, abs=0)
+        assert integrate(lambda t: t, d, a, b, [0.2, 0.3]) == pytest.approx(exact(1), rel=1e-13)
+
+
+def test_integrand_taking_floats_only():
+    # f gets the node array where it takes arrays, else one node at a time
+    d = make_power(4.0)
+    one_by_one = integrate(lambda t: float(t) ** 2, d, 0.0, 1.0)
+    assert one_by_one == integrate(lambda t: t ** 2, d, 0.0, 1.0)
+
+
+def test_import_needs_neither_scipy_optimize_nor_integrate():
+    # quadrature and root finding are the package's own, and importing
+    # scipy.integrate (which imports scipy.optimize) costs set-up time
+    code = ("import sys, verialloc; "
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(verialloc.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

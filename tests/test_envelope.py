@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.special import bdtr, bdtrc
 
 from conftest import gamma1_closed, gamma3_closed, random_instance
 from verialloc.distributions import make_power, make_uniform
@@ -22,8 +23,9 @@ from verialloc.envelope import (
     d_c_ic,
     envelope_value,
     partition,
+    partitions,
 )
-from verialloc.envelope import _differences
+from verialloc import envelope
 from verialloc.interim import allocation_branch
 from verialloc.optimizer import solve
 
@@ -320,30 +322,78 @@ class TestArrayPath:
                 vec = f(qs)
                 scalars = [f(float(q)) for q in qs]
                 assert isinstance(vec, np.ndarray) and vec.shape == qs.shape
-                assert all(type(v) is float for v in scalars)
+                assert all(isinstance(v, float) for v in scalars)
                 assert np.array_equal(vec, np.array(scalars))
-
-    def test_crossing_differences_match_public_functions_bit_for_bit(self, uniform):
-        # the root searches' unchecked differences against the checked c_*
-        rng = np.random.default_rng(6)
-        qs = np.concatenate([[0.0, 1.0, 1e-15, 1.0 - 1e-15], rng.random(200)])
-        for n, m, k in [(3, 2, 1), (12, 6, 2), (40, 10, 3), (1000, 500, 100)]:
-            inst = ProblemInstance(n, m, k, uniform)
-            for phi in (0.0, inst.phi_floor, 0.5 * (inst.phi_floor + inst.phi_max),
-                        inst.phi_max):
-                public = (lambda q: c_ic(q, phi, inst) - c_allo(q, inst),
-                          lambda q: c_aud(q, phi, inst) - c_ic(q, phi, inst),
-                          lambda q: c_allo(q, inst) - c_aud(q, phi, inst))
-                for fast, slow in zip(_differences(phi, inst), public):
-                    assert fast(qs).tobytes() == slow(qs).tobytes()
-                    assert (np.array([fast(float(q)) for q in qs]).tobytes()
-                            == np.array([slow(float(q)) for q in qs]).tobytes())
 
     def test_array_domain_checked(self, ex_inst):
         with pytest.raises(ValueError, match="-0.5"):
             c_allo(np.array([0.0, 0.5, -0.5]), ex_inst)
         with pytest.raises(ValueError):
             d_c_aud(np.array([0.2, np.nan]), 0.4, ex_inst)
+
+
+# (n, m, k) of the curve checks: every instance with n <= 30 and three large ones
+CURVE_INSTANCES = [(n, m, k) for n in range(3, 31) for m in range(2, n) for k in range(1, m)]
+CURVE_INSTANCES += [(400, 100, 20), (1000, 500, 100), (3000, 1000, 10)]
+
+
+class TestCrossingCurves:
+    """The three phi-free curves whose level sets are the crossings, on the
+    table the partition brackets them on."""
+
+    def test_shapes(self):
+        # the z1 and z2 curves rise and the band has one interior peak, up to
+        # rounding of 64 ulps of their scale m/n (near q = 0 the band's terms
+        # cancel to (m-k)/n, and near the ends values underflow): the batched
+        # partition brackets on these shapes
+        q = envelope._TABLE_Q
+        for n, m, k in CURVE_INSTANCES:
+            tol = 64 * np.finfo(float).eps * m / n
+            z1, z2, band, q_peak, peak = envelope._curves(n, m, k)
+            assert np.all(np.diff(z1) >= -tol) and np.all(np.diff(z2) >= -tol), (n, m, k)
+            i = int(np.argmax(band))
+            assert 0 < i < len(q) - 1, (n, m, k)
+            assert np.all(np.diff(band[:i + 1]) >= -tol), (n, m, k)
+            assert np.all(np.diff(band[i:]) <= tol), (n, m, k)
+            assert q[i - 1] <= q_peak <= q[i + 1] and peak >= band[i] - tol, (n, m, k)
+
+    def test_closed_forms_match_tail_sums(self):
+        # E[(c - X)^+] = sum over j < c of P(X <= j), and E[min(X, m)] -
+        # E[min(X, k)] = sum over c in [k, m) of P(X > c), summed term by
+        # term, to 1e-12 relative for n <= 30.  For n in the thousands the
+        # closed forms cancel digits of scipy's binomial tails (1e-11 for the
+        # band at n = 1000, 1e-9 for a shortfall of 1000 among 3000 where it
+        # is near 1e-8), so there the bound is 1e-8; values under 1e-100, far
+        # below any guarantee, are compared in absolute terms
+        p = 1.0 - envelope._TABLE_Q[1:-1]
+        for n in sorted({spec[0] for spec in CURVE_INSTANCES}):
+            cdf = bdtr(np.arange(n)[:, None], n, p)
+            upper = bdtrc(np.arange(n)[:, None], n, p)
+            rel = 1e-12 if n <= 30 else 1e-8
+            for _, m, k in (spec for spec in CURVE_INSTANCES if spec[0] == n):
+                pairs = [(envelope._shortfall(n, c, p), cdf[:c].sum(axis=0)) for c in (m, k)]
+                pairs.append((envelope._band(n, m, k, p), upper[k:m].sum(axis=0)))
+                for got, tail in pairs:
+                    assert np.all(np.abs(got - tail) <= rel * np.maximum(tail, 1e-100)), (n, m, k)
+
+    @pytest.mark.parametrize("n,m,k", [(3, 2, 1), (12, 6, 2), (40, 10, 3), (1000, 500, 100)])
+    def test_crossings_are_where_the_public_bounds_meet(self, n, m, k, uniform):
+        inst = ProblemInstance(n, m, k, uniform)
+        meet = {"z1": lambda q, phi: c_ic(q, phi, inst) - c_allo(q, inst),
+                "z2": lambda q, phi: c_aud(q, phi, inst) - c_ic(q, phi, inst),
+                "r1": lambda q, phi: c_allo(q, inst) - c_aud(q, phi, inst)}
+        meet["r2"] = meet["r1"]
+        for part in partitions(np.linspace(0.0, inst.phi_max, 41), inst):
+            for key, q in part.crossings.items():
+                if 0.0 < q < 1.0:
+                    assert abs(meet[key](q, part.phi)) <= 1e-12 * m, (key, part.phi)
+
+    @pytest.mark.parametrize("n,m,k,alpha", [(3, 2, 1, 1.0), (12, 6, 2, 0.3), (40, 10, 3, 4.0)])
+    def test_batch_is_the_single_partition(self, n, m, k, alpha):
+        inst = ProblemInstance(n, m, k, make_uniform() if alpha == 1.0 else make_power(alpha))
+        phis = np.linspace(0.0, inst.phi_max, 41)
+        assert ([p.to_record() for p in partitions(phis, inst)]
+                == [partition(float(phi), inst).to_record() for phi in phis])
 
 
 EDGE_INSTANCES = [(3, 2, 1), (1000, 500, 100), (3000, 1000, 10)]

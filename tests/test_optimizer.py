@@ -6,6 +6,7 @@ from conftest import PHI_REF, gamma1_closed, gamma3_closed, random_instance
 from verialloc.distributions import make_power, make_uniform
 from verialloc.envelope import CASE_AUD_ALLO, ProblemInstance, partition
 from verialloc.interim import merit_with_guarantee
+from verialloc import optimizer
 from verialloc.optimizer import baseline_payoffs, foc_residual, payoff, solve
 
 
@@ -146,11 +147,25 @@ class TestSolve:
         assert json.loads(text)["partition"]["case"] == "IcAudAllo"
 
     def test_stats_count_the_work(self, ex_solved):
-        # 200 grid points and the probe above the floor, the Brent steps of
-        # the single FOC root, and the golden-section steps over [1/3, 2/3]
-        assert ex_solved.stats == {"partitions": 235, "foc_grid": 200,
-                                   "foc_roots": 1, "golden_evals": 29}
+        # the curve table, 200 grid points and the probe above the floor, the
+        # polish iterations of every crossing and of the single FOC root, and
+        # the quadrature nodes of every batched FOC and payoff pass, the
+        # cross-check's zoom included
+        assert ex_solved.stats == {"curve_points": 354, "foc_grid": 200, "foc_roots": 1,
+                                   "polish_iterations": 145, "quadrature_nodes": 22272}
         assert "stats" not in ex_solved.to_record()
+
+    @pytest.mark.parametrize("n,m,k", [(3, 2, 1), (7, 6, 1)])
+    def test_missed_root_is_caught(self, n, m, k, uniform, monkeypatch):
+        # a polish that loses the bracketed FOC root leaves only the
+        # endpoints, and the payoff near the grid's best point beats them;
+        # at (7, 6, 1) the root sits 1.5e-4 above the floor, inside the
+        # first grid cell, where only the zoom sees the peak
+        polish = optimizer._bracketed_roots
+        monkeypatch.setattr(optimizer, "_bracketed_roots",
+                            lambda *args: (polish(*args)[0][:0], 0))
+        with pytest.raises(RuntimeError, match="root was missed"):
+            solve(ProblemInstance(n, m, k, uniform))
 
 
 class TestBaselines:
