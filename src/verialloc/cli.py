@@ -163,7 +163,7 @@ def cmd_check(args) -> int:
         P = json.loads(_bundled("footnote_rules.json").read_text())["P"]
 
     if args.upper_sets_only:
-        rep = upper_set_report(inst, P, scale=args.scale)
+        rep = upper_set_report(inst, P)
         record = {
             "upper_sets_hold": rep["all_hold"],
             "tightest_set": [sorted(s) for s in rep["tightest_set"]],
@@ -177,7 +177,7 @@ def cmd_check(args) -> int:
         _emit(record, args, lines)
         return EXIT_OK if rep["all_hold"] else EXIT_INFEASIBLE
 
-    verdict = check_feasible(inst, P, scale=args.scale)
+    verdict = check_feasible(inst, P)
     if verdict.feasible:
         expost = verdict.expost
         marg = expost.marginals()
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rules JSON with key 'P' (defaults to the bundled example)")
     p.add_argument("--upper-sets-only", action="store_true",
                    help="check only per-agent upper sets")
-    p.add_argument("--scale", type=int, default=10**9,
-                   help="integer quantization scale for probabilities")
     p.add_argument("--expost-out", default=None,
                    help="write the constructed ex-post rule to this JSON path")
     _add_common(p)

@@ -15,11 +15,12 @@ check runs as a max-flow problem on the network
            --(P_i(tau) mass_i(tau))--> sink          for i in J(t), tau = t_i
 
 with all capacities scaled to exact integers, so verdicts are exact for
-the quantized data: the rule is feasible iff the max flow saturates every
-demand arc.  On success the flow decomposes into per-profile allocation
-probabilities; on failure the sink side of a min cut yields a violated
-set E.  Symmetric rules on symmetric instances with constant capacity need
-no flow: sorted by P they are monotone, an exact threshold screen decides
+the given masses and the rule max(P - TOLERANCE, 0): it is feasible iff
+the max flow saturates every demand arc.  On success the flow decomposes
+into per-profile allocation probabilities; on failure the sink side of a
+min cut yields a violated set E, reported with its sides under P.
+Symmetric rules on symmetric instances with constant capacity need no
+flow: sorted by P they are monotone, an exact threshold screen decides
 them, and a feasible one is built as a mixture of pooled-efficient rules.
 """
 
@@ -37,9 +38,12 @@ import numpy as np
 from ._maxflow import MaxFlow
 from .distributions import cell_grid
 
-DEFAULT_SCALE = 10**9
 DEFAULT_MAX_PROFILES = 1_000_000
-_QUANT_NUDGE = 1e-6  # absorbs float representation error before flooring
+# verdicts are exact for max(P - TOLERANCE, 0), a dyadic shrink: a rule
+# that sits on a binding constraint up to float error passes, one above it
+# by 1e-10 fails
+_TAU_DENOM = 2**40
+TOLERANCE = 1 / _TAU_DENOM
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,61 +263,45 @@ class FeasibilityVerdict:
 # exact integer scaling
 # ---------------------------------------------------------------------------
 
-def _mass_units(mass_row: Sequence[float], scale: int) -> tuple[list[int], int]:
-    units = [round(w * scale) for w in mass_row]
-    if any(u <= 0 for u in units):
-        raise ValueError("a mass is too small for the chosen scale")
-    g = 0
-    for u in units:
-        g = math.gcd(g, u)
-    units = [u // g for u in units]
-    return units, sum(units)
-
-
-def _quantize_p(value: float, scale: int) -> int:
-    """Round a probability down onto the integer grid of step 1/scale.
-
-    Flooring keeps quantized demands at or below the requested rule, so a
-    rule that is exactly feasible stays feasible after quantization; the
-    nudge protects values that are integers up to float representation.
-    """
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        raise ValueError(f"interim probability {value} outside [0, 1]")
-    return max(0, min(scale, math.floor(value * scale + _QUANT_NUDGE)))
-
-
 class _Scaled:
     """Exact integer view of an instance plus interim rule.
 
-    All capacities share the common denominator scale * prod_j D_j.
+    Every float is an integer over a power of two, so each agent's masses,
+    as given, are integers over one power of two D_i, and all of P over
+    another, ``p_denom``.  Verdicts are decided on ``demand``, the rule
+    max(P - TOLERANCE, 0) (exact, as TOLERANCE is dyadic); ``given`` holds
+    the demands of P itself, the sides a witness reports.  All capacities
+    share the common denominator p_denom * prod_i D_i.
     """
 
-    def __init__(self, inst: DiscreteInstance, P: Sequence[Sequence[float]],
-                 scale: int):
+    def __init__(self, inst: DiscreteInstance, P: Sequence[Sequence[float]]):
         if len(P) != inst.n_agents:
             raise ValueError("need one interim rule row per agent")
         for row, size in zip(P, inst.sizes):
             if len(row) != size:
                 raise ValueError("interim rule row length must match the grid")
+            for p in row:
+                if not -TOLERANCE <= p <= 1.0 + TOLERANCE:
+                    raise ValueError(f"interim probability {p} outside [0, 1]")
         self.inst = inst
-        self.scale = scale
-        self.units = []
-        self.denoms = []
+        self.units, self.denoms = [], []
         for row in inst.masses:
-            u, d = _mass_units(row, scale)
-            self.units.append(u)
+            ratios = [float(w).as_integer_ratio() for w in row]
+            d = max(q for _, q in ratios)
+            self.units.append([u * (d // q) for u, q in ratios])
             self.denoms.append(d)
         self.denom_prod = math.prod(self.denoms)
-        self.common = scale * self.denom_prod
-        self.p_units = [[_quantize_p(p, scale) for p in row] for row in P]
+        ratios = [[Fraction(float(p)) for p in row] for row in P]
+        self.p_denom = max(_TAU_DENOM, *(x.denominator for row in ratios for x in row))
+        tau = self.p_denom // _TAU_DENOM
+        p_given = [[int(x * self.p_denom) for x in row] for row in ratios]
+        self.p_units = [[max(p - tau, 0) for p in row] for row in p_given]
+        self.common = self.p_denom * self.denom_prod
         # demand for (i, tau) in common-denominator units
-        self.demand = [
-            [
-                self.p_units[i][t] * self.units[i][t] * (self.denom_prod // self.denoms[i])
-                for t in range(inst.sizes[i])
-            ]
-            for i in range(inst.n_agents)
-        ]
+        self.demand, self.given = (
+            [[p[t] * u[t] * (self.denom_prod // d) for t in range(len(u))]
+             for p, u, d in zip(rows, self.units, self.denoms)]
+            for rows in (self.p_units, p_given))
 
     def weight(self, prof: tuple[int, ...]) -> int:
         w = 1
@@ -321,10 +309,10 @@ class _Scaled:
             w *= self.units[j][t]
         return w
 
-    def lhs_units(self, E: CheckSet) -> int:
-        return sum(
-            self.demand[i][t] for i, Ei in enumerate(E) for t in Ei
-        )
+    def lhs_units(self, E: CheckSet, given: bool = False) -> int:
+        """Demand of E under the decided rule, or with ``given`` under P."""
+        demand = self.given if given else self.demand
+        return sum(demand[i][t] for i, Ei in enumerate(E) for t in Ei)
 
     def profile_cache(self) -> list:
         """(profile, weight, h, J) rows, built once for repeated set checks."""
@@ -345,7 +333,7 @@ class _Scaled:
             hit = sum(1 for i in J if prof[i] in E[i])
             if hit:
                 total += w * min(hit, cap)
-        return total * self.scale
+        return total * self.p_denom
 
     def to_float(self, units: int) -> float:
         return units / self.common
@@ -374,27 +362,28 @@ def multiset_table(size: int, n: int) -> np.ndarray:
     return table
 
 
-def _refuted(sc: _Scaled, E: CheckSet, lhs: int, rhs: int) -> FeasibilityVerdict:
-    """The infeasible verdict with witness E and its exact sides."""
+def _refuted(sc: _Scaled, E: CheckSet, rhs: int) -> FeasibilityVerdict:
+    """The infeasible verdict with witness E and its exact sides under the
+    given P (E refutes the decided rule, which P dominates)."""
     return FeasibilityVerdict(feasible=False, violating_set=ViolatingSet(
-        check_set=E, lhs=sc.to_float(lhs), rhs=sc.to_float(rhs)))
-
-
-def _tightest(sc: _Scaled, family) -> tuple[int, CheckSet, int, int]:
-    """(slack, E, lhs, rhs) of the first set in ``family`` with the least
-    slack rhs - lhs."""
-    best = None
-    for E in family:
-        lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
-        if best is None or rhs - lhs < best[0]:
-            best = (rhs - lhs, E, lhs, rhs)
-    return best
+        check_set=E, lhs=sc.to_float(sc.lhs_units(E, given=True)), rhs=sc.to_float(rhs)))
 
 
 def _tightest_report(sc: _Scaled, family) -> dict:
-    slack, E, lhs, rhs = _tightest(sc, family)
+    """``all_hold`` on max(P - TOLERANCE, 0), as check_feasible decides, and
+    the first set of ``family`` with the least slack under the given P, with
+    its exact sides.  (Under the shrunk rule the empty set, of slack 0,
+    would be tighter than every set on which P binds exactly.)"""
+    all_hold, best = True, None
+    for E in family:
+        rhs = sc.rhs_units(E)
+        all_hold = all_hold and sc.lhs_units(E) <= rhs
+        lhs = sc.lhs_units(E, given=True)
+        if best is None or rhs - lhs < best[0]:
+            best = (rhs - lhs, E, lhs, rhs)
+    slack, E, lhs, rhs = best
     return {
-        "all_hold": slack >= 0,
+        "all_hold": all_hold,
         "tightest_set": E,
         "lhs": sc.to_float(lhs),
         "rhs": sc.to_float(rhs),
@@ -421,23 +410,24 @@ def border_rhs(inst: DiscreteInstance, E: CheckSet, *,
     """Supply side: E[min(|J(t) cap I(t, E)|, h(t))] by profile enumeration."""
     _require_enumerable(inst, max_profiles)
     E = make_check_set(inst, E)
-    sc = _Scaled(inst, [[0.0] * s for s in inst.sizes], DEFAULT_SCALE)
+    sc = _Scaled(inst, [[0.0] * s for s in inst.sizes])
     return sc.to_float(sc.rhs_units(E))
 
 
 def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
-                   scale: int = DEFAULT_SCALE,
                    max_profiles: int = DEFAULT_MAX_PROFILES,
                    want_expost: bool = True) -> FeasibilityVerdict:
     """Decide whether the interim rule P is implementable; construct or refute.
 
+    The verdict is exact for the given masses and for max(P - TOLERANCE, 0).
     Feasible: returns the flow decomposition as an ex-post rule whose
-    marginals reproduce the quantized P exactly.  Infeasible: returns a
-    violated check set extracted from a minimum cut.  One row node per
-    profile, one type node per (agent, type).
+    marginals reproduce that rule, so they miss P by at most TOLERANCE.
+    Infeasible: returns a violated check set extracted from a minimum cut,
+    with its sides under P.  One row node per profile, one type node per
+    (agent, type).
     """
     _require_enumerable(inst, max_profiles)
-    sc = _Scaled(inst, P, scale)
+    sc = _Scaled(inst, P)
     n, sizes = inst.n_agents, inst.sizes
     demand = [d for row in sc.demand for d in row]
     # nodes: source 0, profiles 1..n_profiles, then one per (agent, type)
@@ -450,21 +440,21 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
         mf.add_edge(first_type + node, sink, d)
     for row, prof in enumerate(inst.profiles(), start=1):
         w = sc.weight(prof)
-        mf.add_edge(0, row, w * inst.h(prof) * scale)
+        mf.add_edge(0, row, w * inst.h(prof) * sc.p_denom)
         for i in inst.J(prof):
-            mf.add_edge(row, offset[i] + prof[i], w * scale)
+            mf.add_edge(row, offset[i] + prof[i], w * sc.p_denom)
 
     if mf.max_flow(0, sink) != sum(demand):
         reachable = mf.reachable_from(0)
         E = tuple(frozenset(t for t in range(s) if not reachable[offset[i] + t])
                   for i, s in enumerate(sizes))
-        lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
-        if lhs <= rhs:
+        rhs = sc.rhs_units(E)
+        if sc.lhs_units(E) <= rhs:
             raise RuntimeError(
                 "min-cut extraction produced a non-violating set; "
                 "this indicates a flow construction bug"
             )
-        return _refuted(sc, E, lhs, rhs)
+        return _refuted(sc, E, rhs)
     if not want_expost:
         return FeasibilityVerdict(feasible=True)
     # past the demand arcs, a forward arc's flow is its reverse residual and
@@ -480,27 +470,30 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
     return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=alloc))
 
 
-def brute_force_verdict(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
-                        scale: int = DEFAULT_SCALE) -> FeasibilityVerdict:
+def brute_force_verdict(inst: DiscreteInstance,
+                        P: Sequence[Sequence[float]]) -> FeasibilityVerdict:
     """Exhaustive check over all 2^(sum of grid sizes) check sets.
 
-    Exponential; intended as an oracle for desk-size instances.  Uses the
-    same quantization as check_feasible so the two verdicts are comparable
-    at knife-edge inputs.
+    Exponential; intended as an oracle for desk-size instances.  Decides
+    the same rule max(P - TOLERANCE, 0) as check_feasible, so the two
+    verdicts agree at knife-edge inputs; the witness is the first violated
+    set in enumeration order.
     """
     if sum(inst.sizes) > 14:
         raise ValueError("brute force limited to 14 total grid points")
-    sc = _Scaled(inst, P, scale)
+    sc = _Scaled(inst, P)
     subsets_per_agent = [
         [frozenset(c) for r in range(s + 1) for c in itertools.combinations(range(s), r)]
         for s in inst.sizes
     ]
-    slack, E, lhs, rhs = _tightest(sc, itertools.product(*subsets_per_agent))
-    return _refuted(sc, E, lhs, rhs) if slack < 0 else FeasibilityVerdict(feasible=True)
+    for E in itertools.product(*subsets_per_agent):
+        rhs = sc.rhs_units(E)
+        if sc.lhs_units(E) > rhs:
+            return _refuted(sc, E, rhs)
+    return FeasibilityVerdict(feasible=True)
 
 
 def upper_set_report(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
-                     scale: int = DEFAULT_SCALE,
                      max_profiles: int = DEFAULT_MAX_PROFILES) -> dict:
     """Check only per-agent upper sets E_i = {tau : tau >= threshold_i}.
 
@@ -512,14 +505,13 @@ def upper_set_report(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
     combos = math.prod(s + 1 for s in inst.sizes)
     if combos > 200_000:
         raise ValueError(f"{combos} upper-set combinations is above the cap")
-    return _tightest_report(_Scaled(inst, P, scale), (
+    return _tightest_report(_Scaled(inst, P), (
         tuple(frozenset(range(th, s)) for th, s in zip(thresholds, inst.sizes))
         for thresholds in itertools.product(*(range(s + 1) for s in inst.sizes))
     ))
 
 
 def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
-                             scale: int = DEFAULT_SCALE,
                              max_profiles: int = DEFAULT_MAX_PROFILES,
                              construct: bool = True) -> FeasibilityVerdict:
     """Feasibility of a symmetric interim allocation rule under h(t) = m.
@@ -551,7 +543,7 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
         p_row = [float(x) for x in P]
     if len(p_row) != size:
         raise ValueError("interim rule length must match the grid")
-    return _symmetric_flow_verdict(_Scaled(inst, [p_row] * n, scale),
+    return _symmetric_flow_verdict(_Scaled(inst, [p_row] * n),
                                    construct=construct, max_profiles=max_profiles)
 
 
@@ -561,14 +553,13 @@ def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
     symmetric instance with constant capacity and full eligibility.
 
     No flow runs: the name is the one the benchmark's tracer wraps.  The
-    types are stable-sorted by their quantized P (the identity for a
+    types are stable-sorted by their P in exact units (the identity for a
     monotone rule), the sorted threshold sets {order[e:]} are screened
     exactly, and a feasible rule is peeled into pooled-efficient rules on
     the sorted types, mixed per type multiset and expanded to profiles.
     """
     inst = sc.inst
     n, size, m = inst.n_agents, inst.sizes[0], inst.capacity_default
-    denom = sc.denoms[0]
     order = sorted(range(size), key=sc.p_units[0].__getitem__)
     p_units, units, demand = ([row[t] for t in order]
                               for row in (sc.p_units[0], sc.units[0], sc.demand[0]))
@@ -577,18 +568,17 @@ def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
     mass_above = list(itertools.accumulate(reversed(units), initial=0))[::-1]
     demand_above = list(itertools.accumulate(reversed(demand), initial=0))[::-1]
     supply = [
-        sc.scale * sum(math.comb(n, x) * above**x * (denom - above) ** (n - x) * min(x, m)
-                       for x in range(1, n + 1))
+        sc.p_denom * sum(math.comb(n, x) * above**x * (mass_above[0] - above) ** (n - x)
+                         * min(x, m) for x in range(1, n + 1))
         for above in mass_above
     ]
     for e in range(size + 1):
-        lhs, rhs = n * demand_above[e], supply[e]
-        if lhs > rhs:
-            return _refuted(sc, (frozenset(order[e:]),) * n, lhs, rhs)
+        if n * demand_above[e] > supply[e]:
+            return _refuted(sc, (frozenset(order[e:]),) * n, supply[e])
     if not construct:
         return FeasibilityVerdict(feasible=True)
     _require_enumerable(inst, max_profiles)
-    rules = _pooled_rules(p_units, mass_above, supply, n * denom ** (n - 1))
+    rules = _pooled_rules(p_units, mass_above, supply, n * sc.denoms[0] ** (n - 1))
     table = multiset_table(size, n)
     rank = np.empty(size, dtype=table.dtype)
     rank[order] = np.arange(size)
@@ -613,9 +603,9 @@ def _pooled_rules(p_units: Sequence[int], mass_above: Sequence[int],
     runs of equal positive residual value, and its weight is the largest
     that keeps the residual nondecreasing and nonnegative, so each step
     merges two pools or empties the lowest one and at most size + 1 rules
-    come out.  The residual is exact: ``p_units`` in units of 1/scale,
+    come out.  The residual is exact: ``p_units`` in units of 1/p_denom,
     ``mass_above[e]`` the mass units of {tau >= e}, and ``unit`` turns a
-    pool's supply per mass unit into an interim probability in 1/scale.
+    pool's supply per mass unit into an interim probability in 1/p_denom.
     Returns (weight, pools) pairs with pools as inclusive (lo, hi) type
     ranges, bottom to top; the weights are positive and sum to 1.
     """
@@ -669,7 +659,10 @@ def _mix_pooled(rules: list[tuple[Fraction, list]], table: np.ndarray, m: int) -
     Entry (r, j) is the probability that the agent holding type table[r, j]
     in multiset r gets an object.  Under one rule an agent of pool (lo, hi)
     gets min(1, max(0, m - above) / within), where above counts the agents
-    of the multiset with type past hi and within those in the pool.
+    of the multiset with type past hi and within those in the pool.  That
+    share depends on the pool alone, so each distinct pool is visited once,
+    with the summed weight of the rules that hold it, on the run of entries
+    whose type it covers.
     """
     n_rows, n = table.shape
     size = int(table.max(initial=0)) + 1
@@ -687,23 +680,23 @@ def _mix_pooled(rules: list[tuple[Fraction, list]], table: np.ndarray, m: int) -
         for within in range(1, n + 1 - above):
             per_agent[above, within] = min(1.0, max(0, m - above) / within)
     per_agent = per_agent.ravel()
-    at = (rows * (size + 1))[:, None]
-    lo_of = np.empty(size, dtype=np.intp)
-    end_of = np.empty(size, dtype=np.intp)
-    share = np.zeros(table.shape)
+    weight = {}
     for w, pools in rules:
-        if not pools:
-            continue
-        lo_of[:] = end_of[:] = np.arange(size)
-        for lo, hi in pools:
-            lo_of[lo:hi + 1] = lo
-            end_of[lo:hi + 1] = hi + 1
-        end = below[at + end_of[table]].astype(np.intp)
-        within = end - below[at + lo_of[table]]
-        share += float(w) * per_agent[(n - end) * (n + 1) + within]
+        for pool in pools:
+            weight[pool] = weight.get(pool, 0) + w
+    # the entries sorted by type, and where each type's run starts
+    by_type = np.argsort(table, axis=None, kind="stable")
+    start = np.searchsorted(table.ravel()[by_type], np.arange(size + 1))
+    share = np.zeros(table.size)
+    for (lo, hi), w in weight.items():
+        entries = by_type[start[lo]:start[hi + 1]]
+        at = entries // n * (size + 1)
+        end = below[at + hi + 1].astype(np.intp)
+        within = end - below[at + lo]
+        share[entries] += float(w) * per_agent[(n - end) * (n + 1) + within]
     # the weights sum to 1 exactly but their floats need not, so a share
     # that is exactly 1 can come out one ulp above it
-    return np.minimum(share, 1.0, out=share)
+    return np.minimum(share, 1.0, out=share).reshape(table.shape)
 
 
 def _expand_multisets(inst: DiscreteInstance, table: np.ndarray,
@@ -726,11 +719,10 @@ def _expand_multisets(inst: DiscreteInstance, table: np.ndarray,
 
 
 def construct_expost(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
-                     scale: int = DEFAULT_SCALE,
                      max_profiles: int = DEFAULT_MAX_PROFILES) -> ExPostRule:
-    """Build an ex-post rule realizing P; raises if P is infeasible."""
-    verdict = check_feasible(inst, P, scale=scale, max_profiles=max_profiles,
-                             want_expost=True)
+    """Build an ex-post rule realizing P within TOLERANCE; raises if P is
+    infeasible."""
+    verdict = check_feasible(inst, P, max_profiles=max_profiles, want_expost=True)
     if not verdict.feasible:
         v = verdict.violating_set
         raise ValueError(
@@ -742,7 +734,6 @@ def construct_expost(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
 
 def check_interim_audit(inst: DiscreteInstance, p_merit: np.ndarray,
                         A: Sequence[Sequence[float]], k: int, *,
-                        scale: int = DEFAULT_SCALE,
                         max_profiles: int = DEFAULT_MAX_PROFILES,
                         want_expost: bool = True) -> FeasibilityVerdict:
     """Feasibility of an interim audit rule given a deterministic allocation.
@@ -752,7 +743,7 @@ def check_interim_audit(inst: DiscreteInstance, p_merit: np.ndarray,
     capacity k and eligibility J(t) = {i : p_merit_i(t) = 1}.
     """
     _require_enumerable(inst, max_profiles)
-    return check_feasible(_audit_instance(inst, p_merit, k), A, scale=scale,
+    return check_feasible(_audit_instance(inst, p_merit, k), A,
                           max_profiles=max_profiles, want_expost=want_expost)
 
 
@@ -766,11 +757,12 @@ def _audit_instance(inst: DiscreteInstance, p_merit: np.ndarray,
             f"p_merit must have shape {(inst.n_profiles, inst.n_agents)}, "
             f"got {p_merit.shape}"
         )
-    eligible = {}
-    for pid, prof in enumerate(inst.profiles()):
-        winners = frozenset(np.flatnonzero(p_merit[pid]).tolist())
-        if len(winners) < inst.n_agents:
-            eligible[tuple(prof)] = winners
+    # one frozenset per distinct row of winners; rows with all agents are
+    # the default and stay out of the overrides
+    rows, code = np.unique(p_merit, axis=0, return_inverse=True)
+    winners = [frozenset(np.flatnonzero(row).tolist()) for row in rows]
+    eligible = {prof: winners[c] for prof, c in zip(inst.profiles(), code.ravel().tolist())
+                if len(winners[c]) < inst.n_agents}
     return DiscreteInstance(
         grids=inst.grids,
         masses=inst.masses,
@@ -819,8 +811,7 @@ def discretize_rules(cont_inst, rules, bins: int, *,
 
 def audit_threshold_report(inst: DiscreteInstance, p_merit: np.ndarray,
                            A: Sequence[Sequence[float]], k: int,
-                           aud_lo: int, aud_hi: int, *,
-                           scale: int = DEFAULT_SCALE) -> dict:
+                           aud_lo: int, aud_hi: int) -> dict:
     """Check audit feasibility on threshold-form sets only.
 
     For merit-stage allocations the binding sets have the form
@@ -829,7 +820,7 @@ def audit_threshold_report(inst: DiscreteInstance, p_merit: np.ndarray,
     reports the tightest member.  The general flow check remains the
     oracle.
     """
-    return _tightest_report(_Scaled(_audit_instance(inst, p_merit, k), A, scale), (
+    return _tightest_report(_Scaled(_audit_instance(inst, p_merit, k), A), (
         tuple(frozenset([*range(g, min(aud_hi, s)), *range(g_hi, s)]) for s in inst.sizes)
         for g in range(aud_lo + 1)
         for g_hi in range(aud_hi, max(inst.sizes) + 1)

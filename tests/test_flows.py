@@ -45,6 +45,8 @@ def footnote():
 
 
 FOOTNOTE_P = [[0.25, 0.25], [0.25, 0.5]]
+# a realized rule reproduces max(P - TOLERANCE, 0); the rest is float rounding
+MARGINAL_TOL = 1e-12
 
 
 class TestBorderSums:
@@ -93,7 +95,7 @@ class TestFootnoteCounterexample:
         assert verdict.feasible
         marg = verdict.expost.marginals()
         for row, target in zip(marg, P):
-            assert np.max(np.abs(row - np.array(target))) <= 1e-9
+            assert np.max(np.abs(row - np.array(target))) <= MARGINAL_TOL
         assert verdict.expost.max_violation() <= 1e-12
 
     def test_zero_rule(self, footnote):
@@ -101,14 +103,23 @@ class TestFootnoteCounterexample:
         assert verdict.feasible
         assert float(verdict.expost.alloc.sum()) == 0.0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "probabilities are floored onto the 1e-9 grid before the flow runs, "
-        "so a total demand of 1 + 8e-10 for one object comes back feasible"))
-    def test_demand_just_above_capacity_is_infeasible(self):
+    @pytest.mark.parametrize("eps,feasible", [
+        (-1e-6, True), (-1e-15, True), (0.0, True), (1e-15, True),
+        (1e-10, False), (1e-6, False)])
+    def test_demand_just_above_capacity_is_infeasible(self, eps, feasible):
+        # two agents ask for 1 + eps of one object: an excess within the
+        # tolerance 2^-40 passes, one of 1e-10 does not
         inst = DiscreteInstance(grids=((0.0,), (0.0,)), masses=((1.0,), (1.0,)),
                                 capacity_default=1)
-        verdict = check_feasible(inst, [[0.5 + 4e-10], [0.5 + 4e-10]])
-        assert not verdict.feasible
+        P = [[0.5 + eps / 2]] * 2
+        verdicts = [check_feasible(inst, P), check_interim_allocation(inst, P),
+                    brute_force_verdict(inst, P)]
+        assert [v.feasible for v in verdicts] == [feasible] * 3
+        if not feasible:
+            # each witness carries the given rule's exact sides
+            for v in verdicts:
+                assert v.violating_set.lhs == float(2 * Fraction(P[0][0]))
+                assert v.violating_set.rhs == 1.0
 
     def test_json_round_trip(self, footnote, tmp_path):
         path = tmp_path / "instance.json"
@@ -166,7 +177,7 @@ class TestFlowAgainstBruteForce:
             if flow.feasible:
                 marg = flow.expost.marginals()
                 for row, target in zip(marg, P):
-                    assert np.max(np.abs(row - np.array(target))) <= 1e-9
+                    assert np.max(np.abs(row - np.array(target))) <= MARGINAL_TOL
                 assert flow.expost.max_violation() <= 1e-12
             else:
                 infeasible_seen += 1
@@ -174,9 +185,9 @@ class TestFlowAgainstBruteForce:
                 # recompute the witness independently
                 lhs = border_lhs(inst, P, v.check_set)
                 rhs = border_rhs(inst, v.check_set)
-                assert lhs > rhs - 1e-9
-                assert v.lhs == pytest.approx(lhs, abs=2e-9)
-                assert v.rhs == pytest.approx(rhs, abs=2e-9)
+                assert lhs > rhs
+                assert v.lhs == pytest.approx(lhs, abs=1e-15)
+                assert v.rhs == pytest.approx(rhs, abs=1e-15)
             checked += 1
         assert infeasible_seen >= 5  # the family must exercise both verdicts
 
@@ -190,7 +201,7 @@ class TestSymmetricAllocation:
         general = check_feasible(disc, [p_avg] * 3)
         assert fast.feasible and general.feasible
         for a, b in zip(fast.expost.marginals(), general.expost.marginals()):
-            assert np.max(np.abs(a - b)) <= 1e-9
+            assert np.max(np.abs(a - b)) <= MARGINAL_TOL
 
     def test_oversized_rule_infeasible_at_full_set(self):
         inst = DiscreteInstance.symmetric(3, (0.25, 0.75), (0.5, 0.5), capacity=2)
@@ -263,13 +274,14 @@ class TestSymmetricAllocation:
             inst = random_symmetric_instance(rng)
             n, size = inst.n_agents, inst.sizes[0]
             p = np.sort(rng.uniform(0.0, 1.0, size)).tolist()
-            sc = flows._Scaled(inst, [p] * n, flows.DEFAULT_SCALE)
+            sc = flows._Scaled(inst, [p] * n)
             expected = None
             for e in range(size + 1):
                 E = (frozenset(range(e, size)),) * n
-                lhs, rhs = sc.lhs_units(E), sc.rhs_units(E)
-                if lhs > rhs:
-                    expected = flows.ViolatingSet(E, sc.to_float(lhs), sc.to_float(rhs))
+                rhs = sc.rhs_units(E)
+                if sc.lhs_units(E) > rhs:
+                    expected = flows.ViolatingSet(
+                        E, sc.to_float(sc.lhs_units(E, given=True)), sc.to_float(rhs))
                     break
             verdict = check_interim_allocation(inst, p, construct=False)
             assert verdict.feasible == (expected is None)
@@ -321,7 +333,7 @@ class TestCollapsedAgainstBruteForce:
                 inst.to_json_dict(), p)
             if symmetric.feasible:
                 for row in symmetric.expost.marginals():
-                    assert np.max(np.abs(row - np.array(p))) <= 1e-9
+                    assert np.max(np.abs(row - np.array(p))) <= MARGINAL_TOL
                 assert symmetric.expost.max_violation() <= 1e-12
             else:
                 infeasible_seen += 1
@@ -330,18 +342,18 @@ class TestCollapsedAgainstBruteForce:
                 assert border_lhs(inst, [p] * n, E) > border_rhs(inst, E)
         assert infeasible_seen >= 5 and non_monotone_seen >= 5
 
-    def test_monotone_is_decided_on_quantized_units(self):
+    def test_monotone_is_decided_on_exact_units(self):
         # 0.3 - 1e-13 passes a float test for monotonicity against 0.3, but
-        # it floors one unit lower on the 1e-9 grid: sorted on the quantized
-        # units, the types run [1, 0]
+        # it is lower in exact units: sorted on them, the types run [1, 0]
         inst = DiscreteInstance.symmetric(2, (0.2, 0.8), (0.5, 0.5), capacity=1)
         p = [0.3, 0.3 - 1e-13]
         with mock.patch.object(flows, "_pooled_rules", wraps=flows._pooled_rules) as walk:
             verdict = check_interim_allocation(inst, p)
-        assert walk.call_args.args[0] == [299_999_999, 300_000_000]
+        units = walk.call_args.args[0]
+        assert units[0] < units[1]
         assert verdict.feasible == brute_force_verdict(inst, [p] * 2).feasible
         for row in verdict.expost.marginals():
-            assert np.max(np.abs(row - np.array(p))) <= 1e-9
+            assert np.max(np.abs(row - np.array(p))) <= flows.TOLERANCE + 1e-15
 
     def test_unsorted_infeasible_witness_is_the_top_by_p(self):
         # the two types with the highest P sit at grid points 0 and 2; they
@@ -364,12 +376,11 @@ class TestCollapsedAgainstBruteForce:
 
 def _exact_supply(inst):
     """G[e] = E[min(#agents with type >= e, m)] and the mass of {tau >= e},
-    as exact fractions of the instance's mass units."""
+    as exact fractions of the instance's masses, which need not sum to 1."""
     n, size, m = inst.n_agents, inst.sizes[0], inst.capacity_default
-    sc = flows._Scaled(inst, [[0.0] * size] * n, flows.DEFAULT_SCALE)
-    units, denom = sc.units[0], sc.denoms[0]
-    above = [Fraction(sum(units[e:]), denom) for e in range(size + 1)]
-    supply = [sum(math.comb(n, x) * a**x * (1 - a) ** (n - x) * min(x, m)
+    mass = [Fraction(w) for w in inst.masses[0]]
+    above = [sum(mass[e:]) for e in range(size + 1)]
+    supply = [sum(math.comb(n, x) * a**x * (above[0] - a) ** (n - x) * min(x, m)
                   for x in range(1, n + 1)) for a in above]
     return above, supply
 
@@ -388,8 +399,8 @@ def _pooled_interim(inst, starts):
 
 @st.composite
 def monotone_cases(draw):
-    """A symmetric instance and a feasible nondecreasing rule on the 1e-9
-    grid: a random shape at the screen's boundary, a pooled-efficient rule,
+    """A symmetric instance and a feasible nondecreasing rule in floats: a
+    random shape at the screen's boundary, a pooled-efficient rule,
     the efficient rule, the zero rule or a constant at the boundary."""
     n = draw(st.integers(2, 5))
     size = draw(st.integers(1, {2: 8, 3: 8, 4: 6, 5: 5}[n]))
@@ -415,8 +426,9 @@ def monotone_cases(draw):
                       for e in range(size) if any(shape[e:])), default=Fraction(0))
         factor *= draw(st.sampled_from([Fraction(1), Fraction(99, 100), Fraction(1, 2)]))
         rule = [factor * s for s in shape]
-    # flooring onto the grid keeps the rule feasible and nondecreasing
-    p = [math.floor(x * flows.DEFAULT_SCALE) / flows.DEFAULT_SCALE for x in rule]
+    # rounding to floats moves the rule by an ulp, well within the tolerance,
+    # and keeps it nondecreasing
+    p = [float(x) for x in rule]
     return inst, p
 
 
@@ -435,7 +447,7 @@ def permuted_cases(draw):
 
 def seventeenths_case():
     """Two agents, one object, masses (1,1,1,2,4,4,4)/17 and a feasible rule
-    on the 1e-9 grid, with the rules the symmetric and the general check
+    in nine decimals, with the rules the symmetric and the general check
     build for it."""
     inst = DiscreteInstance.symmetric(
         2, tuple(np.linspace(0, 1, 7)), tuple(np.array([1, 1, 1, 2, 4, 4, 4]) / 17),
@@ -471,24 +483,13 @@ class TestPooledConstruction:
         assert alloc.min() >= 0.0 and alloc.max() <= 1.0
         assert verdict.expost.max_violation() <= 1e-12
         for row in verdict.expost.marginals():
-            assert np.max(np.abs(row - np.array(p))) <= 1e-9
+            assert np.max(np.abs(row - np.array(p))) <= MARGINAL_TOL
         assert check_feasible(inst, [p] * n, want_expost=False).feasible
 
-    def test_marginals_are_exact_for_the_rounded_masses(self):
-        inst, p, rules = seventeenths_case()
-        rounded = np.array(flows._mass_units(inst.masses[0], flows.DEFAULT_SCALE)[0])
-        for rule in rules:
-            share = rule.alloc[:, 0].reshape(7, 7) @ (rounded / rounded.sum())
-            assert np.max(np.abs(share - p)) <= 1e-15
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "masses are rounded onto the 1e-9 grid before the construction, so "
-        "the realized marginals are exact for the rounded masses (1/17 becomes "
-        "58823529e-9) and miss P by 1.15e-9 under the instance's own"))
     def test_marginals_are_exact_for_the_instance_masses(self):
         _, p, rules = seventeenths_case()
         assert max(np.max(np.abs(row - np.array(p)))
-                   for rule in rules for row in rule.marginals()) <= 1e-9
+                   for rule in rules for row in rule.marginals()) <= MARGINAL_TOL
 
     def test_shares_stay_at_most_one(self):
         # the walk's weights sum to 1 exactly; summed as floats they put the
@@ -497,6 +498,26 @@ class TestPooledConstruction:
                                           (0.125, 0.25, 0.1875, 0.25, 0.1875), capacity=1)
         p = [0.005208333, 0.067708333, 0.22265625, 0.477864583, 0.82421875]
         assert check_interim_allocation(inst, p).expost.alloc.max() <= 1.0
+
+    def test_mix_matches_a_sum_over_rules(self):
+        # one pass per distinct pool against the sum of every rule's share,
+        # entry by entry, on types relabelled as the symmetric check does
+        rules = [(Fraction(1, 6), [(0, 0), (1, 1), (2, 2), (3, 3)]),
+                 (Fraction(1, 3), [(1, 1), (2, 3)]),
+                 (Fraction(1, 2), [(2, 3)])]
+        rank = np.array([2, 0, 3, 1], dtype=np.int16)
+        for m in (1, 2):
+            table = rank[multiset_table(4, 3)]
+            expected = np.zeros(table.shape)
+            for r, row in enumerate(table.tolist()):
+                for j, x in enumerate(row):
+                    for w, pools in rules:
+                        for lo, hi in pools:
+                            if lo <= x <= hi:
+                                above = sum(y > hi for y in row)
+                                within = sum(lo <= y <= hi for y in row)
+                                expected[r, j] += float(w) * min(1.0, max(0, m - above) / within)
+            assert np.max(np.abs(flows._mix_pooled(rules, table, m) - expected)) <= 1e-15
 
     def test_walk_refuses_a_decreasing_rule(self):
         # two agents, one object, two types of mass 1/2 each, scale 8: the
@@ -532,7 +553,7 @@ class TestConstructExpost:
         disc, p_avg = discretize_rules(ex_inst, rules, 16)
         rule = construct_expost(disc, [p_avg] * 3)
         for row in rule.marginals():
-            assert np.max(np.abs(row - np.array(p_avg))) <= 1e-9
+            assert np.max(np.abs(row - np.array(p_avg))) <= MARGINAL_TOL
         assert rule.max_violation() <= 1e-12
 
 
@@ -559,11 +580,11 @@ class TestDiscretizeRules:
         assert disc.grids[0] == tuple((0.5 * (edges[:-1] + edges[1:]))[keep].tolist())
         assert min(disc.masses[0]) > 0 and len(p_avg) == 54
         assert np.isfinite(p_avg).all()
-        # the flow checks' 1e-9 mass grid cannot hold the smallest masses
-        with pytest.raises(ValueError, match="a mass is too small for the chosen scale"):
-            check_interim_allocation(disc, p_avg, construct=False)
-        with pytest.raises(ValueError, match="a mass is too small for the chosen scale"):
-            check_feasible(disc, [p_avg] * 3, want_expost=False)
+        # the checks carry the smallest masses, near 1e-306, exactly
+        verdict = check_interim_allocation(disc, p_avg)
+        assert verdict.feasible
+        for row in verdict.expost.marginals():
+            assert np.max(np.abs(row - np.array(p_avg))) <= MARGINAL_TOL
 
 
 @pytest.fixture(scope="module")
@@ -600,8 +621,7 @@ class TestAuditFeasibility:
         verdict = check_interim_audit(disc, p_merit, A_damped, ex_inst.k)
         assert verdict.feasible
         for row, target in zip(verdict.expost.marginals(), A_damped):
-            # 2e-9: demand quantization plus the irrational snapped masses
-            assert np.max(np.abs(row - np.array(target))) <= 2e-9
+            assert np.max(np.abs(row - np.array(target))) <= MARGINAL_TOL
 
     def test_exact_audit_demand_is_knife_edge(self, audit_setup, ex_inst):
         disc, labels, p_merit, A = audit_setup
@@ -643,19 +663,17 @@ class TestAuditFeasibility:
                                       want_expost=False)
         assert not rep["all_hold"] and not verdict.feasible
         v = verdict.violating_set
-        from verialloc.flows import _Scaled
+        eligible = {tuple(prof): frozenset(np.flatnonzero(p_merit[pid]).tolist())
+                    for pid, prof in enumerate(disc.profiles())}
+        audit = flows._audit_instance(disc, p_merit, ex_inst.k)
+        assert audit.eligible == {prof: J for prof, J in eligible.items() if len(J) < 3}
 
         # the worst threshold-form set must achieve the same violation as
         # the min-cut set found by the general flow check
-        sc = _Scaled(
+        sc = flows._Scaled(
             DiscreteInstance(grids=disc.grids, masses=disc.masses,
-                             capacity_default=ex_inst.k,
-                             eligible={
-                                 tuple(prof): frozenset(
-                                     np.flatnonzero(p_merit[pid]).tolist())
-                                 for pid, prof in enumerate(disc.profiles())
-                             }),
-            A_stressed, 10**9,
+                             capacity_default=ex_inst.k, eligible=eligible),
+            A_stressed,
         )
         flow_gap = sc.lhs_units(v.check_set) - sc.rhs_units(v.check_set)
         family_gap = round((rep["lhs"] - rep["rhs"]) * sc.common)
