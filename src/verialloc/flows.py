@@ -9,16 +9,21 @@ collection E = (E_1, ..., E_n) of per-agent type sets
         <=  E[ min(|J(t) cap I(t, E)|, h(t)) ]
 
 where I(t, E) is the set of agents whose type lies in their E_i.  The
-check runs as a max-flow problem on the network
+check runs as a max-flow problem with one row node per footprint
+F = (h, {(i, t_i) : i in J(t)}), the part of a profile that its arcs see:
 
-    source --(prob(t) h(t))--> profile t --(prob(t))--> (agent i, type tau)
-           --(P_i(tau) mass_i(tau))--> sink          for i in J(t), tau = t_i
+    source --(W_F h)--> row F --(W_F)--> (agent i, type tau)
+           --(P_i(tau) mass_i(tau))--> sink          for (i, tau) in F
 
-with all capacities scaled to exact integers, so verdicts are exact for
-the given masses and the rule max(P - TOLERANCE, 0): it is feasible iff
-the max flow saturates every demand arc.  On success the flow decomposes
-into per-profile allocation probabilities; on failure the sink side of a
-min cut yields a violated set E, reported with its sides under P.
+where W_F is the total probability of the profiles with footprint F.
+Each such profile alone would carry outflows prob(t) x with x in
+Q_F = {x in [0, 1]^F : sum x <= h}; their sum is W_F Q_F, so one row
+gives the same max flow, min cuts and marginals.  All capacities are
+scaled to exact integers, so verdicts are exact for the given masses and
+the rule max(P - TOLERANCE, 0): it is feasible iff the max flow saturates
+every demand arc.  On success each row's flow gives the allocation
+probabilities of all its profiles; on failure the sink side of a min cut
+yields a violated set E, reported with its sides under P.
 Symmetric rules on symmetric instances with constant capacity need no
 flow: sorted by P they are monotone, an exact threshold screen decides
 them, and a feasible one is built as a mixture of pooled-efficient rules.
@@ -77,22 +82,32 @@ class DiscreteInstance:
                 raise ValueError(f"masses must sum to 1, got {sum(w)}")
         if self.capacity_default < 0 or int(self.capacity_default) != self.capacity_default:
             raise ValueError("capacity must be a nonnegative integer")
-        n = len(self.grids)
-        for prof, h in self.capacity.items():
-            self._check_profile_key(prof)
+        # each override table is checked in one pass over its distinct values;
+        # the entry named in an error is looked up only once one is found
+        self._check_profile_keys(self.capacity)
+        for h in set(self.capacity.values()):
             if h < 0 or int(h) != h:
+                prof = next(p for p, v in self.capacity.items() if v == h)
                 raise ValueError(f"capacity override {h!r} at {prof} is not a nonnegative integer")
-        for prof, agents in self.eligible.items():
-            self._check_profile_key(prof)
-            if not set(agents) <= set(range(n)):
-                raise ValueError(f"eligibility override {agents!r} at {prof} names unknown agents")
+        self._check_profile_keys(self.eligible)
+        agents = set(range(len(self.grids)))
+        if not set(itertools.chain.from_iterable(self.eligible.values())) <= agents:
+            prof, named = next((p, a) for p, a in self.eligible.items() if not set(a) <= agents)
+            raise ValueError(f"eligibility override {named!r} at {prof} names unknown agents")
 
-    def _check_profile_key(self, prof) -> None:
-        if len(prof) != len(self.grids):
+    def _check_profile_keys(self, table: dict) -> None:
+        keys = list(table)
+        if not keys:
+            return
+        if set(map(len, keys)) != {len(self.grids)}:
+            prof = next(p for p in keys if len(p) != len(self.grids))
             raise ValueError(f"profile key {prof} has wrong length")
-        for j, idx in enumerate(prof):
-            if not (0 <= idx < len(self.grids[j])):
-                raise ValueError(f"profile key {prof} out of range for agent {j}")
+        idx = np.array(keys)
+        # a fractional index names no profile
+        bad = (idx < 0) | (idx >= np.array(self.sizes)) | (idx % 1 != 0)
+        if bad.any():
+            r, j = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"profile key {keys[r]} out of range for agent {j}")
 
     @property
     def n_agents(self) -> int:
@@ -117,6 +132,33 @@ class DiscreteInstance:
 
     def profiles(self):
         return itertools.product(*(range(s) for s in self.sizes))
+
+    def profile_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """h(t) and J(t) of every profile, in the order of ``profiles()``.
+
+        Returns an int64 array of shape (n_profiles,) and a bool eligibility
+        mask of shape (n_profiles, n_agents).  A capacity above n_agents is
+        stored as n_agents: no profile can use more.
+        """
+        n = self.n_agents
+        h = np.full(self.n_profiles, min(int(self.capacity_default), n), dtype=np.int64)
+        if self.capacity:
+            h[self._override_rows(self.capacity)] = [min(int(c), n)
+                                                     for c in self.capacity.values()]
+        J = np.ones((self.n_profiles, n), dtype=bool)
+        if self.eligible:
+            rows = self._override_rows(self.eligible)
+            counts = np.fromiter(map(len, self.eligible.values()), np.intp, len(rows))
+            agents = np.fromiter(itertools.chain.from_iterable(self.eligible.values()),
+                                 np.intp, int(counts.sum()))
+            J[rows] = False
+            J[np.repeat(rows, counts), agents] = True
+        return h, J
+
+    def _override_rows(self, table: dict) -> np.ndarray:
+        """Profile indices of the keys of an override table."""
+        keys = np.array(list(table), dtype=np.intp).reshape(len(table), self.n_agents)
+        return np.ravel_multi_index(tuple(keys.T), self.sizes)
 
     def is_symmetric(self) -> bool:
         return all(g == self.grids[0] for g in self.grids) and all(
@@ -219,44 +261,48 @@ class ExPostRule:
         return float(self.alloc[self.profile_index(prof), agent])
 
     def marginals(self) -> list[np.ndarray]:
-        """Interim rule induced by the ex-post rule, one array per agent."""
+        """Interim rule induced by the ex-post rule, one array per agent.
+
+        Entry (i, tau) is the sum, over the profiles with t_i = tau, of the
+        other agents' masses times the allocation, added up by ``math.fsum``
+        so that only the products are rounded.
+        """
         inst = self.inst
-        sizes = inst.sizes
-        n = inst.n_agents
-        mass_rows = [np.asarray(w) for w in inst.masses]
-        prob = mass_rows[0]
-        for w in mass_rows[1:]:
-            prob = np.multiply.outer(prob, w)
+        sizes, n = inst.sizes, inst.n_agents
+        alloc = self.alloc.reshape(*sizes, n)
         out = []
         for i in range(n):
-            weighted = prob * self.alloc[:, i].reshape(sizes)
-            axes = tuple(j for j in range(n) if j != i)
-            out.append(weighted.sum(axis=axes) / mass_rows[i])
+            weighted = alloc[..., i]
+            for j, w in enumerate(inst.masses):
+                if j != i:
+                    weighted = weighted * np.reshape(w, [-1 if a == j else 1 for a in range(n)])
+            terms = np.moveaxis(weighted, i, 0).reshape(sizes[i], -1).tolist()
+            out.append(np.array([math.fsum(row) for row in terms]))
         return out
 
     def max_violation(self) -> float:
         """Largest breach of the per-profile constraints (0 for a valid rule)."""
-        inst = self.inst
-        worst = max(float(self.alloc.max(initial=0.0)) - 1.0,
-                    -float(self.alloc.min(initial=0.0)))
-        row_sums = self.alloc.sum(axis=1)
-        caps = np.full(inst.n_profiles, float(inst.capacity_default))
-        if inst.capacity or inst.eligible:
-            for pid, prof in enumerate(inst.profiles()):
-                caps[pid] = inst.h(prof)
-                allowed = set(inst.J(prof))
-                for i in range(inst.n_agents):
-                    if i not in allowed and self.alloc[pid, i] > 0:
-                        worst = max(worst, float(self.alloc[pid, i]))
-        worst = max(worst, float((row_sums - caps).max(initial=0.0)))
-        return worst
+        h, J = self.inst.profile_arrays()
+        alloc = self.alloc
+        return max(float(alloc.max(initial=0.0)) - 1.0,
+                   -float(alloc.min(initial=0.0)),
+                   float(alloc[~J].max(initial=0.0)),
+                   float((alloc.sum(axis=1) - h).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """A verdict with its certificate: an ex-post rule or a violated set.
+
+    ``stats`` says how it was reached: ``path`` ("screen", "pooled" or
+    "flow"), ``profiles``, and for a flow its footprint ``rows`` and
+    ``arcs``.  It holds counts the check has at hand and nothing else.
+    """
+
     feasible: bool
     violating_set: Optional[ViolatingSet] = None
     expost: Optional[ExPostRule] = None
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -303,40 +349,64 @@ class _Scaled:
              for p, u, d in zip(rows, self.units, self.denoms)]
             for rows in (self.p_units, p_given))
 
-    def weight(self, prof: tuple[int, ...]) -> int:
-        w = 1
-        for j, t in enumerate(prof):
-            w *= self.units[j][t]
-        return w
-
     def lhs_units(self, E: CheckSet, given: bool = False) -> int:
         """Demand of E under the decided rule, or with ``given`` under P."""
         demand = self.given if given else self.demand
         return sum(demand[i][t] for i, Ei in enumerate(E) for t in Ei)
 
-    def profile_cache(self) -> list:
-        """(profile, weight, h, J) rows, built once for repeated set checks."""
-        cache = getattr(self, "_profile_cache", None)
-        if cache is None:
-            cache = [
-                (prof, self.weight(prof), self.inst.h(prof), self.inst.J(prof))
-                for prof in self.inst.profiles()
-            ]
-            self._profile_cache = cache
-        return cache
+    def footprints(self) -> tuple[list, np.ndarray]:
+        """The profiles grouped by footprint (h(t), ((i, t_i) for i in J(t))).
+
+        Returns ``rows``, one (h, types, W) per distinct footprint, where
+        types[i] is t_i for i in J(t) and -1 for the other agents, and W is
+        the exact sum of its profiles' weights (products of mass units);
+        and ``row_of``, the row of each profile in the order of
+        ``profiles()``.  Profiles of one footprint have the same arcs, and
+        capacities proportional to their weights, in the flow network, and
+        the same terms in every check set's supply, so a row stands for all
+        of them.  Built once, in array passes.
+        """
+        cached = getattr(self, "_footprints", None)
+        if cached is None:
+            inst = self.inst
+            h, J = inst.profile_arrays()
+            types = np.indices(inst.sizes).reshape(inst.n_agents, -1).T
+            keys, row_of = _unique_rows(np.column_stack([h, np.where(J, types, -1)]))
+            weight = np.ones(1, dtype=object)
+            for u in self.units:
+                weight = np.multiply.outer(weight, np.array(u, dtype=object)).ravel()
+            W = np.zeros(len(keys), dtype=object)
+            np.add.at(W, row_of, weight)
+            rows = list(zip(keys[:, 0].tolist(), keys[:, 1:].tolist(), W.tolist()))
+            cached = self._footprints = (rows, row_of)
+        return cached
 
     def rhs_units(self, E: CheckSet) -> int:
         total = 0
-        for prof, w, cap, J in self.profile_cache():
+        for cap, types, w in self.footprints()[0]:
             if not cap:
                 continue
-            hit = sum(1 for i in J if prof[i] in E[i])
+            # -1, an ineligible agent, lies in no E_i
+            hit = sum(t in Ei for t, Ei in zip(types, E))
             if hit:
                 total += w * min(hit, cap)
         return total * self.p_denom
 
     def to_float(self, units: int) -> float:
         return units / self.common
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, and the
+    index among them of each row: ``np.unique(a, axis=0,
+    return_inverse=True)`` by one lexsort, several times faster on ints."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def _require_enumerable(inst: DiscreteInstance, max_profiles: int) -> None:
@@ -362,11 +432,12 @@ def multiset_table(size: int, n: int) -> np.ndarray:
     return table
 
 
-def _refuted(sc: _Scaled, E: CheckSet, rhs: int) -> FeasibilityVerdict:
+def _refuted(sc: _Scaled, E: CheckSet, rhs: int, stats: dict) -> FeasibilityVerdict:
     """The infeasible verdict with witness E and its exact sides under the
     given P (E refutes the decided rule, which P dominates)."""
     return FeasibilityVerdict(feasible=False, violating_set=ViolatingSet(
-        check_set=E, lhs=sc.to_float(sc.lhs_units(E, given=True)), rhs=sc.to_float(rhs)))
+        check_set=E, lhs=sc.to_float(sc.lhs_units(E, given=True)), rhs=sc.to_float(rhs)),
+        stats=stats)
 
 
 def _tightest_report(sc: _Scaled, family) -> dict:
@@ -423,26 +494,31 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
     Feasible: returns the flow decomposition as an ex-post rule whose
     marginals reproduce that rule, so they miss P by at most TOLERANCE.
     Infeasible: returns a violated check set extracted from a minimum cut,
-    with its sides under P.  One row node per profile, one type node per
-    (agent, type).
+    with its sides under P.  One row node per footprint (``_Scaled.
+    footprints``), one type node per (agent, type); every profile takes the
+    shares of its footprint's row.
     """
     _require_enumerable(inst, max_profiles)
     sc = _Scaled(inst, P)
+    rows, row_of = sc.footprints()
     n, sizes = inst.n_agents, inst.sizes
     demand = [d for row in sc.demand for d in row]
-    # nodes: source 0, profiles 1..n_profiles, then one per (agent, type)
-    first_type = 1 + inst.n_profiles
+    # nodes: source 0, footprint rows 1..len(rows), then one per (agent, type)
+    first_type = 1 + len(rows)
     sink = first_type + len(demand)
     offset = [first_type + sum(sizes[:i]) for i in range(n)]
     mf = MaxFlow(sink + 1)
-    # demand arcs first: every profile arc then has an id above 2 * len(demand)
+    # demand arcs first: every row arc then has an id above 2 * len(demand)
     for node, d in enumerate(demand):
         mf.add_edge(first_type + node, sink, d)
-    for row, prof in enumerate(inst.profiles(), start=1):
-        w = sc.weight(prof)
-        mf.add_edge(0, row, w * inst.h(prof) * sc.p_denom)
-        for i in inst.J(prof):
-            mf.add_edge(row, offset[i] + prof[i], w * sc.p_denom)
+    for row, (cap, types, w) in enumerate(rows, start=1):
+        unit = w * sc.p_denom
+        mf.add_edge(0, row, unit * cap)
+        for i, t in enumerate(types):
+            if t >= 0:
+                mf.add_edge(row, offset[i] + t, unit)
+    stats = {"path": "flow", "profiles": inst.n_profiles, "rows": len(rows),
+             "arcs": len(mf.cap) // 2}
 
     if mf.max_flow(0, sink) != sum(demand):
         reachable = mf.reachable_from(0)
@@ -454,9 +530,9 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
                 "min-cut extraction produced a non-violating set; "
                 "this indicates a flow construction bug"
             )
-        return _refuted(sc, E, rhs)
+        return _refuted(sc, E, rhs, stats)
     if not want_expost:
-        return FeasibilityVerdict(feasible=True)
+        return FeasibilityVerdict(feasible=True, stats=stats)
     # past the demand arcs, a forward arc's flow is its reverse residual and
     # its capacity the sum of both; int / int rounds as float(Fraction) does
     first = 2 * len(demand)
@@ -464,10 +540,11 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
     flow, left = mf.cap[first + 1::2], mf.cap[first::2]
     tail, head = to[first + 1::2], to[first::2]
     used = np.flatnonzero(np.fromiter(map(bool, flow), bool, len(flow)) & (tail != 0))
-    alloc = np.zeros((inst.n_profiles, n))
-    alloc[tail[used] - 1, np.repeat(np.arange(n), sizes)[head[used] - first_type]] = [
+    shares = np.zeros((len(rows), n))
+    shares[tail[used] - 1, np.repeat(np.arange(n), sizes)[head[used] - first_type]] = [
         flow[a] / (flow[a] + left[a]) for a in used.tolist()]
-    return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=alloc))
+    return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=shares[row_of]),
+                              stats=stats)
 
 
 def brute_force_verdict(inst: DiscreteInstance,
@@ -489,7 +566,7 @@ def brute_force_verdict(inst: DiscreteInstance,
     for E in itertools.product(*subsets_per_agent):
         rhs = sc.rhs_units(E)
         if sc.lhs_units(E) > rhs:
-            return _refuted(sc, E, rhs)
+            return _refuted(sc, E, rhs, {})
     return FeasibilityVerdict(feasible=True)
 
 
@@ -572,18 +649,20 @@ def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
                          * min(x, m) for x in range(1, n + 1))
         for above in mass_above
     ]
+    stats = {"path": "screen", "profiles": inst.n_profiles}
     for e in range(size + 1):
         if n * demand_above[e] > supply[e]:
-            return _refuted(sc, (frozenset(order[e:]),) * n, supply[e])
+            return _refuted(sc, (frozenset(order[e:]),) * n, supply[e], stats)
     if not construct:
-        return FeasibilityVerdict(feasible=True)
+        return FeasibilityVerdict(feasible=True, stats=stats)
     _require_enumerable(inst, max_profiles)
     rules = _pooled_rules(p_units, mass_above, supply, n * sc.denoms[0] ** (n - 1))
     table = multiset_table(size, n)
     rank = np.empty(size, dtype=table.dtype)
     rank[order] = np.arange(size)
     return FeasibilityVerdict(feasible=True, expost=_expand_multisets(
-        inst, table, _mix_pooled(rules, rank[table], m)))
+        inst, table, _mix_pooled(rules, rank[table], m)),
+        stats={**stats, "path": "pooled"})
 
 
 def _pooled_rules(p_units: Sequence[int], mass_above: Sequence[int],
@@ -759,10 +838,11 @@ def _audit_instance(inst: DiscreteInstance, p_merit: np.ndarray,
         )
     # one frozenset per distinct row of winners; rows with all agents are
     # the default and stay out of the overrides
-    rows, code = np.unique(p_merit, axis=0, return_inverse=True)
+    rows, code = _unique_rows(p_merit)
     winners = [frozenset(np.flatnonzero(row).tolist()) for row in rows]
-    eligible = {prof: winners[c] for prof, c in zip(inst.profiles(), code.ravel().tolist())
-                if len(winners[c]) < inst.n_agents}
+    partial = np.flatnonzero(~rows.all(axis=1)[code])
+    profs = zip(*(ix.tolist() for ix in np.unravel_index(partial, inst.sizes)))
+    eligible = dict(zip(profs, map(winners.__getitem__, code[partial].tolist())))
     return DiscreteInstance(
         grids=inst.grids,
         masses=inst.masses,

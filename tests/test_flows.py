@@ -47,6 +47,9 @@ def footnote():
 FOOTNOTE_P = [[0.25, 0.25], [0.25, 0.5]]
 # a realized rule reproduces max(P - TOLERANCE, 0); the rest is float rounding
 MARGINAL_TOL = 1e-12
+# marginals() rounds only its products, so on small instances a rule reads
+# within TOLERANCE of P up to a few ulps
+EXACT_READ_TOL = flows.TOLERANCE + 1e-15
 
 
 class TestBorderSums:
@@ -177,7 +180,7 @@ class TestFlowAgainstBruteForce:
             if flow.feasible:
                 marg = flow.expost.marginals()
                 for row, target in zip(marg, P):
-                    assert np.max(np.abs(row - np.array(target))) <= MARGINAL_TOL
+                    assert np.max(np.abs(row - np.array(target))) <= EXACT_READ_TOL
                 assert flow.expost.max_violation() <= 1e-12
             else:
                 infeasible_seen += 1
@@ -190,6 +193,116 @@ class TestFlowAgainstBruteForce:
                 assert v.rhs == pytest.approx(rhs, abs=1e-15)
             checked += 1
         assert infeasible_seen >= 5  # the family must exercise both verdicts
+
+
+def exact_sides(inst, P, E):
+    """(demand, supply) of check set E in exact fractions of the given
+    floats, by enumeration of the profiles."""
+    lhs = sum((Fraction(P[i][t]) * Fraction(inst.masses[i][t])
+               for i, Ei in enumerate(E) for t in Ei), Fraction(0))
+    rhs = Fraction(0)
+    for prof in inst.profiles():
+        hits = sum(1 for i in inst.J(prof) if prof[i] in E[i])
+        rhs += math.prod(Fraction(inst.masses[i][t]) for i, t in enumerate(prof)) * min(
+            hits, inst.h(prof))
+    return lhs, rhs
+
+
+def footprint(inst, prof):
+    return inst.h(prof), tuple((i, prof[i]) for i in inst.J(prof))
+
+
+@st.composite
+def override_cases(draw):
+    """Up to 3 agents and 14 grid points, random capacity and eligibility
+    overrides (h = 0 and empty J among them), a rule in [0, 1] and a check
+    set."""
+    n = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 14 // n), min_size=n, max_size=n))
+    masses = []
+    for s in sizes:
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=s, max_size=s)))
+        masses.append(tuple((w / w.sum()).tolist()))
+    capacity, eligible = {}, {}
+    for prof in itertools.product(*(range(s) for s in sizes)):
+        if draw(st.booleans()):
+            capacity[prof] = draw(st.integers(0, n + 1))
+        if draw(st.booleans()):
+            eligible[prof] = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    inst = DiscreteInstance(grids=tuple(tuple(range(s)) for s in sizes),
+                            masses=tuple(masses), capacity_default=draw(st.integers(0, n)),
+                            capacity=capacity, eligible=eligible)
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    P = [[scale * draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])) for _ in range(s)]
+         for s in sizes]
+    E = make_check_set(inst, [draw(st.sets(st.integers(0, s - 1))) for s in sizes])
+    return inst, P, E
+
+
+class TestFootprints:
+    """The flow network with one row per footprint (h(t), J(t)'s types)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=override_cases())
+    def test_flow_matches_brute_force(self, case):
+        inst, P, E = case
+        # brute force sums the supply over the same footprint rows; the
+        # exact enumeration over profiles does not
+        full = make_check_set(inst, [range(s) for s in inst.sizes])
+        for check_set in (E, full):
+            assert border_rhs(inst, check_set) == float(exact_sides(inst, P, check_set)[1])
+        verdict = check_feasible(inst, P)
+        assert verdict.feasible == brute_force_verdict(inst, P).feasible
+        assert verdict.stats["path"] == "flow"
+        if verdict.feasible:
+            rule = verdict.expost
+            assert rule.max_violation() <= 1e-12
+            for row, target in zip(rule.marginals(), P):
+                assert np.max(np.abs(row - np.array(target))) <= EXACT_READ_TOL
+            rows = {}
+            for pid, prof in enumerate(inst.profiles()):
+                row = rows.setdefault(footprint(inst, prof), rule.alloc[pid])
+                assert np.array_equal(rule.alloc[pid], row)
+        else:
+            v = verdict.violating_set
+            lhs, rhs = exact_sides(inst, P, v.check_set)
+            assert lhs > rhs
+            assert (v.lhs, v.rhs) == (float(lhs), float(rhs))
+
+    def test_profile_arrays_match_h_and_J(self):
+        inst = random_discrete_instance(np.random.default_rng(7))
+        h, J = inst.profile_arrays()
+        for pid, prof in enumerate(inst.profiles()):
+            assert h[pid] == min(inst.h(prof), inst.n_agents)
+            assert np.flatnonzero(J[pid]).tolist() == list(inst.J(prof))
+
+    def test_stats_name_the_path(self, footnote):
+        flow = check_feasible(footnote, [[0.25, 0.25], [0.25, 0.25]])
+        # four profiles, four distinct footprints: 4 source arcs, 4 demand
+        # arcs and one arc per eligible agent of each profile
+        assert flow.stats == {"path": "flow", "profiles": 4, "rows": 4, "arcs": 16}
+        inst = DiscreteInstance.symmetric(2, (0.2, 0.8), (0.5, 0.5), capacity=1)
+        assert check_interim_allocation(inst, [0.2, 0.6]).stats == {
+            "path": "pooled", "profiles": 4}
+        for p, construct in (([0.2, 0.6], False), ([0.9, 0.9], True)):
+            verdict = check_interim_allocation(inst, p, construct=construct)
+            assert verdict.stats == {"path": "screen", "profiles": 4}
+        assert brute_force_verdict(inst, [[0.2, 0.6]] * 2).stats == {}
+
+    @pytest.mark.parametrize("field,table,message", [
+        ("capacity", {(0, 0): 1, (0, 1, 0): 1}, r"profile key \(0, 1, 0\) has wrong length"),
+        ("capacity", {(0, 0): 1, (1, 2): 1}, r"profile key \(1, 2\) out of range for agent 1"),
+        ("eligible", {(-1, 0): {0}}, r"profile key \(-1, 0\) out of range for agent 0"),
+        ("eligible", {(1, 0.5): {0}}, r"profile key \(1, 0.5\) out of range for agent 1"),
+        ("capacity", {(0, 0): 1, (1, 0): 1.5}, r"capacity override 1.5 at \(1, 0\) is not"),
+        ("capacity", {(1, 1): -1}, r"capacity override -1 at \(1, 1\) is not"),
+        ("eligible", {(0, 0): {0}, (1, 1): {0, 2}},
+         r"eligibility override \{0, 2\} at \(1, 1\) names unknown agents"),
+    ])
+    def test_override_keys_and_values_are_checked(self, field, table, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteInstance(grids=((0.2, 0.8),) * 2, masses=((0.5, 0.5),) * 2,
+                             capacity_default=1, **{field: table})
 
 
 class TestSymmetricAllocation:
@@ -333,7 +446,7 @@ class TestCollapsedAgainstBruteForce:
                 inst.to_json_dict(), p)
             if symmetric.feasible:
                 for row in symmetric.expost.marginals():
-                    assert np.max(np.abs(row - np.array(p))) <= MARGINAL_TOL
+                    assert np.max(np.abs(row - np.array(p))) <= EXACT_READ_TOL
                 assert symmetric.expost.max_violation() <= 1e-12
             else:
                 infeasible_seen += 1
@@ -643,6 +756,16 @@ class TestAuditFeasibility:
         assert not verdict.feasible
         v = verdict.violating_set
         assert v.lhs > v.rhs
+
+    def test_flow_rows_are_the_footprints(self, audit_setup, ex_inst):
+        disc, labels, p_merit, A = audit_setup
+        audit = flows._audit_instance(disc, p_merit, ex_inst.k)
+        footprints = {footprint(audit, prof) for prof in audit.profiles()}
+        with mock.patch.object(flows, "MaxFlow", wraps=flows.MaxFlow) as network:
+            verdict = check_interim_audit(disc, p_merit, A, ex_inst.k, want_expost=False)
+        assert verdict.stats["rows"] == len(footprints) < disc.n_profiles
+        # source, one node per row and per (agent, type), sink
+        assert network.call_args.args == (len(footprints) + sum(disc.sizes) + 2,)
 
     def test_audit_capacity_never_binding(self):
         # k = n with everyone always allocated: audit everyone at will
