@@ -149,12 +149,18 @@ class CellGrid:
     bin_mass: np.ndarray
 
     def integrate(self, f: Callable[[float], float]) -> np.ndarray:
-        """Integral of f dF over each cell: one ``integrate`` call per
-        nonempty cell, 0 on an empty one."""
-        return np.array([
-            integrate(f, self.dist, lo, hi) if w > 0 else 0.0
-            for lo, hi, w in zip(self.lo.tolist(), self.hi.tolist(), self.mass.tolist())
-        ])
+        """Integral of f dF over each cell, 0 on an empty one, from one
+        ``quantile_rule`` over all the cell cuts and one call of f.
+
+        A cell's panels and nodes are those ``integrate`` builds for it
+        alone, and ``bincount`` adds each cell's nodes in the same order, so
+        every cell's integral equals ``integrate(f, dist, lo, hi)`` to the
+        last bit.
+        """
+        u = np.asarray(self.dist.cdf(np.append(self.lo, self.hi[-1])), dtype=float)
+        _, t, w, piece = quantile_rule(self.dist, u)
+        sums = np.bincount(piece, w * _values(f, t), len(self.mass))
+        return np.where(self.mass > 0, sums, 0.0)
 
     def bin_mean(self, values: np.ndarray, weights=None) -> np.ndarray:
         """Per-bin sum of the per-cell ``values`` over that of ``weights``

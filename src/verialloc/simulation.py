@@ -12,12 +12,15 @@ The lottery and audit-selection weights are piecewise-constant over type
 bins and are calibrated so the interim probabilities hit their targets:
 every audit/incentive-region type wins the lottery with probability phi,
 and every supply-region type is audited with probability P(t) - phi.
-Weighted draws without replacement use Gumbel-perturbed log-weights
-(successive-draws semantics, i.e. Plackett-Luce).  Where the profiles of
-type cells can be enumerated (at most ``_EXACT_MAX_PROFILES`` multisets),
-each stage's per-bin hit rate is computed exactly and the weights are fitted
-on it deterministically, so they do not depend on the seed; otherwise a
-damped stochastic fixed point fits them on simulated profiles.
+Weighted draws without replacement are exponential races: each pool
+member arrives at E / w with E ~ Exp(1) and the first arrivals are drawn
+(successive-draws semantics, i.e. Plackett-Luce).  Only rows whose draw
+is a real choice, 0 < quota < pool size, draw any variates.  Where the
+profiles of type cells can be enumerated (at most ``_EXACT_MAX_PROFILES``
+multisets), each stage's per-bin hit rate is computed exactly, both
+stages from one profile table, and the weights are fitted on it by an
+Anderson-accelerated fixed point, so they do not depend on the seed;
+otherwise a damped stochastic fixed point fits them on simulated profiles.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stage, round), so a report is a pure function of its seed.
@@ -64,10 +67,11 @@ class BinWeights:
     ``edges`` must be ``linspace(0, 1, len(values) + 1)``: a type's weight
     is read by the same floor(t * bins) index the simulation tallies use.
     ``stats`` describes the calibration that fitted the weights, if any.
-    With ``method`` "exact": iterations, cell multisets enumerated and the
-    largest final |rate - target|.  With ``method`` "monte_carlo":
-    fixed-point rounds, polish rounds, rows simulated and the worst bin
-    deviation (in standard errors) of the last round.
+    With ``method`` "exact": iterations (evaluations of the exact map),
+    cell multisets enumerated and the largest final |rate - target|.  With
+    ``method`` "monte_carlo": fixed-point rounds, polish rounds, rows
+    simulated and the worst bin deviation (in standard errors) of the last
+    round.
     """
 
     edges: np.ndarray
@@ -100,9 +104,10 @@ class SimReport:
     """Binned empirical interim rules versus their targets.
 
     ``stats`` counts the work behind it: ``main_rows`` profiles in the main
-    pass and, for each stage calibrated here (``lottery``, ``audit``), the
-    ``stats`` of its fitted weights.  It is left out of ``to_record()``,
-    which holds results only.
+    pass, ``main_draw_rows`` of them whose ``lottery`` and ``audit`` draws
+    had a real choice and, for each stage calibrated here (``lottery``,
+    ``audit``), the ``stats`` of its fitted weights.  It is left out of
+    ``to_record()``, which holds results only.
     """
 
     trials: int
@@ -170,8 +175,11 @@ def _regions(types: np.ndarray, part: RegionPartition) -> np.ndarray:
 
 
 def _row_count(mask: np.ndarray) -> np.ndarray:
-    """Number of set entries in each row of a 2-d mask (einsum's summing
-    loop is several times faster than ``sum(axis=1)`` on short rows)."""
+    """Number of set entries in each row of a 2-d mask.  einsum's summing
+    loop is several times faster than ``sum(axis=1)`` on short rows, and
+    faster again on bytes, which hold counts up to 255."""
+    if mask.shape[1] < 256:
+        return np.einsum("ij->i", mask.view(np.uint8)).astype(np.int64)
     return np.einsum("ij->i", mask, dtype=np.int64)
 
 
@@ -201,15 +209,21 @@ def _top_quota(keys: np.ndarray, quota: np.ndarray) -> np.ndarray:
     return top
 
 
-def _gumbel_pick(mask: np.ndarray, types: np.ndarray, weights: BinWeights,
-                 quota: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Weighted draw of up to ``quota`` entries of ``mask`` per row, without
-    replacement: the entries whose Gumbel-perturbed log-weights rank highest
-    (Efraimidis & Spirakis 2006)."""
-    keys = np.where(
-        mask, np.log(weights.lookup(types)) + rng.gumbel(size=types.shape), -np.inf
-    )
-    return mask & _top_quota(keys, quota)
+def _race_pick(pool: np.ndarray, quota: np.ndarray, rows: np.ndarray,
+               types: np.ndarray, weights: BinWeights,
+               rng: np.random.Generator) -> np.ndarray:
+    """Weighted draw of ``quota`` members of ``pool`` on each of ``rows``,
+    without replacement, as an exponential race: each member arrives at
+    E / w with E ~ Exp(1), and the first ``quota`` to arrive are drawn.
+    This is the successive-draws (Plackett-Luce) law (Efraimidis & Spirakis
+    2006).  Only ``rows`` draw, one exponential per entry."""
+    picked = np.zeros_like(pool)
+    if rows.size:
+        arrival = rng.standard_exponential((rows.size, pool.shape[1]))
+        arrival /= weights.lookup(types[rows])
+        keys = np.where(pool[rows], -arrival, -np.inf)
+        picked[rows] = _top_quota(keys, quota[rows])
+    return picked
 
 
 def _merit_stage(types, reg, m: int, k: int):
@@ -232,9 +246,11 @@ def _merit_stage(types, reg, m: int, k: int):
 
 def _stage_rule(stage: str, reg: np.ndarray, merit: np.ndarray, m: int, k: int):
     """The weighted draw of the lottery or the audit stage on rows of region
-    codes and merit winners, as (tallied, pool, quota, sure): each row draws
-    ``quota`` members of ``pool``, ``sure`` are the hits no weight can move,
-    and ``tallied`` are the agents whose hit rate the stage's weights fit.
+    codes and merit winners, as (tallied, pool, quota, sure, choice): each
+    row draws ``quota`` members of ``pool``, ``sure`` are the hits no weight
+    can move, ``tallied`` are the agents whose hit rate the stage's weights
+    fit, and ``choice`` marks the rows with a real choice, 0 < quota < pool
+    size.
 
     Lottery: the objects the merit stage left go to the audit/incentive-region
     agents without one, and all of them win when the objects suffice.
@@ -248,28 +264,37 @@ def _stage_rule(stage: str, reg: np.ndarray, merit: np.ndarray, m: int, k: int):
         pool = tallied & ~merit
         size = _row_count(pool)
         quota = np.minimum(m - won, size)
-        return tallied, pool, quota, pool & (quota == size)[:, None]
+        sure = pool & (quota == size)[:, None]
+        return tallied, pool, quota, sure, (quota > 0) & (quota < size)
     tallied = reg == 2
     over = won > k
     pool = merit & tallied & over[:, None]
+    # with more than k winners the pool outnumbers the slots left
     quota = np.where(over, k - _row_count(merit & (reg == 1)), 0)
-    return tallied, pool, quota, merit & ~pool
+    return tallied, pool, quota, merit & ~pool, quota > 0
 
 
 def _stage_pick(stage: str, types, reg, merit, m: int, k: int,
-                weights: BinWeights, rng) -> np.ndarray:
-    """Hits of one stage's draw: its sure hits and a weighted pick."""
-    _, pool, quota, sure = _stage_rule(stage, reg, merit, m, k)
-    return sure | _gumbel_pick(pool, types, weights, quota, rng)
+                weights: BinWeights, rng, draw_rows: Optional[dict] = None) -> np.ndarray:
+    """Hits of one stage's draw: its sure hits and a race pick on the rows
+    with a real choice, whose number is added to ``draw_rows[stage]``."""
+    _, pool, quota, sure, choice = _stage_rule(stage, reg, merit, m, k)
+    rows = np.flatnonzero(choice)
+    if draw_rows is not None:
+        draw_rows[stage] += rows.size
+    return sure | _race_pick(pool, quota, rows, types, weights, rng)
 
 
 def _mechanism_batch(types: np.ndarray, part: RegionPartition,
                      inst: ProblemInstance, lottery_w: BinWeights,
                      audit_w: BinWeights, rng: np.random.Generator,
-                     *, run_lottery: bool = True, run_audit: bool = True):
+                     *, run_lottery: bool = True, run_audit: bool = True,
+                     draw_rows: Optional[dict] = None):
     """One vectorized pass of merit, lottery and audit over sampled profiles.
 
     Returns (region codes, merit, lottery, allocated, audited, tie) masks.
+    The rows whose draw had a real choice are counted into ``draw_rows``
+    by stage, when it is given.
     """
     m, k = inst.m, inst.k
     reg = _regions(types, part)
@@ -277,13 +302,13 @@ def _mechanism_batch(types: np.ndarray, part: RegionPartition,
 
     if run_lottery:
         lottery = (~tie)[:, None] & _stage_pick("lottery", types, reg, merit, m, k,
-                                                lottery_w, rng)
+                                                lottery_w, rng, draw_rows)
     else:
         lottery = np.zeros_like(merit)
     allocated = merit | lottery
 
     if run_audit:
-        audited = _stage_pick("audit", types, reg, merit, m, k, audit_w, rng)
+        audited = _stage_pick("audit", types, reg, merit, m, k, audit_w, rng, draw_rows)
     else:
         audited = np.zeros_like(merit)
 
@@ -399,6 +424,9 @@ _EXACT_MAX_PROFILES = 150_000
 _EXACT_MAX_AGENTS = 8
 _EXACT_TOL = 1e-10
 _EXACT_MAX_ITER = 2_000
+# the exact fit's Anderson depth and its log-weight bound, log(1e6)
+_ANDERSON_DEPTH = 5
+_LOG_CLIP = math.log(1e6)
 # the Monte Carlo fixed point: its round cap, the damping exponent of its
 # rounds and the number of polish rounds averaged after them
 _MAX_ROUNDS = 100
@@ -412,7 +440,7 @@ def _plackett_luce_top(w: np.ndarray, quota: int) -> np.ndarray:
 
     Dynamic program over the set drawn so far: P(the first j draws are the
     set S) is summed over the member of S drawn last.  This is the law of
-    the Gumbel-top-k pick (Efraimidis & Spirakis 2006; Kool et al. 2019).
+    the race pick (Efraimidis & Spirakis 2006; Kool et al. 2019).
     """
     rows, s = w.shape
     layer = {(): (np.ones(rows), w.sum(axis=1))}  # set -> (probability, weight left)
@@ -495,10 +523,11 @@ class _StageMap:
             return hits / self.draws
 
 
-def _stage_map(inst: ProblemInstance, part: RegionPartition, bins: int,
-               stage: str) -> Optional[_StageMap]:
-    """The exact map of the lottery or the audit draw, or None when the
-    instance has too many cell multisets to enumerate."""
+def _stage_maps(inst: ProblemInstance, part: RegionPartition, bins: int,
+                stages) -> Optional[dict]:
+    """The exact maps of the given stages' draws, by stage, from one profile
+    table, or None when the instance has too many cell multisets to
+    enumerate."""
     table = _profile_table(inst, part, bins)
     if table is None:
         return None
@@ -506,7 +535,14 @@ def _stage_map(inst: ProblemInstance, part: RegionPartition, bins: int,
     # positions hold descending types, so the merit stage reads the ranks
     rank = np.arange(inst.n)
     merit = ((reg == 2) & (rank < inst.m)) | ((reg == 1) & (rank < inst.k))
-    tallied, pool, quota, sure = _stage_rule(stage, reg, merit, inst.m, inst.k)
+    return {stage: _stage_map(cell_bin, reg, prob, merit, inst, bins, stage)
+            for stage in stages}
+
+
+def _stage_map(cell_bin, reg, prob, merit, inst: ProblemInstance, bins: int,
+               stage: str) -> _StageMap:
+    """The exact map of one stage's draw over the profile table."""
+    tallied, pool, quota, sure, chosen = _stage_rule(stage, reg, merit, inst.m, inst.k)
     size = _row_count(pool)
     draws, sure = (np.bincount(cell_bin.ravel(), minlength=bins,
                                weights=(prob[:, None] * (mask & tallied)).ravel())
@@ -514,10 +550,12 @@ def _stage_map(inst: ProblemInstance, part: RegionPartition, bins: int,
 
     # a draw depends only on its quota and its pool's bins (in descending
     # order), so profiles sharing both are merged into one row
-    chosen = (quota > 0) & (quota < size)
+    width = reg.shape[1] + 1
+    group = np.where(chosen, quota * width + size, -1)
     groups = []
-    for q, s in sorted(set(zip(quota[chosen].tolist(), size[chosen].tolist()))):
-        rows = np.flatnonzero(chosen & (quota == q) & (size == s))
+    for code in np.unique(group[chosen]).tolist():
+        q, s = divmod(code, width)
+        rows = np.flatnonzero(group == code)
         pool_bins = cell_bin[rows][pool[rows]].reshape(-1, s)
         order = np.lexsort(pool_bins.T)
         pool_bins, rows = pool_bins[order], rows[order]
@@ -539,9 +577,16 @@ def _forced_audit_error(b: int, bins: int, forced: float,
 
 
 def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
-    """Deterministic multiplicative fixed point on the exact map: w <- w *
-    target / rate per bin, normalised to unit geometric mean, until every
-    bin is within ``_EXACT_TOL`` of its target."""
+    """Deterministic fit of the weights on the exact map, until every bin is
+    within ``_EXACT_TOL`` of its target.
+
+    The plain step is the multiplicative fixed point w <- w * target / rate
+    per bin, normalised to unit geometric mean and clipped to [1e-6, 1e6],
+    taken in log-weights.  Anderson mixing of the last ``_ANDERSON_DEPTH``
+    plain steps accelerates it; a mixed step that does not lower the worst
+    bin's residual is replaced by the plain step, and the history restarts.
+    ``iterations`` counts evaluations of the map.
+    """
     bins = len(target)
     active = (smap.draws > 0) & np.isfinite(target)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -549,14 +594,37 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
     if stage == "audit" and excess.max() > _EXACT_TOL:
         b = int(np.argmax(excess))
         raise _forced_audit_error(b, bins, smap.sure[b] / smap.draws[b], target[b])
+    goal = target[active]
+    log_goal = np.log(goal)
+
+    def plain(x, rate):
+        hit = rate > 0
+        y = x + np.where(hit, log_goal - np.log(np.where(hit, rate, 1.0)), 0.0)
+        return np.clip(y - y.mean(), -_LOG_CLIP, _LOG_CLIP)
+
     w = np.ones(bins)
+    x = np.zeros(len(goal))  # log-weights of the active bins
+    xs, gs = [], []  # the last iterates and their plain steps
+    plain_x, best = None, np.inf  # the plain step a mixed step stands in for
     for it in range(1, _EXACT_MAX_ITER + 1):
-        rate = smap.rate(w)
-        resid = float(np.max(np.abs(rate - target)[active], initial=0.0))
+        w[active] = np.exp(x)
+        rate = smap.rate(w)[active]
+        resid = float(np.max(np.abs(rate - goal), initial=0.0))
         if resid <= _EXACT_TOL:
             break
-        w = np.where(active & (rate > 0), w * target / np.where(rate > 0, rate, 1.0), w)
-        w = np.clip(w / np.exp(np.mean(np.log(w[active]))), 1e-6, 1e6)
+        if plain_x is not None and resid >= best:
+            x, plain_x, xs, gs = plain_x, None, [], []
+            continue
+        best = resid
+        xs = (xs + [x])[-_ANDERSON_DEPTH - 1:]
+        gs = (gs + [plain(x, rate)])[-_ANDERSON_DEPTH - 1:]
+        x, plain_x = gs[-1], None
+        if len(xs) > 1:
+            g = np.array(gs)
+            f = g - np.array(xs)
+            gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+            mixed = g[-1] - gamma @ np.diff(g, axis=0)
+            x, plain_x = np.clip(mixed - mixed.mean(), -_LOG_CLIP, _LOG_CLIP), x
     else:
         raise CalibrationError(
             f"{stage} calibration stalled: after {_EXACT_MAX_ITER} iterations of the "
@@ -614,7 +682,7 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
                 run_lottery=lottery_stage, run_audit=not lottery_stage,
             )
             idx = _bin_index(types, bins).ravel()
-            tallied, _, _, sure = _stage_rule(stage, reg, merit, inst.m, inst.k)
+            tallied, _, _, sure, _ = _stage_rule(stage, reg, merit, inst.m, inst.k)
             for row, hit in zip(counts, (lottery if lottery_stage else audited, tallied, sure)):
                 row += _bin_counts(idx, hit & tallied, bins)
         return counts
@@ -666,18 +734,21 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
     return BinWeights(edges=edges, values=w, stats=stats)
 
 
-def _calibrate(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
-               *, stage: str, trials: int, seed: int, bins: int,
-               polish_trials: Optional[int]) -> BinWeights:
-    """Fit one stage's weights on the exact map where it covers the
-    instance, and by the Monte Carlo fixed point otherwise."""
+def _calibrate(inst: ProblemInstance, part: RegionPartition, targets: dict,
+               *, trials: int, seed: int, bins: int,
+               polish_trials: Optional[int]) -> dict:
+    """Fit each stage's weights to its target ``targets[stage]``: all on the
+    exact maps of one profile table where they cover the instance, each by
+    the Monte Carlo fixed point otherwise."""
     if trials < 1:
         raise ValueError("calibration needs at least one trial")
-    smap = _stage_map(inst, part, bins, stage)
-    if smap is not None:
-        return _fit_exact(smap, target, stage)
-    return _fit_weights(inst, part, target, stage=stage, trials=trials, seed=seed,
-                        bins=bins, polish_trials=polish_trials)
+    maps = _stage_maps(inst, part, bins, tuple(targets))
+    if maps is not None:
+        return {stage: _fit_exact(maps[stage], target, stage)
+                for stage, target in targets.items()}
+    return {stage: _fit_weights(inst, part, target, stage=stage, trials=trials, seed=seed,
+                                bins=bins, polish_trials=polish_trials)
+            for stage, target in targets.items()}
 
 
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
@@ -692,8 +763,8 @@ def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
     probability, so the uniform start is already a fixed point and the
     first round converges.
     """
-    return _calibrate(inst, part, np.full(bins, part.phi), stage="lottery",
-                      trials=trials, seed=seed, bins=bins, polish_trials=polish_trials)
+    return _calibrate(inst, part, {"lottery": np.full(bins, part.phi)}, trials=trials,
+                      seed=seed, bins=bins, polish_trials=polish_trials)["lottery"]
 
 
 def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
@@ -710,8 +781,8 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
     naming the bin.  The other keywords are as in ``calibrate_lottery``.
     """
     _, _, target = _cell_targets(inst, part, rules, bins)
-    return _calibrate(inst, part, target, stage="audit",
-                      trials=trials, seed=seed, bins=bins, polish_trials=polish_trials)
+    return _calibrate(inst, part, {"audit": target}, trials=trials, seed=seed,
+                      bins=bins, polish_trials=polish_trials)["audit"]
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +808,8 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
     part = partition(phi, inst)
     rules = merit_with_guarantee(phi, inst, part)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    p_target, a_target, m_target = bin_targets(inst, rules, edges)
+    p_target, m_target, audit_target = _cell_targets(inst, part, rules, bins)
+    a_target = p_target - part.phi
 
     if trials == 0:
         zeros = np.zeros(bins)
@@ -753,20 +825,17 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
         )
 
     cal_rows = calibration_trials or max(100_000, trials // 5)
-    polish = max(cal_rows, trials // 2)
-    stats = {"main_rows": trials}
+    targets = {}
     if lottery_weights is None:
-        lottery_weights = calibrate_lottery(
-            inst, part, trials=cal_rows, seed=seed, bins=bins,
-            polish_trials=polish,
-        )
-        stats["lottery"] = lottery_weights.stats
+        targets["lottery"] = np.full(bins, part.phi)
     if audit_weights is None:
-        audit_weights = calibrate_audit(
-            inst, part, rules, trials=cal_rows, seed=seed, bins=bins,
-            polish_trials=polish,
-        )
-        stats["audit"] = audit_weights.stats
+        targets["audit"] = audit_target
+    fitted = _calibrate(inst, part, targets, trials=cal_rows, seed=seed, bins=bins,
+                        polish_trials=max(cal_rows, trials // 2)) if targets else {}
+    lottery_weights = fitted.get("lottery", lottery_weights)
+    audit_weights = fitted.get("audit", audit_weights)
+    stats = {"main_rows": trials, "main_draw_rows": {"lottery": 0, "audit": 0}}
+    stats.update((stage, w.stats) for stage, w in fitted.items())
 
     draws, alloc_hits, audit_hits, merit_hits = np.zeros((4, bins))
     violations = 0
@@ -776,7 +845,8 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
         rng = _philox(seed, 2, chunk_id)
         types = _sample_types(inst, min(_CHUNK, trials - done), rng)
         reg, merit, lottery, allocated, audited, tie = _mechanism_batch(
-            types, part, inst, lottery_weights, audit_weights, rng
+            types, part, inst, lottery_weights, audit_weights, rng,
+            draw_rows=stats["main_draw_rows"],
         )
         idx = _bin_index(types, bins).ravel()
         draws += np.bincount(idx, minlength=bins)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import verialloc
 from verialloc.distributions import (
+    cell_grid,
     expected_value,
     from_config,
     integrate,
@@ -164,6 +165,25 @@ def test_integrand_taking_floats_only():
     d = make_power(4.0)
     one_by_one = integrate(lambda t: float(t) ** 2, d, 0.0, 1.0)
     assert one_by_one == integrate(lambda t: t ** 2, d, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3, 4.0, 400.0])
+def test_cell_grid_integrate_matches_per_cell_integrate(alpha):
+    # one quadrature over all the cells gives each cell the bits of its own
+    # integrate call; power(400) at 64 bins has empty (subnormal) cells
+    inst = verialloc.ProblemInstance(3, 2, 1, make_uniform() if alpha == 1.0
+                                     else make_power(alpha))
+    phi = verialloc.solve(inst).phi_star
+    part = verialloc.partition(phi, inst)
+    rules = verialloc.merit_with_guarantee(phi, inst, part)
+    grid = cell_grid(inst.dist, 64, [iv.lo for iv in part.intervals])
+    for f in (rules.P, lambda t: float(t) ** 2):
+        per_cell = [integrate(f, inst.dist, lo, hi) if w > 0 else 0.0
+                    for lo, hi, w in zip(grid.lo.tolist(), grid.hi.tolist(),
+                                         grid.mass.tolist())]
+        assert grid.integrate(f).tolist() == per_cell
+    if alpha == 400.0:
+        assert (grid.mass == 0).sum() >= 2
 
 
 def test_import_needs_neither_scipy_optimize_nor_integrate():

@@ -273,7 +273,7 @@ class TestKernelMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(),
            raw=_tied_rows(st.floats(-50.0, 50.0) | st.just(-np.inf)))
-    def test_gumbel_pick_selection(self, data, raw):
+    def test_top_quota_selection(self, data, raw):
         rows, n = raw.shape
         mask = np.array(data.draw(st.lists(
             st.lists(st.booleans(), min_size=n, max_size=n),
@@ -284,6 +284,15 @@ class TestKernelMatchesReference:
         picked = mask & _top_quota(keys, quota)
         assert np.array_equal(picked, _reference_pick(mask, keys, quota))
         assert (picked.sum(axis=1) <= np.maximum(quota, 0)).all()
+
+    @pytest.mark.parametrize("n", [3, 255, 256, 600])
+    def test_row_count(self, n):
+        # rows narrower than 256 are counted in bytes, wider ones in int64
+        mask = np.random.default_rng(n).random((50, n)) < 0.9
+        mask[0] = True
+        counts = simulation._row_count(mask)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == mask.sum(axis=1).tolist() and counts[0] == n
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),
@@ -439,17 +448,17 @@ class TestCellTargets:
         if alpha == 400.0:
             assert 2 <= np.isnan(p_t).sum() < bins
 
-    def test_one_integral_per_cell_in_each_target_pass(self, ex_inst, ex_solved,
-                                                       monkeypatch):
-        # bin_targets and calibrate_audit each integrate P once per cell
+    def test_one_quadrature_pass_per_simulate(self, ex_inst, ex_solved, monkeypatch):
+        # the targets of the report and of the audit calibration come from
+        # one cell integral of P, in one quadrature over all the cells
         calls = []
-        real = distributions.integrate
-        monkeypatch.setattr(distributions, "integrate",
+        real = distributions.quantile_rule
+        monkeypatch.setattr(distributions, "quantile_rule",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         simulate(ex_inst, ex_solved.phi_star, 1_000, seed=1)
         cells = len(simulation._cells(ex_inst, ex_solved.partition, 64)[0].mass)
         assert cells == 64 + 2  # cut at gamma1 and gamma3
-        assert len(calls) == 2 * cells
+        assert len(calls) == 1
 
     def test_subnormal_cell_is_empty(self):
         # under power(400) bin 9 has mass 3.5e-323, too few significant bits
@@ -500,6 +509,46 @@ def _tally(inst, part, weights, stage, rows, seed):
     return hits, draws
 
 
+# lottery pools of up to 5 (n = 5) and 8 (n = 8) agents with quotas up to 3
+# and 4, audit pools of 3 and 4 merit winners with quota 2
+_MAP_CASES = [
+    (3, 2, 1, "star", 64, "lottery"), (3, 2, 1, "star", 64, "audit"),
+    (3, 2, 1, 2 / 3, 16, "lottery"), (3, 2, 1, 0.6, 16, "audit"),
+    (3, 2, 1, "interleaved", 16, "lottery"), (3, 2, 1, "interleaved", 16, "audit"),
+    (5, 3, 1, "star", 8, "lottery"), (5, 3, 1, "star", 8, "audit"),
+    (8, 4, 2, "star", 8, "lottery"), (8, 4, 2, "star", 8, "audit"),
+]
+
+
+def _map_instance(dist, n, m, k, phi):
+    """The instance and partition of a ``_MAP_CASES`` entry."""
+    inst = ProblemInstance(n, m, k, dist)
+    if phi == "interleaved":
+        # regions out of order (supply below and above the audit region): a
+        # losing low supply-region type leaves the lottery pool no larger
+        # than its quota, so some draws are certain
+        return inst, RegionPartition(0.3, "IcAlloAudAllo", 0.2, 0.4, 0.6, (
+            RegionInterval(0.0, 0.2, LABEL_IC), RegionInterval(0.2, 0.4, LABEL_ALLO),
+            RegionInterval(0.4, 0.6, LABEL_AUD), RegionInterval(0.6, 1.0, LABEL_ALLO)))
+    return inst, partition(solve(inst).phi_star if phi == "star" else phi, inst)
+
+
+def _plain_fit(smap, target):
+    """The plain multiplicative fixed point that the exact fit accelerates:
+    w <- w * target / rate per bin, normalised to unit geometric mean over
+    the active bins and clipped to [1e-6, 1e6].  Weights and the number of
+    evaluations of the map, or None when it stalls."""
+    active = (smap.draws > 0) & np.isfinite(target)
+    w = np.ones(len(target))
+    for it in range(1, simulation._EXACT_MAX_ITER + 1):
+        rate = smap.rate(w)
+        if np.max(np.abs(rate - target)[active], initial=0.0) <= simulation._EXACT_TOL:
+            return w, it
+        w = np.where(active & (rate > 0), w * target / np.where(rate > 0, rate, 1.0), w)
+        w = np.clip(w / np.exp(np.mean(np.log(w[active]))), 1e-6, 1e6)
+    return None
+
+
 class TestExactMap:
     """The exact interim map against brute force and a Monte Carlo tally."""
 
@@ -524,29 +573,12 @@ class TestExactMap:
         per_bin = np.bincount(cell_bin.ravel(), weights=np.repeat(prob, 3), minlength=64)
         np.testing.assert_allclose(per_bin, 3 / 64, rtol=1e-12)
 
-    @pytest.mark.parametrize("n, m, k, phi, bins, stage", [
-        (3, 2, 1, "star", 64, "lottery"), (3, 2, 1, "star", 64, "audit"),
-        (3, 2, 1, 2 / 3, 16, "lottery"), (3, 2, 1, 0.6, 16, "audit"),
-        (3, 2, 1, "interleaved", 16, "lottery"), (3, 2, 1, "interleaved", 16, "audit"),
-        # lottery pools of up to 5 (n = 5) and 8 (n = 8) agents with quotas
-        # up to 3 and 4, audit pools of 3 and 4 merit winners with quota 2
-        (5, 3, 1, "star", 8, "lottery"), (5, 3, 1, "star", 8, "audit"),
-        (8, 4, 2, "star", 8, "lottery"), (8, 4, 2, "star", 8, "audit"),
-    ])
+    @pytest.mark.parametrize("n, m, k, phi, bins, stage", _MAP_CASES)
     def test_map_matches_monte_carlo_tally(self, uniform, n, m, k, phi, bins, stage):
-        inst = ProblemInstance(n, m, k, uniform)
-        if phi == "interleaved":
-            # regions out of order (supply below and above the audit
-            # region): a losing low supply-region type leaves the lottery
-            # pool no larger than its quota, so some draws are certain
-            part = RegionPartition(0.3, "IcAlloAudAllo", 0.2, 0.4, 0.6, (
-                RegionInterval(0.0, 0.2, LABEL_IC), RegionInterval(0.2, 0.4, LABEL_ALLO),
-                RegionInterval(0.4, 0.6, LABEL_AUD), RegionInterval(0.6, 1.0, LABEL_ALLO)))
-        else:
-            part = partition(solve(inst).phi_star if phi == "star" else phi, inst)
+        inst, part = _map_instance(uniform, n, m, k, phi)
         w = np.exp(np.random.default_rng(bins).normal(0.0, 0.7, bins))
         weights = BinWeights(np.linspace(0.0, 1.0, bins + 1), w)
-        smap = simulation._stage_map(inst, part, bins, stage)
+        smap = simulation._stage_maps(inst, part, bins, (stage,))[stage]
         exact = smap.rate(w)
         hits, draws = _tally(inst, part, weights, stage, 1_000_000, seed=bins)
         active = smap.draws > 0
@@ -558,10 +590,43 @@ class TestExactMap:
         expected = 1_000_000 * smap.draws[active]
         assert np.max(np.abs(draws - expected) / np.sqrt(expected)) <= 4.5
 
+    @pytest.mark.parametrize("n, m, k, phi, bins, stage", _MAP_CASES)
+    def test_fit_matches_plain_fixed_point(self, uniform, n, m, k, phi, bins, stage):
+        inst, part = _map_instance(uniform, n, m, k, phi)
+        rules = merit_with_guarantee(part.phi, inst, part)
+        target = (np.full(bins, part.phi) if stage == "lottery"
+                  else simulation._cell_targets(inst, part, rules, bins)[2])
+        smap = simulation._stage_maps(inst, part, bins, (stage,))[stage]
+        reference = _plain_fit(smap, target)
+        if reference is None:
+            # the unreachable targets of 0.6 and the interleaved partition
+            with pytest.raises(CalibrationError):
+                simulation._fit_exact(smap, target, stage)
+            return
+        fitted = simulation._fit_exact(smap, target, stage)
+        active = (smap.draws > 0) & np.isfinite(target)
+        assert np.max(np.abs(smap.rate(fitted.values) - target)[active],
+                      initial=0.0) <= simulation._EXACT_TOL
+        # bins with no target enter no draw: their weights are free
+        np.testing.assert_allclose(fitted.values[active], reference[0][active], rtol=1e-6)
+        assert fitted.stats["iterations"] <= reference[1]
+
+    def test_fit_iterations_at_the_paper_instance(self, ex_inst, ex_solved):
+        part = ex_solved.partition
+        rules = merit_with_guarantee(part.phi, ex_inst, part)
+        maps = simulation._stage_maps(ex_inst, part, 64, ("lottery", "audit"))
+        targets = {"lottery": np.full(64, part.phi),
+                   "audit": simulation._cell_targets(ex_inst, part, rules, 64)[2]}
+        for stage, target in targets.items():
+            # the plain fixed point takes 59 (lottery) and 69 (audit)
+            assert simulation._fit_exact(maps[stage], target, stage).stats["iterations"] <= 25
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unreachable_lottery_target_stalls(self, ex_inst, ex_part):
         # the lottery hands out E[m - merit winners] objects whatever the
-        # weights, fewer than phi = 0.9 for every eligible type needs
-        smap = simulation._stage_map(ex_inst, ex_part, 16, "lottery")
+        # weights, fewer than phi = 0.9 for every eligible type needs; the
+        # fit must stall on finite weights, without an overflow on the way
+        smap = simulation._stage_maps(ex_inst, ex_part, 16, ("lottery",))["lottery"]
         with pytest.raises(CalibrationError, match="lottery calibration stalled"):
             simulation._fit_exact(smap, np.full(16, 0.9), "lottery")
 
@@ -638,8 +703,23 @@ class TestSimulate:
         again = simulate(ex_inst, ex_solved.phi_star, 30_000, seed=5, bins=16,
                          lottery_weights=BinWeights.uniform(16),
                          audit_weights=BinWeights.uniform(16))
-        assert again.stats == {"main_rows": 30_000}
+        assert again.stats.keys() == {"main_rows", "main_draw_rows"}
         assert sum(rows) == 30_000
+
+    def test_main_draw_rows_repeat_and_stay_out_of_the_record(self, ex_inst, ex_solved):
+        runs = [simulate(ex_inst, ex_solved.phi_star, 40_000, seed=21, bins=16)
+                for _ in range(2)]
+        drawn = runs[0].stats["main_draw_rows"]
+        assert drawn == runs[1].stats["main_draw_rows"]
+        # about 43% of the rows draw in the lottery and 57% in the audit
+        assert drawn.keys() == {"lottery", "audit"}
+        assert 0 < drawn["lottery"] < drawn["audit"] < 40_000
+        record = runs[0].to_record()
+        assert record.keys() == {
+            "trials", "seed", "phi", "bins", "capacity_violations", "payoff_total",
+            "max_dev_p", "max_dev_a", "bins_within_3se_p", "bins_within_3se_a"}
+        assert json.dumps(record, sort_keys=True) == json.dumps(runs[1].to_record(),
+                                                                sort_keys=True)
 
     def test_csv_export(self, tmp_path, ex_inst):
         report = simulate(ex_inst, PHI, 5_000, seed=3, bins=8,
