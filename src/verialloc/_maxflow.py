@@ -35,10 +35,6 @@ class MaxFlow:
         self.cap.append(0)
         return arc
 
-    def flow_on(self, arc: int) -> int:
-        """Flow pushed through a forward arc (its reverse residual)."""
-        return self.cap[arc ^ 1]
-
     def _bfs_levels(self, s: int, t: int) -> bool:
         self.level = array("q", [-1] * self.n)
         self.level[s] = 0

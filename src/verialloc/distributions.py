@@ -174,6 +174,8 @@ class CellGrid:
 def cell_grid(dist: TypeDistribution, bins: int, breakpoints=()) -> CellGrid:
     """The cell grid of ``bins`` equal bins cut at the breakpoints inside
     (0, 1); masses are differences of the cdf at the cuts."""
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     edges = np.linspace(0.0, 1.0, bins + 1)
     cuts = np.unique(np.concatenate([edges, [x for x in breakpoints if 0.0 < x < 1.0]]))
     cdf = np.array([float(dist.cdf(x)) for x in cuts.tolist()])

@@ -11,8 +11,12 @@ to agents with types above t:
 c_allo comes from the object supply, c_aud from the audit capacity plus a
 guarantee phi for low types, and c_ic from incentive compatibility.  The
 pointwise minimum of the three is the binding upper bound; this module
-evaluates the functions, their closed-form derivatives, and partitions the
-type space into the regions where each constraint binds.
+evaluates the functions and their closed-form derivatives.
+
+Which bound binds is given by three quantile cutoffs g1 <= g2 <= g3: c_ic
+on [0, g1), c_aud on [g2, g3) and c_allo on the rest.  They follow from
+where the bounds cross each other, for a whole array of guarantees at once;
+a ``RegionPartition`` is built only from the cutoffs of one guarantee.
 """
 
 from __future__ import annotations
@@ -35,15 +39,6 @@ CASE_AUD_ALLO = "AudAllo"
 CASE_IC_ALLO_AUD_ALLO = "IcAlloAudAllo"
 CASE_IC_AUD_ALLO = "IcAudAllo"
 CASE_IC_ALLO = "IcAllo"
-
-_CASE_BY_SEQUENCE = {
-    (LABEL_AUD, LABEL_ALLO): CASE_AUD_ALLO,
-    (LABEL_AUD,): CASE_AUD_ALLO,
-    (LABEL_IC, LABEL_ALLO, LABEL_AUD, LABEL_ALLO): CASE_IC_ALLO_AUD_ALLO,
-    (LABEL_IC, LABEL_AUD, LABEL_ALLO): CASE_IC_AUD_ALLO,
-    (LABEL_IC, LABEL_ALLO): CASE_IC_ALLO,
-    (LABEL_IC,): CASE_IC_ALLO,
-}
 
 
 @dataclass(frozen=True)
@@ -173,10 +168,19 @@ def _check_q(q) -> np.ndarray:
     return arr
 
 
+def _check_phis(phis, inst: ProblemInstance) -> np.ndarray:
+    """The guarantees as a float array, each checked to lie in [0, m/n] up to
+    1e-12 and clipped onto it."""
+    given = np.atleast_1d(phis)
+    phi = given.astype(float)
+    bad = ~((phi >= -1e-12) & (phi <= inst.phi_max + 1e-12))
+    if bad.any():
+        raise ValueError(f"phi={given[bad][0].item()} outside [0, m/n] = [0, {inst.phi_max}]")
+    return np.clip(phi, 0.0, inst.phi_max)
+
+
 def _check_phi(phi: float, inst: ProblemInstance) -> float:
-    if not (-1e-12 <= phi <= inst.phi_max + 1e-12):
-        raise ValueError(f"phi={phi} outside [0, m/n] = [0, {inst.phi_max}]")
-    return min(max(float(phi), 0.0), inst.phi_max)
+    return float(_check_phis([phi], inst)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +333,12 @@ def _curves(n: int, m: int, k: int):
             float(peak[0]), float(_curve_band(peak[0], n, m, k)))
 
 
-def _crossings(phi: np.ndarray, inst: ProblemInstance):
-    """z1, z2, r1 and r2 at each (checked) guarantee, NaN where r1, r2 do
-    not exist, and the polish iterations.  Each crossing inside its curve's
-    range is bracketed by ``searchsorted`` on a running maximum of the table
-    (valid even where rounding made the table dip); all polish together."""
+def _crossings(phi: np.ndarray, inst: ProblemInstance, stats=None) -> np.ndarray:
+    """Rows z1, z2, r1 and r2 at each (checked) guarantee, NaN where r1, r2
+    do not exist.  Each crossing inside its curve's range is bracketed by
+    ``searchsorted`` on a running maximum of the table (valid even where
+    rounding made the table dip); all polish together.  ``stats``, a
+    Counter if given, gains the polish iterations."""
     n, m, k = inst.n, inst.m, inst.k
     z1_tab, z2_tab, band_tab, q_peak, band_peak = _curves(n, m, k)
     q = _TABLE_Q
@@ -372,77 +377,74 @@ def _crossings(phi: np.ndarray, inst: ProblemInstance):
 
     roots, iterations = _bracketed_roots(g, lo, hi, g_lo, g_hi)
     out[which, at] = roots
-    return (*out, iterations)
+    if stats is not None:
+        stats["polish_iterations"] += iterations
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the region partition
 # ---------------------------------------------------------------------------
 
-def _assemble(phi: float, crossings: dict, inst: ProblemInstance) -> RegionPartition:
-    """The partition at phi from its quantile-space crossings."""
-    cuts = sorted({0.0, 1.0, *(v for v in crossings.values() if 0.0 < v < 1.0)})
-    at = {"r1": np.nan, "r2": np.nan, **crossings}
-    runs: list[list] = []  # [label, q_lo, q_hi]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        # the binding bound from the order of the crossings: ic sits under
-        # aud before z2 and under allo before z1, aud under allo on (r1, r2)
-        mid = 0.5 * (lo + hi)
-        if mid < at["z2"]:
-            label = LABEL_IC if mid < at["z1"] else LABEL_ALLO
-        else:
-            label = LABEL_AUD if at["r1"] < mid < at["r2"] else LABEL_ALLO
-        if runs and runs[-1][0] == label:
-            runs[-1][2] = hi
-        else:
-            runs.append([label, lo, hi])
+def _cutoff_rule(z1, z2, r1, r2):
+    """The quantile cutoffs (g1, g2, g3) of the partition with crossings z1,
+    z2, r1 and r2, elementwise.
 
-    sequence = tuple(r[0] for r in runs)
-    case_tag = _CASE_BY_SEQUENCE.get(sequence)
-    if case_tag is None:
-        raise RuntimeError(
-            f"unexpected envelope structure {sequence} at phi={phi} "
-            f"(n={inst.n}, m={inst.m}, k={inst.k}); crossings={crossings}"
-        )
+    ic sits under allo before z1 and under aud before z2, so the incentive
+    region ends at min(z1, z2).  aud sits under allo on (r1, r2) and under
+    ic past z2, so the audit region is [max(r1, z2), r2) when that is not
+    empty (never where r1 and r2 are NaN); without one, g2 = g3 = 1.
+    """
+    a = np.maximum(r1, z2)
+    audit = a < r2
+    return np.minimum(z1, z2), np.where(audit, a, 1.0), np.where(audit, r2, 1.0)
 
+
+def _cutoffs(phis, inst: ProblemInstance, stats=None):
+    """The checked guarantees, their ``_crossings`` and their quantile
+    cutoffs (rows g1, g2, g3)."""
+    phi = _check_phis(phis, inst)
+    crossings = _crossings(phi, inst, stats)
+    return phi, crossings, np.array(_cutoff_rule(*crossings))
+
+
+def _assemble(phi: float, crossings, inst: ProblemInstance) -> RegionPartition:
+    """The partition at phi from its crossings (z1, z2, r1, r2).
+
+    Its intervals are those of the pieces ic [0, g1), allo [g1, g2), aud
+    [g2, g3) and allo [g3, 1] that are not empty in quantile space, and its
+    case names them; its gammas and interval ends are the quantile images
+    of the cutoffs.
+    """
+    g1, g2, g3 = (float(g) for g in _cutoff_rule(*crossings))
+    pieces = ((LABEL_IC, 0.0, g1), (LABEL_ALLO, g1, g2), (LABEL_AUD, g2, g3),
+              (LABEL_ALLO, g3, 1.0))
     quantile = inst.dist.quantile
-    intervals = tuple(
-        RegionInterval(float(quantile(lo)), float(quantile(hi)), label)
-        for label, lo, hi in runs
-    )
-
-    first: dict[str, RegionInterval] = {}
-    for iv in intervals:
-        first.setdefault(iv.label, iv)
-    gamma1 = first[LABEL_IC].hi if LABEL_IC in first else 0.0
-    if LABEL_AUD in first:
-        gamma2, gamma3 = first[LABEL_AUD].lo, first[LABEL_AUD].hi
+    intervals = tuple(RegionInterval(float(quantile(lo)), float(quantile(hi)), label)
+                      for label, lo, hi in pieces if lo < hi)
+    if g2 == g3:
+        case_tag = CASE_IC_ALLO
+    elif g1 == 0.0:
+        case_tag = CASE_AUD_ALLO
     else:
-        gamma2 = gamma3 = 1.0 if case_tag == CASE_IC_ALLO else gamma1
-    if case_tag == CASE_AUD_ALLO:
-        gamma1 = gamma2 = 0.0
+        case_tag = CASE_IC_ALLO_AUD_ALLO if g1 < g2 else CASE_IC_AUD_ALLO
+    gamma1, gamma2, gamma3 = (float(quantile(g)) for g in (g1, g2, g3))
     if not (-1e-9 <= gamma1 <= gamma2 + 1e-9 <= gamma3 + 2e-9 <= 1.0 + 3e-9):
         raise RuntimeError(f"cutoff ordering violated: {gamma1}, {gamma2}, {gamma3} at phi={phi}")
-    return RegionPartition(phi, case_tag, float(gamma1), float(gamma2), float(gamma3),
-                           intervals, crossings)
+    return RegionPartition(phi, case_tag, gamma1, gamma2, gamma3, intervals,
+                           {key: x for key, x in zip(("z1", "z2", "r1", "r2"), crossings)
+                            if not np.isnan(x)})
 
 
-def partitions(phis, inst: ProblemInstance, stats=None) -> list[RegionPartition]:
+def partitions(phis, inst: ProblemInstance) -> list[RegionPartition]:
     """The partition of the type space at each guarantee in phis.
 
     The crossings of every phi are level sets of three phi-free curves,
-    tabulated once per (n, m, k), and are polished together to rounding.
-    Region labels are read off the order of the crossings; quantile cutoffs
-    map to types through the quantile function.  ``stats``, a Counter if
-    given, gains the polish iterations.
+    tabulated once per (n, m, k), and are polished together to rounding;
+    the cutoffs follow from them by ``_cutoff_rule``.
     """
-    phi = np.array([_check_phi(p, inst) for p in np.atleast_1d(phis).tolist()])
-    z1, z2, r1, r2, iterations = _crossings(phi, inst)
-    if stats is not None:
-        stats["polish_iterations"] += iterations
-    keys = ("z1", "z2", "r1", "r2")
-    return [_assemble(p, {key: x for key, x in zip(keys, row) if not np.isnan(x)}, inst)
-            for p, *row in zip(phi.tolist(), z1.tolist(), z2.tolist(), r1.tolist(), r2.tolist())]
+    phi, crossings, _ = _cutoffs(phis, inst)
+    return [_assemble(p, row, inst) for p, row in zip(phi.tolist(), crossings.T.tolist())]
 
 
 def partition(phi: float, inst: ProblemInstance) -> RegionPartition:

@@ -251,15 +251,6 @@ class ExPostRule:
     inst: DiscreteInstance
     alloc: np.ndarray  # shape (n_profiles, n_agents), row order = inst.profiles()
 
-    def profile_index(self, prof: tuple[int, ...]) -> int:
-        idx = 0
-        for j, s in zip(prof, self.inst.sizes):
-            idx = idx * s + j
-        return idx
-
-    def prob(self, prof: tuple[int, ...], agent: int) -> float:
-        return float(self.alloc[self.profile_index(prof), agent])
-
     def marginals(self) -> list[np.ndarray]:
         """Interim rule induced by the ex-post rule, one array per agent.
 
@@ -851,8 +842,7 @@ def _audit_instance(inst: DiscreteInstance, p_merit: np.ndarray,
     )
 
 
-def discretize_rules(cont_inst, rules, bins: int, *,
-                     offsets: bool = False) -> tuple[DiscreteInstance, list[float]]:
+def discretize_rules(cont_inst, rules, bins: int) -> tuple[DiscreteInstance, list[float]]:
     """Project a continuum instance and interim rule onto a finite grid.
 
     Types are binned into ``bins`` equal-width cells; each cell carries its
@@ -862,10 +852,6 @@ def discretize_rules(cont_inst, rules, bins: int, *,
     midpoint sampling overstates demand wherever P is concave and falsely
     breaks feasibility at binding thresholds.  Empty bins (see
     ``cell_grid``) carry no type and are left out of the grid.
-
-    With ``offsets`` each agent's midpoints are nudged by a distinct tiny
-    amount so no two agents can ever report equal values; rank-based
-    allocation rules on the grid then never see ties.
     """
     breakpoints = (
         [iv.lo for iv in rules.partition.intervals]
@@ -879,10 +865,9 @@ def discretize_rules(cont_inst, rules, bins: int, *,
     masses = grid.bin_mass[keep].tolist()
     total = sum(masses)
     masses = tuple(w / total for w in masses)
-    width = edges[1] - edges[0] if offsets else 0.0
     n = cont_inst.n
     disc = DiscreteInstance(
-        grids=tuple(tuple(float(t + (i + 1) * width * 1e-4) for t in mids) for i in range(n)),
+        grids=(tuple(mids.tolist()),) * n,
         masses=(masses,) * n,
         capacity_default=cont_inst.m,
     )

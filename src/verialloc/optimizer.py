@@ -20,18 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import envelope
 from .distributions import expected_value, integrate, quantile_rule
 from .envelope import (
     _TABLE_Q,
     CASE_AUD_ALLO,
-    LABEL_ALLO,
-    LABEL_AUD,
     ProblemInstance,
     RegionPartition,
     _binom_cdf,
     _bracketed_roots,
+    _cutoffs,
     partition,
-    partitions,
 )
 from .interim import efficient_rule, top_k_rule
 
@@ -95,43 +94,45 @@ def _antiderivatives(inst: ProblemInstance, points, branches: bool, stats):
                   for r in rows]
 
 
-def _payoffs(parts, inst: ProblemInstance, stats=None) -> np.ndarray:
-    """payoff of each partition, from one quadrature over all their cuts."""
-    ivs = [(j, part.phi, iv) for j, part in enumerate(parts) for iv in part.intervals]
-    owner, phi = np.array([j for j, _, _ in ivs]), np.array([p for _, p, _ in ivs])
-    label = np.array([iv.label for _, _, iv in ivs])
-    ends = inst.dist.cdf(np.array([(iv.lo, iv.hi) for _, _, iv in ivs]))
-    cuts, (mean, allo, aud) = _antiderivatives(inst, ends.ravel(), True, stats)
-    i_lo, i_hi = np.searchsorted(cuts, ends).T
-    mean, allo, aud = (c[i_hi] - c[i_lo] for c in (mean, allo, aud))
-    piece = np.where(label == LABEL_ALLO, allo,
-                     phi * mean + np.where(label == LABEL_AUD, aud, 0.0))
-    return inst.n * np.bincount(owner, piece, len(parts))
+def _payoffs(phi, g, inst: ProblemInstance, stats=None) -> np.ndarray:
+    """payoff at each guarantee phi with quantile cutoffs g (rows g1, g2,
+    g3), from one quadrature over all the cutoffs:
+    n [phi M(0,g1) + Allo(g1,g2) + (phi M(g2,g3) + Aud(g2,g3)) + Allo(g3,1)],
+    M the integral of t dF and Allo, Aud those of P_allo t dF and
+    (P_aud - phi) t dF."""
+    cuts, antiderivatives = _antiderivatives(inst, g.ravel(), True, stats)
+    ends = np.searchsorted(cuts, np.vstack([np.zeros_like(phi), g, np.ones_like(phi)]))
+    mean, allo, aud = (np.diff(c[ends], axis=0) for c in antiderivatives)
+    return inst.n * (phi * mean[0] + allo[1] + (phi * mean[2] + aud[2]) + allo[3])
+
+
+def _part_cutoffs(part: RegionPartition, inst: ProblemInstance) -> np.ndarray:
+    """The quantile cutoffs of a partition, as a column."""
+    return inst.dist.cdf(np.array([[part.gamma1], [part.gamma2], [part.gamma3]]))
 
 
 def payoff(phi: float, inst: ProblemInstance,
            part: RegionPartition | None = None) -> float:
     """Total expected payoff n * E[P(t) t] of the guarantee-phi rule.
 
-    Integrated piecewise over the partition intervals with the analytic
+    Integrated piecewise between the partition cutoffs with the analytic
     branch form of P on each region.
     """
     if part is None:
         part = partition(phi, inst)
-    return float(_payoffs([part], inst)[0])
+    return float(_payoffs(np.array([part.phi]), _part_cutoffs(part, inst), inst)[0])
 
 
-def _foc_residuals(parts, inst: ProblemInstance, stats=None) -> np.ndarray:
-    """foc_residual of each partition, NaN where the incentive region is
-    empty, from one quadrature over all their cutoffs."""
-    g = np.array([(p.gamma1, p.gamma2, p.gamma3) for p in parts]).reshape(-1, 3)
-    F = inst.dist.cdf(g)
-    cuts, (mean,) = _antiderivatives(inst, F.ravel(), False, stats)
-    at = mean[np.searchsorted(cuts, F)]
-    lhs = g[:, 0] * F[:, 0] + g[:, 1] * (1.0 - F[:, 1])
-    rhs = g[:, 2] * (1.0 - F[:, 2]) + at[:, 0] + at[:, 2] - at[:, 1]
-    empty = np.array([p.case_tag == CASE_AUD_ALLO for p in parts], dtype=bool)
-    return np.where(empty, np.nan, lhs - rhs)
+def _foc_residuals(g, inst: ProblemInstance, stats=None) -> np.ndarray:
+    """foc_residual at each column of quantile cutoffs g (rows g1, g2, g3),
+    NaN where the incentive region is empty (g1 = 0), from one quadrature
+    over all the cutoffs."""
+    t = inst.dist.quantile(g)
+    cuts, (mean,) = _antiderivatives(inst, g.ravel(), False, stats)
+    at = mean[np.searchsorted(cuts, g)]
+    lhs = t[0] * g[0] + t[1] * (1.0 - g[1])
+    rhs = t[2] * (1.0 - g[2]) + at[0] + at[2] - at[1]
+    return np.where(g[0] == 0.0, np.nan, lhs - rhs)
 
 
 def foc_residual(phi: float, inst: ProblemInstance,
@@ -149,7 +150,7 @@ def foc_residual(phi: float, inst: ProblemInstance,
             f"first-order condition undefined for phi={phi} <= (m-k)/n: "
             "the incentive region is empty"
         )
-    return float(_foc_residuals([part], inst)[0])
+    return float(_foc_residuals(_part_cutoffs(part, inst), inst)[0])
 
 
 def baseline_payoffs(inst: ProblemInstance) -> dict:
@@ -172,58 +173,60 @@ def baseline_payoffs(inst: ProblemInstance) -> dict:
 def solve(inst: ProblemInstance, *, grid: int = 200) -> SolveReport:
     """Find the optimal guarantee phi* and its payoff.
 
-    Partitions a grid over [(m-k)/n, m/n] in one batch, finds the sign
-    changes of the first-order condition on it and polishes every bracketed
-    root together to rounding, then evaluates the payoff at every root and
-    both endpoints and returns the argmax.  No grid point, nor any point
-    of a zoom onto the best one, may beat the winner by more than 1e-7 in
-    payoff, otherwise a root was missed and solve raises.
+    Finds the cutoffs of a grid of ``grid`` >= 2 guarantees over
+    [(m-k)/n, m/n] in one batch, finds the sign changes of the first-order
+    condition on it and polishes every bracketed root together to rounding,
+    then evaluates the payoff at every root and both endpoints and returns
+    the argmax with its partition.  No grid point, nor any point of a zoom
+    onto the best one, may beat the winner by more than 1e-7 in payoff,
+    otherwise a root was missed and solve raises.
     """
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
     lo, hi = inst.phi_floor, inst.phi_max
     stats = Counter(curve_points=len(_TABLE_Q), foc_grid=grid)
-    phis = np.linspace(lo, hi, grid)
-    parts = partitions(phis, inst, stats)
-    residuals = _foc_residuals(parts, inst, stats)
+    phis, _, g = _cutoffs(np.linspace(lo, hi, grid), inst, stats)
+    residuals = _foc_residuals(g, inst, stats)
     # the condition is undefined exactly at the floor (empty incentive
     # region); probe just above so a root in the first cell is not missed
     if np.isnan(residuals[0]):
-        probe = partitions([lo + 1e-7 * (hi - lo)], inst, stats)
-        probe_res = _foc_residuals(probe, inst, stats)[0]
+        probe_phi, _, probe_g = _cutoffs([lo + 1e-7 * (hi - lo)], inst, stats)
+        probe_res = _foc_residuals(probe_g, inst, stats)[0]
         if not np.isnan(probe_res):
-            phis[0], parts[0], residuals[0] = probe[0].phi, probe[0], probe_res
+            phis[0], g[:, 0], residuals[0] = probe_phi[0], probe_g[:, 0], probe_res
 
     r0, r1 = residuals[:-1], residuals[1:]
     cells = np.flatnonzero(r0 * r1 < 0.0)
     polished, its = _bracketed_roots(
-        lambda phi, rows: _foc_residuals(partitions(phi, inst, stats), inst, stats),
+        lambda phi, rows: _foc_residuals(_cutoffs(phi, inst, stats)[2], inst, stats),
         phis[cells], phis[cells + 1], r0[cells], r1[cells])
     stats["polish_iterations"] += its
     roots = sorted([*phis[:-1][r0 == 0.0], *polished, *phis[-1:][residuals[-1:] == 0.0]])
 
-    cand_phis = [lo, hi, *roots]
-    cand_parts = partitions(cand_phis, inst, stats)
-    values = _payoffs(cand_parts + parts, inst, stats)
-    pairs = sorted(((Candidate(p.phi, float(u), "endpoint" if j < 2 else "foc-root"), p)
-                    for j, (p, u) in enumerate(zip(cand_parts, values))),
-                   key=lambda pair: pair[0].phi)
-    candidates = [c for c, _ in pairs]
-    best, best_part = max(pairs, key=lambda pair: (pair[0].payoff, -pair[0].phi))
+    cand_phi, cand_crossings, cand_g = _cutoffs([lo, hi, *roots], inst, stats)
+    values = _payoffs(np.append(cand_phi, phis), np.hstack([cand_g, g]), inst, stats).tolist()
+    candidates = sorted((Candidate(p, u, "endpoint" if j < 2 else "foc-root")
+                         for j, (p, u) in enumerate(zip(cand_phi.tolist(), values))),
+                        key=lambda c: c.phi)
+    best = max(range(len(cand_phi)), key=lambda j: (values[j], -cand_phi[j]))
+    phi_star, u_star = float(cand_phi[best]), values[best]
 
     # the cross-check: the grid's best guarantee, zoomed 8-fold per round
     # onto its neighbours down to ZOOM_TOL, sees peaks narrower than a cell
-    zs, us = phis, values[len(cand_parts):]
+    zs, us = phis, values[len(cand_phi):]
     while True:
         j = int(np.argmax(us))
         a, b = zs[max(j - 1, 0)], zs[min(j + 1, len(zs) - 1)]
         if b - a <= ZOOM_TOL:
             break
-        zs = np.linspace(a, b, 17)
-        us = _payoffs(partitions(zs, inst, stats), inst, stats)
-    if us[j] > best.payoff + CROSS_CHECK_TOL:
+        zs, _, zg = _cutoffs(np.linspace(a, b, 17), inst, stats)
+        us = _payoffs(zs, zg, inst, stats)
+    if us[j] > u_star + CROSS_CHECK_TOL:
         raise RuntimeError(f"payoff U({zs[j]})={us[j]} on the guarantee grid exceeds the best "
-                           f"enumerated candidate U({best.phi})={best.payoff}; a first-order "
+                           f"enumerated candidate U({phi_star})={u_star}; a first-order "
                            "condition root was missed")
 
     stats["foc_roots"] = len(roots)
-    return SolveReport(best.phi, best.payoff, float(_foc_residuals([best_part], inst)[0]),
-                       best_part, baseline_payoffs(inst), tuple(candidates), dict(stats))
+    return SolveReport(phi_star, u_star, float(_foc_residuals(cand_g[:, [best]], inst)[0]),
+                       envelope._assemble(phi_star, cand_crossings[:, best].tolist(), inst),
+                       baseline_payoffs(inst), tuple(candidates), dict(stats))

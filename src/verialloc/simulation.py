@@ -807,8 +807,8 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
         raise ValueError("trials must be nonnegative")
     part = partition(phi, inst)
     rules = merit_with_guarantee(phi, inst, part)
-    edges = np.linspace(0.0, 1.0, bins + 1)
     p_target, m_target, audit_target = _cell_targets(inst, part, rules, bins)
+    edges = np.linspace(0.0, 1.0, bins + 1)
     a_target = p_target - part.phi
 
     if trials == 0:

@@ -29,6 +29,13 @@ class TestSolveCommand:
         assert code == 1
         assert "k < m" in err
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_grid_below_two_rejected(self, capsys, grid):
+        code, _, err = run(capsys, ["solve", "--n", "3", "--m", "2", "--k", "1",
+                                    "--grid", grid])
+        assert code == 1
+        assert err.startswith(f"error: grid must be at least 2, got {grid}")
+
     def test_power_distribution(self, capsys):
         code, out, _ = run(capsys, [
             "solve", "--n", "10", "--m", "5", "--k", "2", "--dist", "power:2",
@@ -78,6 +85,13 @@ class TestSimulateCommand:
         ])
         assert code == 0
         assert "trials                0" in out
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_one_rejected(self, capsys, bins):
+        code, _, err = run(capsys, ["simulate", "--n", "3", "--m", "2", "--k", "1",
+                                    "--trials", "100", "--bins", bins])
+        assert code == 1
+        assert err.startswith(f"error: bins must be at least 1, got {bins}")
 
     def test_epic_witness_flag(self, capsys):
         code, out, _ = run(capsys, [

@@ -186,6 +186,21 @@ def test_cell_grid_integrate_matches_per_cell_integrate(alpha):
         assert (grid.mass == 0).sum() >= 2
 
 
+@pytest.mark.parametrize("bins", [0, -3])
+def test_cell_grid_rejects_bins_below_one(bins):
+    # the one check behind simulate, the audit calibrator and discretize_rules
+    inst = verialloc.ProblemInstance(3, 2, 1, make_uniform())
+    part = verialloc.partition(0.35, inst)
+    rules = verialloc.merit_with_guarantee(0.35, inst, part)
+    message = f"bins must be at least 1, got {bins}"
+    for call in (lambda: cell_grid(inst.dist, bins),
+                 lambda: verialloc.simulate(inst, 0.35, 100, 1, bins=bins),
+                 lambda: verialloc.calibrate_audit(inst, part, rules, bins=bins),
+                 lambda: verialloc.discretize_rules(inst, rules, bins)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_import_needs_neither_scipy_optimize_nor_integrate():
     # quadrature and root finding are the package's own, and importing
     # scipy.integrate (which imports scipy.optimize) costs set-up time

@@ -201,20 +201,39 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(-0.01, ex_inst)
 
-    def test_labels_match_grid_argmin(self, ex_inst):
-        for phi in (0.05, 1 / 3, PHI, 0.42, 0.6, 2 / 3):
-            part = partition(phi, ex_inst)
-            for t in np.linspace(0.0, 1.0, 400):
-                t = float(t)
+    @pytest.mark.parametrize("seed", range(7))
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 4.0])
+    def test_labels_match_grid_argmin(self, seed, alpha):
+        # at 400 types, the bound the region's label names is the binding
+        # one, at phi = 0, the floor, the cap and a random guarantee; seed 0
+        # is the paper's instance, also at the guarantees of its example
+        rng = np.random.default_rng(100 + seed)
+        spec = ProblemInstance(3, 2, 1, make_uniform()) if seed == 0 else random_instance(rng, 15)
+        inst = ProblemInstance(spec.n, spec.m, spec.k,
+                               make_uniform() if alpha == 1.0 else make_power(alpha))
+        ts = np.linspace(0.0, 1.0, 400)
+        qs = inst.dist.cdf(ts)
+        phis = [0.0, inst.phi_floor, inst.phi_max, float(rng.uniform(0, inst.phi_max))]
+        for phi in phis + ([0.05, PHI, 0.42, 0.6] if seed == 0 else []):
+            part = partition(phi, inst)
+            value, _ = envelope_value(qs, phi, inst)
+            bounds = {LABEL_IC: c_ic(qs, phi, inst), LABEL_AUD: c_aud(qs, phi, inst),
+                      LABEL_ALLO: c_allo(qs, inst)}
+            for j, t in enumerate(ts.tolist()):
                 label = part.region_of(t)
-                q = float(ex_inst.dist.cdf(t))
-                value, _ = envelope_value(q, phi, ex_inst)
-                by_label = {
-                    LABEL_IC: c_ic(q, phi, ex_inst),
-                    LABEL_AUD: c_aud(q, phi, ex_inst),
-                    LABEL_ALLO: c_allo(q, ex_inst),
-                }[label]
-                assert by_label <= value + 1e-9
+                assert bounds[label][j] <= value[j] + 1e-9, (phi, t, label)
+
+    def test_supply_region_on_both_sides_of_the_audit_region(self):
+        # no solver input reaches this case: a hand-built crossing row with
+        # z1 < z2 < r1 < r2 gives supply on [z1, r1) and past r2
+        inst = ProblemInstance(3, 2, 1, make_power(2.0))
+        part = envelope._assemble(0.5, (0.04, 0.09, 0.25, 0.64), inst)
+        assert part.case_tag == envelope.CASE_IC_ALLO_AUD_ALLO
+        assert [(iv.lo, iv.hi, iv.label) for iv in part.intervals] == [
+            (0.0, 0.2, LABEL_IC), (0.2, 0.5, LABEL_ALLO), (0.5, 0.8, LABEL_AUD),
+            (0.8, 1.0, LABEL_ALLO)]
+        assert (part.gamma1, part.gamma2, part.gamma3) == (0.2, 0.5, 0.8)
+        assert part.crossings == {"z1": 0.04, "z2": 0.09, "r1": 0.25, "r2": 0.64}
 
     def test_gamma_ordering_random(self):
         rng = np.random.default_rng(11)

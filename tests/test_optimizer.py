@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,7 +8,7 @@ from conftest import PHI_REF, gamma1_closed, gamma3_closed, random_instance
 from verialloc.distributions import make_power, make_uniform
 from verialloc.envelope import CASE_AUD_ALLO, ProblemInstance, partition
 from verialloc.interim import merit_with_guarantee
-from verialloc import optimizer
+from verialloc import envelope, optimizer
 from verialloc.optimizer import baseline_payoffs, foc_residual, payoff, solve
 
 
@@ -154,6 +156,17 @@ class TestSolve:
         assert ex_solved.stats == {"curve_points": 354, "foc_grid": 200, "foc_roots": 1,
                                    "polish_iterations": 145, "quadrature_nodes": 22272}
         assert "stats" not in ex_solved.to_record()
+
+    def test_assembles_only_the_reported_partition(self, ex_inst):
+        with mock.patch.object(envelope, "_assemble", wraps=envelope._assemble) as spy:
+            rep = solve(ex_inst)
+        assert spy.call_count == 1
+        assert rep.partition == partition(rep.phi_star, ex_inst)
+
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_grid_below_two_rejected(self, ex_inst, grid):
+        with pytest.raises(ValueError, match=f"grid must be at least 2, got {grid}"):
+            solve(ex_inst, grid=grid)
 
     @pytest.mark.parametrize("n,m,k", [(3, 2, 1), (7, 6, 1)])
     def test_missed_root_is_caught(self, n, m, k, uniform, monkeypatch):
