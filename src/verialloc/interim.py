@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import integrate
+from .distributions import _values, integrate
 from .envelope import (
     LABEL_ALLO,
     LABEL_AUD,
@@ -109,7 +109,8 @@ def merit_with_guarantee(phi: float, inst: ProblemInstance,
         out = np.empty(t.shape)
         for code, iv in enumerate(part.intervals):
             hit = codes == code
-            out[hit] = allocation_branch(iv.label, t[hit], phi, inst)
+            if hit.any():
+                out[hit] = allocation_branch(iv.label, t[hit], phi, inst)
         return out[()]
 
     def A(t):
@@ -145,7 +146,7 @@ def bic_slack(rules: InterimRules) -> Callable[[float], float]:
     finitely many pieces.
     """
     ts = np.linspace(0.0, 1.0, _INF_GRID)
-    candidates = [rules.P(t) for t in ts]
+    candidates = _values(rules.P, ts).tolist()
     if rules.partition is not None:
         for iv in rules.partition.intervals:
             candidates.append(rules.P(iv.lo))

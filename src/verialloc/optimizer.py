@@ -27,9 +27,9 @@ from .envelope import (
     CASE_AUD_ALLO,
     ProblemInstance,
     RegionPartition,
-    _binom_cdf,
     _bracketed_roots,
     _cutoffs,
+    _tails,
     partition,
 )
 from .interim import efficient_rule, top_k_rule
@@ -50,9 +50,9 @@ class SolveReport:
     """Result of optimizing the guarantee for one problem instance.
 
     ``stats`` counts the work behind it: points of the curve table, FOC
-    grid points, FOC roots found, polish iterations (of the crossings and
-    the FOC roots) and quadrature nodes.  It is left out of ``to_record()``,
-    which holds results only.
+    grid points, FOC roots found, polish iterations (the Newton rounds of
+    the crossings plus the Illinois steps of the FOC roots) and quadrature
+    nodes.  It is left out of ``to_record()``, which holds results only.
     """
 
     phi_star: float
@@ -86,8 +86,10 @@ def _antiderivatives(inst: ProblemInstance, points, branches: bool, stats):
     above = 1.0 - u
     rows = [t]
     if branches:
-        rows += [_binom_cdf(inst.m - 1, inst.n - 1, above) * t,
-                 _binom_cdf(inst.k - 1, inst.n - 1, above) * t]
+        # P_allo and P_aud - phi: the chance of fewer than m, or k, of the
+        # n - 1 others above
+        below = _tails(inst.n - 1, np.array([[inst.m], [inst.k]]), above, moments=False)[0]
+        rows += list(below * t)
     if stats is not None:
         stats["quadrature_nodes"] += u.size
     return cuts, [np.concatenate([[0.0], np.cumsum(np.bincount(seg, w * r, len(cuts) - 1))])

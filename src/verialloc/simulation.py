@@ -737,12 +737,15 @@ def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarra
 def _calibrate(inst: ProblemInstance, part: RegionPartition, targets: dict,
                *, trials: int, seed: int, bins: int,
                polish_trials: Optional[int]) -> dict:
-    """Fit each stage's weights to its target ``targets[stage]``: all on the
-    exact maps of one profile table where they cover the instance, each by
-    the Monte Carlo fixed point otherwise."""
+    """Fit each stage's weights to its target ``targets[stage]`` (per bin,
+    or one float for every bin): all on the exact maps of one profile table
+    where they cover the instance, each by the Monte Carlo fixed point
+    otherwise."""
     if trials < 1:
         raise ValueError("calibration needs at least one trial")
-    maps = _stage_maps(inst, part, bins, tuple(targets))
+    maps = _stage_maps(inst, part, bins, tuple(targets))  # checks bins >= 1
+    targets = {stage: np.broadcast_to(np.asarray(target, dtype=float), (bins,))
+               for stage, target in targets.items()}
     if maps is not None:
         return {stage: _fit_exact(maps[stage], target, stage)
                 for stage, target in targets.items()}
@@ -763,8 +766,8 @@ def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
     probability, so the uniform start is already a fixed point and the
     first round converges.
     """
-    return _calibrate(inst, part, {"lottery": np.full(bins, part.phi)}, trials=trials,
-                      seed=seed, bins=bins, polish_trials=polish_trials)["lottery"]
+    return _calibrate(inst, part, {"lottery": part.phi}, trials=trials, seed=seed, bins=bins,
+                      polish_trials=polish_trials)["lottery"]
 
 
 def calibrate_audit(inst: ProblemInstance, part: RegionPartition,

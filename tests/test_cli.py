@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import verialloc
 from verialloc.cli import main
 
 
@@ -247,3 +252,27 @@ def test_config_file_overrides(capsys, tmp_path):
     assert code == 0
     assert "trials                0" in out
     assert "audit-escape" in out
+
+
+def test_commands_run_without_scipy():
+    # with scipy blocked from import, solve, simulate on the exact map at
+    # (3,2,1) and on the Monte Carlo fallback at (4,2,1) with 64 bins, and
+    # check of the bundled (infeasible) example exit as they do with it
+    script = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from verialloc.cli import main
+runs = [["solve", "--n", "3", "--m", "2", "--k", "1"],
+        ["simulate", "--n", "3", "--m", "2", "--k", "1", "--trials", "500", "--seed", "1"],
+        ["simulate", "--n", "4", "--m", "2", "--k", "1", "--trials", "500", "--seed", "1"],
+        ["check"]]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(verialloc.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=env)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, 0, 0, 2]

@@ -188,13 +188,14 @@ def test_cell_grid_integrate_matches_per_cell_integrate(alpha):
 
 @pytest.mark.parametrize("bins", [0, -3])
 def test_cell_grid_rejects_bins_below_one(bins):
-    # the one check behind simulate, the audit calibrator and discretize_rules
+    # the one check behind simulate, both calibrators and discretize_rules
     inst = verialloc.ProblemInstance(3, 2, 1, make_uniform())
     part = verialloc.partition(0.35, inst)
     rules = verialloc.merit_with_guarantee(0.35, inst, part)
     message = f"bins must be at least 1, got {bins}"
     for call in (lambda: cell_grid(inst.dist, bins),
                  lambda: verialloc.simulate(inst, 0.35, 100, 1, bins=bins),
+                 lambda: verialloc.calibrate_lottery(inst, part, bins=bins),
                  lambda: verialloc.calibrate_audit(inst, part, rules, bins=bins),
                  lambda: verialloc.discretize_rules(inst, rules, bins)):
         with pytest.raises(ValueError, match=message):
@@ -202,10 +203,10 @@ def test_cell_grid_rejects_bins_below_one(bins):
 
 
 def test_import_needs_neither_scipy_optimize_nor_integrate():
-    # quadrature and root finding are the package's own, and importing
-    # scipy.integrate (which imports scipy.optimize) costs set-up time
+    # quadrature, root finding and the binomial sums are the package's own,
+    # and importing any of scipy costs set-up time
     code = ("import sys, verialloc; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     env = {**os.environ, "PYTHONPATH": str(Path(verialloc.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)

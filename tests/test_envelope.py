@@ -1,9 +1,9 @@
+import functools
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
-from scipy.special import bdtr, bdtrc
 
 from conftest import gamma1_closed, gamma3_closed, random_instance
 from verialloc.distributions import make_power, make_uniform
@@ -354,6 +354,47 @@ class TestArrayPath:
 # (n, m, k) of the curve checks: every instance with n <= 30 and three large ones
 CURVE_INSTANCES = [(n, m, k) for n in range(3, 31) for m in range(2, n) for k in range(1, m)]
 CURVE_INSTANCES += [(400, 100, 20), (1000, 500, 100), (3000, 1000, 10)]
+CURVE_NS = sorted({spec[0] for spec in CURVE_INSTANCES})
+
+
+def oracle_p(n):
+    """Chances of an agent above a quantile, from the curve table: every
+    16th inner quantile for n <= 30, every 48th for the large instances
+    (where 1 - q rounds to 1, q = 2^-60 in its place)."""
+    q = envelope._TABLE_Q[1:-1][::16 if n <= 30 else 48]
+    return np.unique(np.append(1.0 - q[q >= 2.0 ** -52], 2.0 ** -60))
+
+
+@functools.lru_cache(maxsize=None)
+def exact_binomial(n):
+    """P(X = j), P(X <= j) and P(X > j) for X ~ Binomial(n, p), j = 0..n
+    (rows) at each p of ``oracle_p(n)`` (columns), each summed from its own
+    side with 40 digits (p the float's exact value) and rounded once."""
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(40):
+        for p in oracle_p(n).tolist():
+            p, q = mp.mpf(p), 1 - mp.mpf(p)
+            pmf = [q ** n]
+            for i in range(n):
+                pmf.append(pmf[-1] * (n - i) / (i + 1) * p / q)
+            below, above, s = [], [], mp.mpf(0)
+            for term in pmf:
+                s += term
+                below.append(s)
+            s = mp.mpf(0)
+            for term in reversed(pmf):
+                above.append(s)
+                s += term
+            out.append([[float(v) for v in seq] for seq in (pmf, below, above[::-1])])
+    return tuple(np.array(part).T for part in zip(*out))
+
+
+def assert_close(got, exact, what):
+    """Within 1e-13 of the exact values, relative; values under 1e-100, far
+    below any guarantee, are held to 1e-113 absolute."""
+    bad = np.abs(got - exact) > 1e-13 * np.maximum(np.abs(exact), 1e-100)
+    assert not bad.any(), (what, np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-100)))
 
 
 class TestCrossingCurves:
@@ -368,7 +409,7 @@ class TestCrossingCurves:
         q = envelope._TABLE_Q
         for n, m, k in CURVE_INSTANCES:
             tol = 64 * np.finfo(float).eps * m / n
-            z1, z2, band, q_peak, peak = envelope._curves(n, m, k)
+            (z1, z2, band), q_peak, peak, _ = envelope._curves(n, m, k)
             assert np.all(np.diff(z1) >= -tol) and np.all(np.diff(z2) >= -tol), (n, m, k)
             i = int(np.argmax(band))
             assert 0 < i < len(q) - 1, (n, m, k)
@@ -378,22 +419,68 @@ class TestCrossingCurves:
 
     def test_closed_forms_match_tail_sums(self):
         # E[(c - X)^+] = sum over j < c of P(X <= j), and E[min(X, m)] -
-        # E[min(X, k)] = sum over c in [k, m) of P(X > c), summed term by
-        # term, to 1e-12 relative for n <= 30.  For n in the thousands the
-        # closed forms cancel digits of scipy's binomial tails (1e-11 for the
-        # band at n = 1000, 1e-9 for a shortfall of 1000 among 3000 where it
-        # is near 1e-8), so there the bound is 1e-8; values under 1e-100, far
-        # below any guarantee, are compared in absolute terms
-        p = 1.0 - envelope._TABLE_Q[1:-1]
-        for n in sorted({spec[0] for spec in CURVE_INSTANCES}):
-            cdf = bdtr(np.arange(n)[:, None], n, p)
-            upper = bdtrc(np.arange(n)[:, None], n, p)
-            rel = 1e-12 if n <= 30 else 1e-8
-            for _, m, k in (spec for spec in CURVE_INSTANCES if spec[0] == n):
-                pairs = [(envelope._shortfall(n, c, p), cdf[:c].sum(axis=0)) for c in (m, k)]
-                pairs.append((envelope._band(n, m, k, p), upper[k:m].sum(axis=0)))
-                for got, tail in pairs:
-                    assert np.all(np.abs(got - tail) <= rel * np.maximum(tail, 1e-100)), (n, m, k)
+        # E[min(X, k)] = sum over c in [k, m) of P(X > c), summed from
+        # 40-digit tails, to 1e-13 relative for every n (the tails are
+        # correctly rounded, and numpy's pairwise sum of at most 3000 of
+        # them adds under 2e-15)
+        for n in CURVE_NS:
+            p = oracle_p(n)
+            _, below, above = exact_binomial(n)
+            pairs = [(m, k) for nn, m, k in CURVE_INSTANCES if nn == n]
+            cuts = sorted({c for pair in pairs for c in pair})
+            short = envelope._shortfall(n, np.array(cuts)[:, None], p)
+            for row, c in enumerate(cuts):
+                assert_close(short[row], below[:c].sum(axis=0), ("shortfall", n, c))
+            m, k = (np.array(side)[:, None] for side in zip(*pairs))
+            band = envelope._band(n, m, k, p)
+            for row, (m, k) in enumerate(pairs):
+                assert_close(band[row], above[k:m].sum(axis=0), ("band", n, m, k))
+
+    @pytest.mark.parametrize("n", CURVE_NS)
+    def test_pmf_cdf_and_capped_count_match_40_digit_sums(self, n):
+        # the pmf at every count, P(X <= j) at every j < n (so at m-1 and
+        # k-1 of each instance) and E[min(X, c)] = sum over j < c of P(X > j)
+        # at every cut c of the instances
+        p = oracle_p(n)
+        pmf, below, above = exact_binomial(n)
+        counts = np.arange(n + 1)[:, None]
+        assert_close(envelope._anchor_pmf(n, counts, p), pmf, ("pmf", n))
+        for j in range(n):
+            assert_close(envelope._binom_cdf(j, n, p), below[j], ("cdf", n, j))
+        cuts = sorted({c for nn, m, k in CURVE_INSTANCES if nn == n for c in (m, k)})
+        capped = envelope._capped_count_expectation(n, np.array(cuts)[:, None], p)
+        for row, c in enumerate(cuts):
+            assert_close(capped[row], above[:c].sum(axis=0), ("E[min(X, c)]", n, c))
+
+    @pytest.mark.parametrize("n,m,k", [(3, 2, 1), (12, 6, 2), (40, 10, 3), (100, 40, 10),
+                                       (400, 100, 20), (1000, 500, 100)])
+    def test_slopes_are_the_curves_derivatives(self, n, m, k):
+        # the closed-form slopes in q of z1, z2 and the band against centred
+        # differences of the curves summed with 40 digits (h = 1e-15: the
+        # step's error, of order h^2, and the rounding's are far below the
+        # bound), to 1e-12 of the slope's scale, its size plus the curve
+        # over q (1 - q); near the band's peak the slope itself is 0
+        mp = pytest.importorskip("mpmath")
+        qs = np.array([0.07, 0.3, 0.55, 0.8, 0.95])
+        values, slopes = envelope._curve_points(qs, n, m, k)
+
+        def curves(q):
+            p = 1 - q
+            pmf = [q ** n]
+            for i in range(n):
+                pmf.append(pmf[-1] * (n - i) / (i + 1) * p / q)
+            short = [sum((c - i) * pmf[i] for i in range(c)) for c in (m, k)]
+            band = sum(min(max(i - k, 0), m - k) * pmf[i] for i in range(n + 1))
+            return [short[0] / (n * q), (m - k + short[1]) / n, band / (n * p)]
+
+        with mp.workdps(40):
+            h = mp.mpf("1e-15")
+            for j, q in enumerate(qs.tolist()):
+                up, down = curves(mp.mpf(q) + h), curves(mp.mpf(q) - h)
+                for curve in range(3):
+                    exact = float((up[curve] - down[curve]) / (2 * h))
+                    scale = abs(exact) + values[curve, j] / (q * (1 - q))
+                    assert abs(slopes[curve, j] - exact) <= 1e-12 * scale, (curve, q, exact)
 
     @pytest.mark.parametrize("n,m,k", [(3, 2, 1), (12, 6, 2), (40, 10, 3), (1000, 500, 100)])
     def test_crossings_are_where_the_public_bounds_meet(self, n, m, k, uniform):

@@ -148,13 +148,15 @@ class TestSolve:
         assert "phi_star" in rec and "baselines" in rec
         assert json.loads(text)["partition"]["case"] == "IcAudAllo"
 
-    def test_stats_count_the_work(self, ex_solved):
+    def test_stats_count_the_work(self, ex_solved, ex_inst):
         # the curve table, 200 grid points and the probe above the floor, the
-        # polish iterations of every crossing and of the single FOC root, and
-        # the quadrature nodes of every batched FOC and payoff pass, the
-        # cross-check's zoom included
+        # polish iterations (29 Newton rounds of the crossings and 6 Illinois
+        # steps of the single FOC root), and the quadrature nodes of every
+        # batched FOC and payoff pass, the cross-check's zoom included.  These
+        # are exact work counts, not bounds; a second solve repeats them
         assert ex_solved.stats == {"curve_points": 354, "foc_grid": 200, "foc_roots": 1,
-                                   "polish_iterations": 145, "quadrature_nodes": 22272}
+                                   "polish_iterations": 35, "quadrature_nodes": 23392}
+        assert solve(ex_inst).stats == ex_solved.stats
         assert "stats" not in ex_solved.to_record()
 
     def test_assembles_only_the_reported_partition(self, ex_inst):
