@@ -266,7 +266,10 @@ def _far_sums(n_trials: int, c, p, lower, width: int, moment: bool):
             * (1.0 + np.where(lower, eq, -eq)))
     top = np.where(lower, c - 1.0, n_trials - c)
     # numpy's accumulate takes about 5 ns a term, a pass over an array some
-    # 2 us: one array wins up to about 200 elements
+    # 2 us: one array wins up to about 200 elements.  Both ways are needed:
+    # on the benchmark's solve workload (2 vCPUs, median of 3 runs) op_loops
+    # was 35.8 with this cut, 41.8 with the loop alone, 78.9 with one array
+    # alone, and 39.4 and 37.2 with cuts at 50 and 1000 elements
     if term.size * (width + 8) <= 200 * width:
         t = np.arange(width).reshape((-1,) + (1,) * term.ndim)
         terms = np.empty((width,) + term.shape)
@@ -337,6 +340,9 @@ def _tails(n_trials: int, c, p, moments: bool = True):
     """
     p = np.asarray(p, dtype=float)
     shape = np.broadcast_shapes(p.shape, np.shape(c))
+    if not math.prod(shape):
+        empty = np.zeros(shape)
+        return (empty, empty if moments else None) * 2
     p = p.reshape(p.shape or 1)  # numpy's scalar pow is not its array pow
     mean = n_trials * p
     lower = c <= mean + 0.5
@@ -367,7 +373,7 @@ def _tails(n_trials: int, c, p, moments: bool = True):
 def _binom_cdf(j: int, n_trials: int, p):
     """P(Binomial(n_trials, p) <= j), elementwise in p (a float or an array);
     j outside [0, n_trials) is settled without sums."""
-    if j < 0 or np.size(p) == 0:
+    if j < 0:
         return np.zeros_like(p)
     if j >= n_trials:
         return np.ones_like(p)
@@ -599,9 +605,10 @@ def _curves(n: int, m: int, k: int):
     secant across the table's highest point is 0; and the four level-set
     tables the crossings are bracketed on (z1, z2, and the band up to and
     from its peak), one after another: curve, +1 for a rising table or -1,
-    and first row of each; and the rows' q, values and slopes, and running
-    maxima of the signed values plus 3 times the table's number, which
-    rise across all four."""
+    and first row of each; and the rows' q, values and slopes, and the
+    table's number plus i times its running maximum of the signed values:
+    numpy orders complex numbers by real part, then imaginary, so these
+    rise across all four tables, and each keeps its values unrounded."""
     q = _TABLE_Q
     with np.errstate(divide="ignore", invalid="ignore"):
         values, slopes = _curve_points(q, n, m, k)
@@ -631,7 +638,7 @@ def _curves(n: int, m: int, k: int):
     sign = np.array([1.0, 1.0, 1.0, -1.0])
     first = np.cumsum([0] + [len(t[0]) for t in tables])
     rows = [np.concatenate(part) for part in zip(*tables)]
-    top = np.concatenate([np.maximum.accumulate(s * t[1]) + 3.0 * c
+    top = np.concatenate([c + 1j * np.maximum.accumulate(s * t[1])
                           for c, (s, t) in enumerate(zip(sign, tables))])
     return values, q_peak, band_peak, (np.array([0, 1, 2, 2]), sign, first, *rows, top)
 
@@ -659,7 +666,7 @@ def _crossings(phi: np.ndarray, inst: ProblemInstance, stats=None) -> np.ndarray
     curves, signs, first, tq, tv, td, top = tables
     which, at = np.nonzero(np.array(inside))
     curve, sign = curves[which], signs[which]
-    i = np.clip(np.searchsorted(top, sign * phi[at] + 3.0 * which, side="right") - 1,
+    i = np.clip(np.searchsorted(top, which + 1j * (sign * phi[at]), side="right") - 1,
                 first[which], first[which + 1] - 2)
     lo, hi, f_lo, f_hi, d_lo, d_hi = tq[i], tq[i + 1], tv[i], tv[i + 1], td[i], td[i + 1]
     level = phi[at]

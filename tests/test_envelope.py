@@ -343,6 +343,8 @@ class TestArrayPath:
                 assert isinstance(vec, np.ndarray) and vec.shape == qs.shape
                 assert all(isinstance(v, float) for v in scalars)
                 assert np.array_equal(vec, np.array(scalars))
+                assert f(np.array([])).shape == (0,)
+            assert envelope_value(np.array([]), phi, inst)[0].shape == (0,)
 
     def test_array_domain_checked(self, ex_inst):
         with pytest.raises(ValueError, match="-0.5"):
@@ -358,11 +360,18 @@ CURVE_NS = sorted({spec[0] for spec in CURVE_INSTANCES})
 
 
 def oracle_p(n):
-    """Chances of an agent above a quantile, from the curve table: every
-    16th inner quantile for n <= 30, every 48th for the large instances
-    (where 1 - q rounds to 1, q = 2^-60 in its place)."""
-    q = envelope._TABLE_Q[1:-1][::16 if n <= 30 else 48]
-    return np.unique(np.append(1.0 - q[q >= 2.0 ** -52], 2.0 ** -60))
+    """Chances p of an agent above a quantile: one minus every inner
+    quantile of the curve table for n <= 30, every 16th for the large
+    instances (where 1 - q rounds to 1, 2^-60 in its place); and each cut
+    c's switch point (c - 1/2) / n, where ``_tails`` turns from summing the
+    lower tail to the upper, with the floats either side of it, for every
+    cut for n <= 30 and the instances' m and k for the large ones."""
+    q = envelope._TABLE_Q[1:-1][::1 if n <= 30 else 16]
+    cuts = range(1, n + 1) if n <= 30 else [c for spec in CURVE_INSTANCES if spec[0] == n
+                                            for c in spec[1:]]
+    switch = (np.array(cuts) - 0.5) / n
+    return np.unique(np.concatenate([1.0 - q[q >= 2.0 ** -52], [2.0 ** -60], switch,
+                                     np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,9 +429,9 @@ class TestCrossingCurves:
     def test_closed_forms_match_tail_sums(self):
         # E[(c - X)^+] = sum over j < c of P(X <= j), and E[min(X, m)] -
         # E[min(X, k)] = sum over c in [k, m) of P(X > c), summed from
-        # 40-digit tails, to 1e-13 relative for every n (the tails are
-        # correctly rounded, and numpy's pairwise sum of at most 3000 of
-        # them adds under 2e-15)
+        # 40-digit tails at every p of ``oracle_p``, to 1e-13 relative for
+        # every n (the tails are correctly rounded, and numpy's pairwise sum
+        # of at most 3000 of them adds under 2e-15)
         for n in CURVE_NS:
             p = oracle_p(n)
             _, below, above = exact_binomial(n)
@@ -435,6 +444,20 @@ class TestCrossingCurves:
             band = envelope._band(n, m, k, p)
             for row, (m, k) in enumerate(pairs):
                 assert_close(band[row], above[k:m].sum(axis=0), ("band", n, m, k))
+
+    @pytest.mark.parametrize("n,m,k", [spec for spec in CURVE_INSTANCES if spec[0] > 30])
+    def test_large_n_tail_sums_match_scipy_on_the_whole_table(self, n, m, k):
+        # the same sums at every inner quantile of the table (the 40-digit
+        # sums above take every 16th here), against sums of scipy's binomial
+        # tails, which are themselves up to 7e-12 off at n = 3000
+        special = pytest.importorskip("scipy.special")
+        p = 1.0 - envelope._TABLE_Q[1:-1]
+        cdf = special.bdtr(np.arange(n)[:, None], n, p)
+        upper = special.bdtrc(np.arange(n)[:, None], n, p)
+        pairs = [(envelope._shortfall(n, c, p), cdf[:c].sum(axis=0)) for c in (m, k)]
+        pairs.append((envelope._band(n, m, k, p), upper[k:m].sum(axis=0)))
+        for got, tail in pairs:
+            assert np.all(np.abs(got - tail) <= 2e-11 * np.maximum(tail, 1e-100))
 
     @pytest.mark.parametrize("n", CURVE_NS)
     def test_pmf_cdf_and_capped_count_match_40_digit_sums(self, n):
@@ -493,6 +516,17 @@ class TestCrossingCurves:
             for key, q in part.crossings.items():
                 if 0.0 < q < 1.0:
                     assert abs(meet[key](q, part.phi)) <= 1e-12 * m, (key, part.phi)
+
+    @pytest.mark.parametrize("n,m,k", [(12, 6, 2), (40, 10, 3), (1000, 500, 100)])
+    @pytest.mark.parametrize("phi", [1e-20, 1e-16])
+    def test_band_crossing_at_a_tiny_guarantee(self, n, m, k, phi, uniform):
+        # r2, where the falling band meets a guarantee far below the
+        # rounding of values near 1, lies between the floats at which the
+        # band is above and below phi, a few ulps either side
+        r2 = partition(phi, ProblemInstance(n, m, k, uniform)).crossings["r2"]
+        qs = np.array([r2 - 8 * np.spacing(r2), r2 + 8 * np.spacing(r2)])
+        above, below = envelope._curve_points(qs, n, m, k)[0][2]
+        assert above > phi > below, (r2, above / phi, below / phi)
 
     @pytest.mark.parametrize("n,m,k,alpha", [(3, 2, 1, 1.0), (12, 6, 2, 0.3), (40, 10, 3, 4.0)])
     def test_batch_is_the_single_partition(self, n, m, k, alpha):
