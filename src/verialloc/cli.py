@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.resources
+import io
+import itertools
 import json
 import sys
 
@@ -67,6 +69,11 @@ def _emit(record: dict, args, lines: list[str]) -> None:
         text = "\n".join(rows)
     else:
         text = "\n".join(lines)
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """The output text, to the --out path if given, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -149,6 +156,15 @@ def _bundled(name: str):
     return importlib.resources.files("verialloc.data").joinpath(name)
 
 
+def _rules_P(data) -> list:
+    """The key "P" of a rules file, checked to be a list of rows of numbers."""
+    P = data.get("P") if isinstance(data, dict) else None
+    if not (isinstance(P, list) and all(isinstance(row, list) and all(
+            isinstance(x, (int, float)) for x in row) for row in P)):
+        raise ValueError('a rules file needs the key "P": a list of rows of numbers')
+    return P
+
+
 def cmd_check(args) -> int:
     if args.instance:
         inst = DiscreteInstance.load(args.instance)
@@ -158,9 +174,9 @@ def cmd_check(args) -> int:
         )
     if args.rules:
         with open(args.rules) as fh:
-            P = json.load(fh)["P"]
+            P = _rules_P(json.load(fh))
     else:
-        P = json.loads(_bundled("footnote_rules.json").read_text())["P"]
+        P = _rules_P(json.loads(_bundled("footnote_rules.json").read_text()))
 
     if args.upper_sets_only:
         rep = upper_set_report(inst, P)
@@ -238,59 +254,30 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ns = [int(x) for x in args.n.split(",")]
-    ms = [int(x) for x in args.m.split(",")]
-    ks = [int(x) for x in args.k.split(",")]
-    dists = args.dist.split(",")
-    rows = []
-    for n in ns:
-        for m in ms:
-            for k in ks:
-                for d in dists:
-                    row = {"n": n, "m": m, "k": k, "dist": d}
-                    try:
-                        inst = ProblemInstance(n, m, k, _parse_dist(d))
-                        rep = solve(inst)
-                        row.update(
-                            phi_star=rep.phi_star, payoff=rep.payoff,
-                            first_best=rep.baselines["first_best"],
-                            random_lottery=rep.baselines["random_lottery"],
-                            k_top=rep.baselines["k_top"], error="",
-                        )
-                    except (ValueError, RuntimeError) as exc:
-                        row.update(phi_star=float("nan"), payoff=float("nan"),
-                                   first_best=float("nan"),
-                                   random_lottery=float("nan"),
-                                   k_top=float("nan"), error=str(exc))
-                    rows.append(row)
+    ns, ms, ks = ([int(x) for x in text.split(",")] for text in (args.n, args.m, args.k))
     header = ["n", "m", "k", "dist", "phi_star", "payoff", "first_best",
               "random_lottery", "k_top", "error"]
+    rows = []
+    for n, m, k, d in itertools.product(ns, ms, ks, args.dist.split(",")):
+        row = {"n": n, "m": m, "k": k, "dist": d}
+        try:
+            rep = solve(ProblemInstance(n, m, k, _parse_dist(d)))
+            row.update(phi_star=rep.phi_star, payoff=rep.payoff, **rep.baselines, error="")
+        except (ValueError, RuntimeError) as exc:
+            row.update(dict.fromkeys(header[4:9], float("nan")), error=str(exc))
+        rows.append(row)
     if args.format == "json":
         text = json.dumps(rows, indent=2, sort_keys=True, default=float)
-    elif args.format == "csv":
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                row[h] if isinstance(row[h], (int, str)) else _fmt(row[h])
-                for h in header
-            ])
-        text = buf.getvalue().rstrip("\n")
     else:
-        lines = ["  ".join(f"{h:>14}" for h in header)]
-        for row in rows:
-            lines.append("  ".join(
-                f"{row[h] if isinstance(row[h], (int, str)) else _fmt(row[h]):>14}"
-                for h in header
-            ))
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        cells = [header] + [[row[h] if isinstance(row[h], (int, str)) else _fmt(row[h])
+                             for h in header] for row in rows]
+        if args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows(cells)
+            text = buf.getvalue().rstrip("\n")
+        else:
+            text = "\n".join("  ".join(f"{c:>14}" for c in line) for line in cells)
+    _write(text, args)
     return EXIT_OK
 
 

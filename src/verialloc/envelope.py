@@ -18,10 +18,12 @@ functions.
 Which bound binds is given by three quantile cutoffs g1 <= g2 <= g3: c_ic
 on [0, g1), c_aud on [g2, g3) and c_allo on the rest.  They follow from
 where the bounds cross each other, for a whole array of guarantees at once,
-polished by Newton steps on the crossing curves' closed-form slopes (their
-count is the ``polish_iterations`` of a solve, with the Illinois steps of
-its first-order-condition roots); a ``RegionPartition`` is built only from
-the cutoffs of one guarantee.
+polished by safeguarded Newton steps on the crossing curves' closed-form
+slopes; a ``RegionPartition`` is built only from the cutoffs of one
+guarantee.  The same polisher, ``_newton_roots``, finds the band's peak and
+a solve's first-order-condition roots, whose slope in the guarantee follows
+from the cutoffs' (``_cutoff_slopes``); a solve counts its rounds as
+``polish_iterations``.
 """
 
 from __future__ import annotations
@@ -482,12 +484,6 @@ def envelope_value(q, phi: float, inst: ProblemInstance):
 # one interior peak and falls to 0 (its slope has the sign of m P(X > m) -
 # k P(X > k), which changes once as P(X > m) / P(X > k) rises in 1-q).
 
-def _shortfall(n_trials: int, cap: int, p):
-    """E[(cap - X)^+] = sum over j < cap of P(X <= j), for X ~
-    Binomial(n_trials, p)."""
-    return _tails(n_trials, cap, p)[1]
-
-
 def _band_sums(n: int, m: int, k: int, p, at_k, at_m):
     """From the ``_tails`` of X ~ Binomial(n, p) at k and at m: the band sum
     E[min(X, m)] - E[min(X, k)] = sum over c in [k, m) of P(X > c), and
@@ -502,12 +498,6 @@ def _band_sums(n: int, m: int, k: int, p, at_k, at_m):
     inner = np.where(k > mean + 0.5, ((n - k) * b0k - b1k) - ((n - m) * b0m - b1m),
                      ((n - m) * a0m + a1m) - ((n - k) * a0k + a1k))
     return band, inner
-
-
-def _band(n: int, m: int, k: int, p):
-    """E[min(X, m)] - E[min(X, k)] = sum over c in [k, m) of P(X > c), for
-    X ~ Binomial(n, p)."""
-    return _band_sums(n, m, k, np.asarray(p, dtype=float), _tails(n, k, p), _tails(n, m, p))[0][()]
 
 
 def _curve_points(q, n: int, m: int, k: int):
@@ -532,36 +522,6 @@ _TABLE_Q = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257), 0.5 ** np.arang
                                      1.0 - 0.5 ** np.arange(9, 54)]))
 
 
-def _bracketed_roots(g, lo, hi, g_lo, g_hi):
-    """A root of g in each bracket [lo[i], hi[i]], where g_lo = g(lo) and
-    g_hi = g(hi) differ in sign, and the number of iterations.
-
-    g(x, rows) evaluates the function of the brackets ``rows`` at x.  All
-    brackets are polished together by the Illinois variant of regula falsi
-    until each is resolved to rounding (the secant step lands on an end or
-    hits a zero); the last iterate is the root.
-    """
-    lo, hi, g_lo, g_hi = (np.array(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
-    root = np.where(g_lo == 0.0, lo, hi)
-    last = np.zeros(len(lo), dtype=np.int8)  # the end moved last: -1 lo, 1 hi
-    rows = np.flatnonzero((g_lo != 0.0) & (g_hi != 0.0))
-    iterations = 0
-    while rows.size and iterations < 200:
-        iterations += 1
-        a, b, ga, gb = lo[rows], hi[rows], g_lo[rows], g_hi[rows]
-        x = np.clip(a - ga * (b - a) / (gb - ga), a, b)
-        gx = g(x, rows)
-        root[rows] = x
-        move_lo = np.sign(gx) == np.sign(ga)
-        # Illinois: an end kept twice running has its value halved
-        g_lo[rows] = np.where(move_lo, gx, np.where(last[rows] == 1, 0.5 * ga, ga))
-        g_hi[rows] = np.where(move_lo, np.where(last[rows] == -1, 0.5 * gb, gb), gx)
-        lo[rows], hi[rows] = np.where(move_lo, x, a), np.where(move_lo, b, x)
-        last[rows] = np.where(move_lo, -1, 1)
-        rows = rows[(gx != 0.0) & (x != a) & (x != b)]
-    return root, iterations
-
-
 def _newton_roots(g, lo, hi, g_lo, g_hi, start, g_tol):
     """A root of g in each bracket [lo[i], hi[i]], where g_lo = g(lo) and
     g_hi = g(hi) differ in sign, and the number of iterations.
@@ -569,10 +529,11 @@ def _newton_roots(g, lo, hi, g_lo, g_hi, start, g_tol):
     g(x, rows) gives the value and the slope at x of the functions of the
     brackets ``rows``.  All brackets are polished together by Newton steps
     from ``start`` (inside the brackets); a step that leaves its (shrinking)
-    bracket is replaced by bisection.  A bracket is resolved once its
-    Newton step g/g' is at most 4 ulps of the iterate (its root is then the
-    step's end, if inside), once |g| is at most g_tol[i], below which
-    rounding of g hides the root, or once it shrinks to two ulps.
+    bracket, or has no finite slope to take, is replaced by bisection.  A
+    bracket is resolved once its Newton step g/g' is at most 4 ulps of the
+    iterate (its root is then the step's end, if inside), once |g| is at
+    most g_tol[i], below which rounding of g hides the root, or once it
+    shrinks to two ulps.
     """
     lo, hi, g_lo, g_hi = (np.array(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
     root = np.where(g_lo == 0.0, lo, hi)
@@ -585,7 +546,8 @@ def _newton_roots(g, lo, hi, g_lo, g_hi, start, g_tol):
             gx, slope = g(x, rows)
             up = np.sign(gx) == low
             a, b = np.where(up, x, a), np.where(up, b, x)
-            step = gx / slope
+            # an infinite slope would give a step of 0, a false convergence
+            step = np.where(np.isfinite(slope), gx / slope, np.nan)
             new = x - step
             flat = np.abs(gx) <= g_tol[rows]
             done = (np.abs(step) <= 4.0 * np.spacing(x)) | flat | (b - a <= 2.0 * np.spacing(b))
@@ -695,18 +657,21 @@ def _crossings(phi: np.ndarray, inst: ProblemInstance, stats=None) -> np.ndarray
 # the region partition
 # ---------------------------------------------------------------------------
 
-def _cutoff_rule(z1, z2, r1, r2):
-    """The quantile cutoffs (g1, g2, g3) of the partition with crossings z1,
-    z2, r1 and r2, elementwise.
+def _cutoff_rule(crossings):
+    """The quantile cutoffs (rows g1, g2, g3) of the partitions with
+    crossings z1, z2, r1 and r2 (rows), elementwise, and the source of
+    each: the row of the crossing it is, or 4 for the constant 1.
 
     ic sits under allo before z1 and under aud before z2, so the incentive
     region ends at min(z1, z2).  aud sits under allo on (r1, r2) and under
     ic past z2, so the audit region is [max(r1, z2), r2) when that is not
     empty (never where r1 and r2 are NaN); without one, g2 = g3 = 1.
     """
-    a = np.maximum(r1, z2)
-    audit = a < r2
-    return np.minimum(z1, z2), np.where(audit, a, 1.0), np.where(audit, r2, 1.0)
+    z1, z2, r1, r2 = crossings
+    audit = np.maximum(r1, z2) < r2
+    sources = np.array([np.where(z1 <= z2, 0, 1), np.where(audit, np.where(r1 > z2, 2, 1), 4),
+                        np.where(audit, 3, 4)])
+    return np.choose(sources, (z1, z2, r1, r2, 1.0)), sources
 
 
 def _cutoffs(phis, inst: ProblemInstance, stats=None):
@@ -714,7 +679,18 @@ def _cutoffs(phis, inst: ProblemInstance, stats=None):
     cutoffs (rows g1, g2, g3)."""
     phi = _check_phis(phis, inst)
     crossings = _crossings(phi, inst, stats)
-    return phi, crossings, np.array(_cutoff_rule(*crossings))
+    return phi, crossings, _cutoff_rule(crossings)[0]
+
+
+def _cutoff_slopes(crossings, inst: ProblemInstance) -> np.ndarray:
+    """The derivatives in phi of the quantile cutoffs (rows g1, g2, g3) at
+    the guarantees of these crossings: 1 over the slope in q, at the
+    cutoff, of the curve whose level set gives it (z1, z2, or the band for
+    r1 and r2), and 0 for the constant 1."""
+    g, sources = _cutoff_rule(crossings)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = _curve_points(g.ravel(), inst.n, inst.m, inst.k)[1].reshape((3,) + g.shape)
+        return np.where(sources == 4, 0.0, 1.0 / np.choose(np.minimum(sources, 2), slopes))
 
 
 def _assemble(phi: float, crossings, inst: ProblemInstance) -> RegionPartition:
@@ -725,7 +701,7 @@ def _assemble(phi: float, crossings, inst: ProblemInstance) -> RegionPartition:
     case names them; its gammas and interval ends are the quantile images
     of the cutoffs.
     """
-    g1, g2, g3 = (float(g) for g in _cutoff_rule(*crossings))
+    g1, g2, g3 = _cutoff_rule(crossings)[0].tolist()
     pieces = ((LABEL_IC, 0.0, g1), (LABEL_ALLO, g1, g2), (LABEL_AUD, g2, g3),
               (LABEL_ALLO, g3, 1.0))
     quantile = inst.dist.quantile

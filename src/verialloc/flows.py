@@ -197,6 +197,8 @@ class DiscreteInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteInstance":
+        if not (isinstance(data, dict) and "grids" in data and "masses" in data):
+            raise ValueError('an instance file needs the keys "grids" and "masses"')
         cap = data.get("capacity", {})
         elig = data.get("eligible", {})
         return cls(

@@ -52,9 +52,10 @@ class InterimRules:
     inst: Optional[ProblemInstance] = None
 
     def sample_table(self, grid: int = 1001) -> np.ndarray:
-        """(t, P, A) rows on an evenly spaced type grid."""
+        """(t, P, A) rows on an evenly spaced type grid; P and A get the
+        whole grid at once where they take arrays."""
         ts = np.linspace(0.0, 1.0, grid)
-        return np.column_stack([ts, [self.P(t) for t in ts], [self.A(t) for t in ts]])
+        return np.column_stack([ts, _values(self.P, ts), _values(self.A, ts)])
 
     def to_csv(self, path, grid: int = 1001) -> None:
         table = self.sample_table(grid)

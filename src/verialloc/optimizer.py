@@ -27,8 +27,9 @@ from .envelope import (
     CASE_AUD_ALLO,
     ProblemInstance,
     RegionPartition,
-    _bracketed_roots,
+    _cutoff_slopes,
     _cutoffs,
+    _newton_roots,
     _tails,
     partition,
 )
@@ -51,7 +52,7 @@ class SolveReport:
 
     ``stats`` counts the work behind it: points of the curve table, FOC
     grid points, FOC roots found, polish iterations (the Newton rounds of
-    the crossings plus the Illinois steps of the FOC roots) and quadrature
+    the crossings plus the Newton steps of the FOC roots) and quadrature
     nodes.  It is left out of ``to_record()``, which holds results only.
     """
 
@@ -155,6 +156,15 @@ def foc_residual(phi: float, inst: ProblemInstance,
     return float(_foc_residuals(_part_cutoffs(part, inst), inst)[0])
 
 
+def _foc_slopes(g, dg, inst: ProblemInstance) -> np.ndarray:
+    """The derivative in phi of foc_residual at quantile cutoffs g with
+    derivatives dg in phi (rows g1, g2, g3): with Q the quantile function,
+    g1 Q'(g1) g1' + (1 - g2) Q'(g2) g2' - (1 - g3) Q'(g3) g3', Q' = 1 / f(Q)
+    (each Q(g_j) g_j' from a product cancels one from an integral's end)."""
+    weights = np.array([g[0], 1.0 - g[1], g[2] - 1.0])
+    return np.sum(weights * dg / inst.dist.pdf(inst.dist.quantile(g)), axis=0)
+
+
 def baseline_payoffs(inst: ProblemInstance) -> dict:
     """Reference payoffs: first best, uniform lottery, and audit-the-top-k.
 
@@ -177,11 +187,14 @@ def solve(inst: ProblemInstance, *, grid: int = 200) -> SolveReport:
 
     Finds the cutoffs of a grid of ``grid`` >= 2 guarantees over
     [(m-k)/n, m/n] in one batch, finds the sign changes of the first-order
-    condition on it and polishes every bracketed root together to rounding,
-    then evaluates the payoff at every root and both endpoints and returns
-    the argmax with its partition.  No grid point, nor any point of a zoom
-    onto the best one, may beat the winner by more than 1e-7 in payoff,
-    otherwise a root was missed and solve raises.
+    condition on it and polishes every bracketed root together to rounding
+    by safeguarded Newton steps on the condition's closed-form slope, each
+    from its grid cell's secant point (``envelope._newton_roots``, which
+    also polishes the crossings).  It then evaluates the payoff at every
+    root and both endpoints and returns the argmax with its partition.  No
+    grid point, nor any point of a zoom onto the best one, may beat the
+    winner by more than 1e-7 in payoff, otherwise a root was missed and
+    solve raises.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
@@ -199,9 +212,17 @@ def solve(inst: ProblemInstance, *, grid: int = 200) -> SolveReport:
 
     r0, r1 = residuals[:-1], residuals[1:]
     cells = np.flatnonzero(r0 * r1 < 0.0)
-    polished, its = _bracketed_roots(
-        lambda phi, rows: _foc_residuals(_cutoffs(phi, inst, stats)[2], inst, stats),
-        phis[cells], phis[cells + 1], r0[cells], r1[cells])
+
+    def foc(phi, rows):
+        _, crossings, cutoffs = _cutoffs(phi, inst, stats)
+        return (_foc_residuals(cutoffs, inst, stats),
+                _foc_slopes(cutoffs, _cutoff_slopes(crossings, inst), inst))
+
+    # with g_tol 0 a root is resolved by its Newton step (4 ulps) or its
+    # bracket (2 ulps), not by a small residual
+    a, b, ra, rb = phis[cells], phis[cells + 1], r0[cells], r1[cells]
+    polished, its = _newton_roots(foc, a, b, ra, rb, a - ra * (b - a) / (rb - ra),
+                                  np.zeros(len(cells)))
     stats["polish_iterations"] += its
     roots = sorted([*phis[:-1][r0 == 0.0], *polished, *phis[-1:][residuals[-1:] == 0.0]])
 

@@ -163,6 +163,23 @@ class TestCheckCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize("option,data,key", [
+        ("--rules", {"Q": [[0.5, 0.5]]}, '"P"'),
+        ("--rules", [[0.5, 0.5]], '"P"'),
+        ("--rules", {"P": [["half", 0.5], [0.25, 0.25]]}, '"P"'),
+        ("--rules", {"P": [0.5, 0.5]}, '"P"'),
+        ("--instance", {"masses": [[0.5, 0.5]]}, '"grids"'),
+        ("--instance", [[0.2, 0.8]], '"grids"'),
+    ])
+    def test_malformed_file_is_invalid_input(self, capsys, tmp_path, option, data, key):
+        # one error line naming the key, exit 1, no traceback
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["check", option, str(path)])
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
 class TestPlotDataCommand:
     def test_envelope_and_rules_files(self, capsys, tmp_path):
         prefix = str(tmp_path / "fig")

@@ -437,11 +437,12 @@ class TestCrossingCurves:
             _, below, above = exact_binomial(n)
             pairs = [(m, k) for nn, m, k in CURVE_INSTANCES if nn == n]
             cuts = sorted({c for pair in pairs for c in pair})
-            short = envelope._shortfall(n, np.array(cuts)[:, None], p)
+            short = envelope._tails(n, np.array(cuts)[:, None], p)[1]
             for row, c in enumerate(cuts):
                 assert_close(short[row], below[:c].sum(axis=0), ("shortfall", n, c))
             m, k = (np.array(side)[:, None] for side in zip(*pairs))
-            band = envelope._band(n, m, k, p)
+            at_k, at_m = envelope._tails(n, k, p), envelope._tails(n, m, p)
+            band = envelope._band_sums(n, m, k, p, at_k, at_m)[0]
             for row, (m, k) in enumerate(pairs):
                 assert_close(band[row], above[k:m].sum(axis=0), ("band", n, m, k))
 
@@ -454,8 +455,9 @@ class TestCrossingCurves:
         p = 1.0 - envelope._TABLE_Q[1:-1]
         cdf = special.bdtr(np.arange(n)[:, None], n, p)
         upper = special.bdtrc(np.arange(n)[:, None], n, p)
-        pairs = [(envelope._shortfall(n, c, p), cdf[:c].sum(axis=0)) for c in (m, k)]
-        pairs.append((envelope._band(n, m, k, p), upper[k:m].sum(axis=0)))
+        pairs = [(envelope._tails(n, c, p)[1], cdf[:c].sum(axis=0)) for c in (m, k)]
+        at_k, at_m = envelope._tails(n, k, p), envelope._tails(n, m, p)
+        pairs.append((envelope._band_sums(n, m, k, p, at_k, at_m)[0], upper[k:m].sum(axis=0)))
         for got, tail in pairs:
             assert np.all(np.abs(got - tail) <= 2e-11 * np.maximum(tail, 1e-100))
 
@@ -558,3 +560,62 @@ class TestEdgeRegimes:
         report = solve(ProblemInstance(1000, 500, 100, uniform))
         base = report.baselines
         assert base["k_top"] <= report.payoff <= base["first_best"]
+
+
+class TestNewtonRoots:
+    """The safeguarded Newton polish behind every crossing, the band's peak
+    and the first-order-condition roots."""
+
+    @staticmethod
+    def polish(g, start, g_tol=0.0):
+        # one bracket [0, 1] per start; g(x, None) evaluates every row
+        start = np.atleast_1d(np.asarray(start, dtype=float))
+        ends = [np.full(start.shape, end) for end in (0.0, 1.0)]
+        values = [g(end, None)[0] for end in ends]
+        return envelope._newton_roots(g, *ends, *values, start, np.full(start.shape, g_tol))
+
+    def test_a_step_that_leaves_the_bracket_bisects(self):
+        # a slope 1000 times too small throws every Newton step far outside
+        # [0, 1]: the iterates halve the bracket around 0.3 instead
+        seen = []
+
+        def g(x, rows):
+            seen.append(float(x[0]))
+            return x - 0.3, np.full(np.shape(x), 1e-3)
+
+        root, _ = self.polish(g, 0.9)
+        assert seen[2:6] == [0.9, 0.45, 0.225, 0.3375]
+        assert abs(root[0] - 0.3) <= 2 * np.spacing(0.3)
+
+    def test_an_infinite_slope_does_not_stop_the_polish(self):
+        # g / g' = 0 at the start would read as converged there, 0.6 off
+        def g(x, rows):
+            return x - 0.3, np.where(x == 0.9, np.inf, 1.0)
+
+        root, iterations = self.polish(g, 0.9)
+        assert iterations > 1
+        assert abs(root[0] - 0.3) <= 2 * np.spacing(0.3)
+
+    def test_a_value_within_g_tol_resolves_its_row(self):
+        def g(x, rows):
+            return x - 0.3, np.ones(np.shape(x))
+
+        root, iterations = self.polish(g, [0.35, 0.9], g_tol=0.1)
+        assert root[0] == 0.35 and iterations == 2
+        assert abs(root[1] - 0.3) <= 2 * np.spacing(0.3)
+
+    def test_a_rows_root_does_not_depend_on_its_batch(self):
+        # x^3 = c on [0, 1] for three levels, alone and together
+        levels = np.array([0.2, 0.5, 0.7])
+
+        def batch(chosen):
+            def g(x, rows):
+                c = levels[chosen] if rows is None else levels[chosen][rows]
+                return x ** 3 - c, 3.0 * x * x
+
+            return self.polish(g, np.full(len(chosen), 0.5))[0]
+
+        together = batch(np.arange(3))
+        alone = [batch(np.array([i]))[0] for i in range(3)]
+        assert together.tolist() == alone
+        assert np.allclose(together, np.cbrt(levels), rtol=4e-16, atol=0)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import random_instance
-from verialloc.envelope import envelope_value, partition
+from verialloc.distributions import make_power, make_uniform
+from verialloc.envelope import ProblemInstance, envelope_value, partition
 from verialloc.interim import (
     InterimRules,
     bic_slack,
@@ -142,3 +145,23 @@ def test_sample_table_shape(ex_rules):
     table = ex_rules.sample_table(grid=101)
     assert table.shape == (101, 3)
     assert np.all(np.diff(table[:, 1]) >= -1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3, 4.0])
+def test_sample_table_is_the_pointwise_table(alpha):
+    # merit rules get the whole grid at once and give the table that
+    # point-by-point evaluation gives, bit for bit
+    inst = ProblemInstance(12, 6, 2, make_uniform() if alpha == 1.0 else make_power(alpha))
+    for phi in (0.34, 0.4, 0.45):
+        rules = merit_with_guarantee(phi, inst)
+        ts = np.linspace(0.0, 1.0, 1001)
+        pointwise = [[t, float(rules.P(t)), float(rules.A(t))] for t in ts.tolist()]
+        assert rules.sample_table(1001).tolist() == pointwise
+
+
+def test_sample_table_takes_rules_of_floats_only():
+    # math.sqrt refuses an array: such a rule is evaluated point by point
+    rules = InterimRules(P=math.sqrt, A=lambda t: 0.5 * math.sqrt(t))
+    table = rules.sample_table(grid=5)
+    assert table.tolist() == [[t, math.sqrt(t), 0.5 * math.sqrt(t)]
+                              for t in (0.0, 0.25, 0.5, 0.75, 1.0)]

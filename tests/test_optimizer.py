@@ -78,6 +78,38 @@ class TestFocResidual:
         assert foc_residual(0.6, ex_inst) > 0
 
 
+class TestFocSlope:
+    @pytest.mark.parametrize("n,m,k,alpha", [(3, 2, 1, 1.0), (12, 6, 2, 0.3), (8, 4, 2, 2.0),
+                                             (5, 3, 1, 4.0)])
+    def test_closed_form_slope_and_polished_roots(self, n, m, k, alpha):
+        # the closed-form dR/dphi against a centred difference of
+        # foc_residual at interior guarantees with and without an audit
+        # region, each difference taken within one case so that no cutoff
+        # changes the crossing it is; then every polished root is one to
+        # rounding: |R| <= the polish's g_tol, 0, or R changes sign within
+        # 4 ulps
+        inst = ProblemInstance(n, m, k, make_uniform() if alpha == 1.0 else make_power(alpha))
+        lo, hi = inst.phi_floor, inst.phi_max
+        h = 1e-6 * (hi - lo)
+        phis = np.linspace(lo, hi, 25)[1:-1]
+        _, crossings, g = envelope._cutoffs(phis, inst)
+        slopes = optimizer._foc_slopes(g, envelope._cutoff_slopes(crossings, inst), inst)
+        cases = set()
+        for phi, slope in zip(phis.tolist(), slopes.tolist()):
+            case = partition(phi, inst).case_tag
+            if {partition(phi - h, inst).case_tag, partition(phi + h, inst).case_tag} != {case}:
+                continue
+            cases.add(case)
+            diff = (foc_residual(phi + h, inst) - foc_residual(phi - h, inst)) / (2 * h)
+            assert slope == pytest.approx(diff, rel=1e-6), (phi, case)
+        assert cases == {"IcAudAllo", "IcAllo"}
+        roots = [c.phi for c in solve(inst).candidates if c.source == "foc-root"]
+        assert roots
+        for root in roots:
+            near = [foc_residual(root + j * np.spacing(root), inst) for j in (-4, 0, 4)]
+            assert near[1] == 0.0 or near[0] * near[2] <= 0.0, (root, near)
+
+
 class TestSolve:
     def test_reference_instance(self, ex_solved):
         assert ex_solved.phi_star == pytest.approx(PHI_REF, abs=1e-4)
@@ -150,12 +182,12 @@ class TestSolve:
 
     def test_stats_count_the_work(self, ex_solved, ex_inst):
         # the curve table, 200 grid points and the probe above the floor, the
-        # polish iterations (29 Newton rounds of the crossings and 6 Illinois
+        # polish iterations (23 Newton rounds of the crossings and 3 Newton
         # steps of the single FOC root), and the quadrature nodes of every
         # batched FOC and payoff pass, the cross-check's zoom included.  These
         # are exact work counts, not bounds; a second solve repeats them
         assert ex_solved.stats == {"curve_points": 354, "foc_grid": 200, "foc_roots": 1,
-                                   "polish_iterations": 35, "quadrature_nodes": 23392}
+                                   "polish_iterations": 26, "quadrature_nodes": 20032}
         assert solve(ex_inst).stats == ex_solved.stats
         assert "stats" not in ex_solved.to_record()
 
@@ -176,8 +208,8 @@ class TestSolve:
         # endpoints, and the payoff near the grid's best point beats them;
         # at (7, 6, 1) the root sits 1.5e-4 above the floor, inside the
         # first grid cell, where only the zoom sees the peak
-        polish = optimizer._bracketed_roots
-        monkeypatch.setattr(optimizer, "_bracketed_roots",
+        polish = optimizer._newton_roots
+        monkeypatch.setattr(optimizer, "_newton_roots",
                             lambda *args: (polish(*args)[0][:0], 0))
         with pytest.raises(RuntimeError, match="root was missed"):
             solve(ProblemInstance(n, m, k, uniform))
