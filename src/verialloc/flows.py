@@ -199,19 +199,28 @@ class DiscreteInstance:
     def from_json_dict(cls, data: dict) -> "DiscreteInstance":
         if not (isinstance(data, dict) and "grids" in data and "masses" in data):
             raise ValueError('an instance file needs the keys "grids" and "masses"')
-        cap = data.get("capacity", {})
-        elig = data.get("eligible", {})
+
+        def read(key, parse, default=None):
+            """``parse`` of the value under ``key``, whose malformed values
+            raise a ValueError that names the key."""
+            try:
+                return parse(data.get(key, default))
+            except (TypeError, KeyError, AttributeError, ValueError) as exc:
+                raise ValueError(f'malformed "{key}" in the instance file: '
+                                 f'{type(exc).__name__}: {exc}') from None
+
+        def numbers(rows):
+            return tuple(tuple(float(x) for x in row) for row in rows)
+
+        cap = read("capacity", lambda c: (int(c.get("default", 0)), {
+            tuple(e["profile"]): int(e["h"]) for e in c.get("entries", [])}), {})
         return cls(
-            grids=tuple(tuple(float(x) for x in g) for g in data["grids"]),
-            masses=tuple(tuple(float(x) for x in w) for w in data["masses"]),
-            capacity_default=int(cap.get("default", 0)),
-            capacity={
-                tuple(e["profile"]): int(e["h"]) for e in cap.get("entries", [])
-            },
-            eligible={
-                tuple(e["profile"]): frozenset(e["agents"])
-                for e in elig.get("entries", [])
-            },
+            grids=read("grids", numbers),
+            masses=read("masses", numbers),
+            capacity_default=cap[0],
+            capacity=cap[1],
+            eligible=read("eligible", lambda c: {
+                tuple(e["profile"]): frozenset(e["agents"]) for e in c.get("entries", [])}, {}),
         )
 
     @classmethod

@@ -15,20 +15,21 @@ and every supply-region type is audited with probability P(t) - phi.
 Weighted draws without replacement are exponential races: each pool
 member arrives at E / w with E ~ Exp(1) and the first arrivals are drawn
 (successive-draws semantics, i.e. Plackett-Luce).  Only rows whose draw
-is a real choice, 0 < quota < pool size, draw any variates.  Where the
-profiles of type cells can be enumerated (at most ``_EXACT_MAX_PROFILES``
-multisets), each stage's per-bin hit rate is computed exactly, both
-stages from one profile table, and the weights are fitted on it by an
-Anderson-accelerated fixed point, so they do not depend on the seed;
-otherwise a damped stochastic fixed point fits them on simulated profiles.
+is a real choice, 0 < quota < pool size, draw any variates.  Each stage's
+per-bin hit rate is computed exactly, at every n, from the agents' counts
+in the region blocks (``_stage_maps``), and the weights are fitted on it by
+an Anderson-accelerated fixed point, so they do not depend on the seed and
+no profile is simulated to fit them.
 
-All randomness flows through counter-based Philox streams keyed by
-(seed, stage, round), so a report is a pure function of its seed.
+All randomness flows through counter-based Philox streams keyed by the
+seed and the batch of the main pass, so a report is a pure function of its
+seed.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,12 +67,11 @@ class BinWeights:
 
     ``edges`` must be ``linspace(0, 1, len(values) + 1)``: a type's weight
     is read by the same floor(t * bins) index the simulation tallies use.
-    ``stats`` describes the calibration that fitted the weights, if any.
-    With ``method`` "exact": iterations (evaluations of the exact map),
-    cell multisets enumerated and the largest final |rate - target|.  With
-    ``method`` "monte_carlo": fixed-point rounds, polish rounds, rows
-    simulated and the worst bin deviation (in standard errors) of the last
-    round.
+    ``stats`` describes the calibration that fitted the weights, if any:
+    its ``method`` ("exact"), the ``configurations`` of the exact map (the
+    splits of the n agents over the region blocks), its ``iterations``
+    (evaluations of the map) and the largest final |rate - target|,
+    ``max_residual``.
     """
 
     edges: np.ndarray
@@ -104,10 +104,10 @@ class SimReport:
     """Binned empirical interim rules versus their targets.
 
     ``stats`` counts the work behind it: ``main_rows`` profiles in the main
-    pass, ``main_draw_rows`` of them whose ``lottery`` and ``audit`` draws
-    had a real choice and, for each stage calibrated here (``lottery``,
-    ``audit``), the ``stats`` of its fitted weights.  It is left out of
-    ``to_record()``, which holds results only.
+    pass (the only profiles simulated), ``main_draw_rows`` of them whose
+    ``lottery`` and ``audit`` draws had a real choice and, for each stage
+    calibrated here (``lottery``, ``audit``), the ``stats`` of its fitted
+    weights.  It is left out of ``to_record()``, which holds results only.
     """
 
     trials: int
@@ -410,160 +410,320 @@ def bin_targets(inst: ProblemInstance, rules: InterimRules,
 # calibration
 # ---------------------------------------------------------------------------
 
-# Limits of the exact interim map, from timings of both calibrators on one
-# Xeon core (uniform types at phi*, 100,000-row Monte Carlo rounds).  In
-# every case tried under these caps, n = 3 to 8 with 4 to 64 bins, the map
-# fitted both stages 5-90x faster than the fallback, with a peak memory at most 2 MB above its.
-# Above about 150,000 multisets its memory passes the fallback's: 105 MB
-# against 99 MB for (3,2,1) with 100 bins (182,104 multisets), 197 MB
-# against 101 MB for n = 4 with 64 bins (864,501).  (3,2,1) with 64 bins
-# has 50,116.  A draw's exact law sums over up to 2^n drawn sets, so at
-# n = 12 the map was only 1.2x faster; n is capped at 8, the largest
-# instance the tests check against a Monte Carlo tally.
-_EXACT_MAX_PROFILES = 150_000
-_EXACT_MAX_AGENTS = 8
+# The fit stops when every bin is within _EXACT_TOL of its target.
 _EXACT_TOL = 1e-10
 _EXACT_MAX_ITER = 2_000
 # the exact fit's Anderson depth and its log-weight bound, log(1e6)
 _ANDERSON_DEPTH = 5
 _LOG_CLIP = math.log(1e6)
-# the Monte Carlo fixed point: its round cap, the damping exponent of its
-# rounds and the number of polish rounds averaged after them
-_MAX_ROUNDS = 100
-_DAMPING = 0.5
-_POLISH_ROUNDS = 3
+
+# The race integral's rule in x: 12 Gauss-Legendre nodes on each panel of
+# ``_race_nodes``.  Against exact Fraction sums over every profile, with
+# weights spread up to 1e12, the rates were within 3.7e-15 (16 nodes:
+# 5.6e-16; 10 nodes, even on the wider range [1e-2/w_hi, 60/w_lo]: 9.0e-13).
+_RACE_X, _RACE_W = np.polynomial.legendre.leggauss(12)
 
 
-def _plackett_luce_top(w: np.ndarray, quota: int) -> np.ndarray:
-    """P(each column is among the first ``quota`` of a successive weighted
-    draw without replacement), row by row of the positive weights ``w``.
+def _race_nodes(w_lo: float, w_hi: float):
+    """Nodes and weights in x for the integral over [0, inf) of a sum of
+    terms w e^{-w x} g(x), w in [w_lo, w_hi], g a polynomial in the
+    e^{-w_c x}: one panel on [0, 1 / w_hi], then panels of unit width in
+    log x up to 40 / w_lo, past which e^{-w x} is below 5e-18."""
+    start = 1.0 / w_hi
+    panels = max(1, math.ceil(math.log(40.0 / (w_lo * start))))
+    ends = np.concatenate([[0.0], start * np.exp(np.arange(panels + 1))])
+    lo, hi = ends[:-1, None], ends[1:, None]
+    return ((0.5 * (lo + hi) + 0.5 * (hi - lo) * _RACE_X).ravel(),
+            (0.5 * (hi - lo) * _RACE_W).ravel())
 
-    Dynamic program over the set drawn so far: P(the first j draws are the
-    set S) is summed over the member of S drawn last.  This is the law of
-    the race pick (Efraimidis & Spirakis 2006; Kool et al. 2019).
+
+@functools.lru_cache(maxsize=16)
+def _comb_table(n: int) -> np.ndarray:
+    """C(j, i) for j, i = 0..n, 0 where i > j; read-only, as it is shared."""
+    table = np.array([[math.comb(j, i) for i in range(n + 1)] for j in range(n + 1)], dtype=float)
+    table.setflags(write=False)
+    return table
+
+
+def _powers(p: np.ndarray, q: np.ndarray, n: int):
+    """p^i and q^i for i = 0..n, each stacked on a new axis before the last.
+    q is 1 - p, given apart so that neither loses digits near 0."""
+    pw, qw = [np.ones_like(p)], [np.ones_like(q)]
+    for _ in range(n):
+        pw.append(pw[-1] * p)
+        qw.append(qw[-1] * q)
+    return np.stack(pw, axis=-2), np.stack(qw, axis=-2)
+
+
+def _binom_tables(p: np.ndarray, q: np.ndarray, n: int):
+    """pmf[..., j, i] = P(Binomial(j, p) = i) and cdf[..., j, t + 1] =
+    P(Binomial(j, p) <= t) for j, i = 0..n and t = -1..n, the last axis
+    that of p and q = 1 - p."""
+    pw, qw = _powers(p, q, n)
+    j, i = np.arange(n + 1)[:, None], np.arange(n + 1)
+    pmf = _comb_table(n)[:, :, None] * pw[..., None, :, :] * qw[..., np.maximum(j - i, 0), :]
+    cdf = np.concatenate([np.zeros_like(pmf[..., :1, :]), np.cumsum(pmf, axis=-2)], axis=-2)
+    return pmf, cdf
+
+
+def _cut_nodes(mu: np.ndarray, s: int, r: int):
+    """Where the cut agent sits when a run of r < s of a block's s agents
+    lies on one side of it: the (r+1)-th agent from that side.
+
+    ``mu`` holds the block's cell masses in order from that side, and y is
+    the mass between the side's end and the cut agent, whose density is
+    s! / (r! (s-r-1)!) y^r (M - y)^(s-r-1) / M^s.  Within a cell, the
+    chance that a run member arrived is linear in y over y, so that density
+    times a binomial law of up to r run members, times the run's mass in
+    the cell, is a polynomial in y of degree at most s - 1: (s + 1) // 2
+    Gauss-Legendre nodes per cell integrate it exactly.  Returns each
+    node's cell, its offset into the cell, y, and its weight.
     """
-    rows, s = w.shape
-    layer = {(): (np.ones(rows), w.sum(axis=1))}  # set -> (probability, weight left)
-    for _ in range(quota):
-        nxt = {}
-        for drawn, (p, left) in layer.items():
-            for j in range(s):
-                if j in drawn:
-                    continue
-                key = tuple(sorted(drawn + (j,)))
-                step = p * w[:, j] / left
-                if key in nxt:
-                    nxt[key][0] += step
-                else:
-                    nxt[key] = [step, left - w[:, j]]
-        layer = nxt
-    top = np.zeros_like(w)
-    for drawn, (p, _) in layer.items():
-        top[:, list(drawn)] += p[:, None]
-    return top
+    total = float(mu.sum())
+    gx, gw = np.polynomial.legendre.leggauss((s + 1) // 2)
+    before = np.cumsum(mu) - mu
+    after = np.cumsum(mu[::-1])[::-1] - mu
+    off = mu[:, None] * (0.5 * (gx + 1.0))
+    y = before[:, None] + off
+    other = after[:, None] + mu[:, None] * (0.5 * (1.0 - gx))
+    dens = (math.comb(s, r) * (s - r) / total) * (y / total) ** r * (other / total) ** (s - r - 1)
+    cell = np.repeat(np.arange(len(mu)), len(gx))
+    return cell, off.ravel(), y.ravel(), (0.5 * mu[:, None] * gw * dens).ravel()
 
 
-def _profile_table(inst: ProblemInstance, part: RegionPartition, bins: int):
-    """Every descending profile of type cells, with its probability.
+def _run_share(mu: np.ndarray, off: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per cell, the sum over the cut agent's nodes (``_cut_nodes``, the
+    same number in each cell) of ``k`` times the mass of the cell on the
+    run's side of the node: all of it for the cells nearer the run's end
+    than the node's, the offset for the node's own cell.  ``k`` has the
+    nodes on its first axis."""
+    rest = k.shape[1:]
+    per_cell = (len(mu), len(off) // len(mu)) + rest
+    s1 = k.reshape(per_cell).sum(axis=1)
+    s2 = (off.reshape((-1,) + (1,) * len(rest)) * k).reshape(per_cell).sum(axis=1)
+    beyond = np.zeros_like(s1)
+    beyond[:-1] = np.cumsum(s1[:0:-1], axis=0)[::-1]
+    return mu.reshape((-1,) + (1,) * len(rest)) * beyond + s2
 
-    Cells are those of ``_cells``; empty ones are left out.  Types are iid
-    and continuous, so a profile is a multiset of n cells, weighted by its
-    multinomial count times the product of its cells' masses; agents
-    sharing a cell are exchangeable and ties have probability 0.  Returns
-    (bin, region) of the cell at each descending position and the profile
-    probabilities, or None when there are more than ``_EXACT_MAX_PROFILES``
-    multisets or ``_EXACT_MAX_AGENTS`` agents.
-    """
-    n = inst.n
-    grid, reg = _cells(inst, part, bins)
-    keep = grid.mass > 0
-    mass = grid.mass[keep]
-    cells = len(mass)
-    if n > _EXACT_MAX_AGENTS or math.comb(cells + n - 1, n) > _EXACT_MAX_PROFILES:
-        return None
 
-    table = multiset_table(cells, n)
-    prob = np.full(len(table), float(math.factorial(n)))
-    run = np.ones(len(table))
-    for j in range(1, n):
-        run = np.where(table[:, j] == table[:, j - 1], run + 1.0, 1.0)
-        prob /= run
-    prob *= np.prod(mass[table], axis=1)
+@dataclass(frozen=True)
+class _CutDraws:
+    """The draws whose pool holds a run of ``r`` < s of the agents of block
+    ``block``, cut at an agent whose position ``node`` gives
+    (``_cut_nodes``, on the racing cells ``order`` listed from the run's
+    side), and ``others`` agents of the whole block ``other``, with quota
+    ``quota`` and probability ``prob`` per row."""
 
-    desc = table[:, ::-1]
-    cell_bin = grid.bin[keep].astype(np.int16)
-    return cell_bin[desc], reg[keep][desc], prob
+    block: int
+    order: np.ndarray
+    node: tuple
+    r: int
+    other: int
+    others: np.ndarray
+    quota: np.ndarray
+    prob: np.ndarray
 
 
 @dataclass(frozen=True)
 class _StageMap:
     """Exact per-bin hit rate of one weighted draw as a function of the
-    bin weights.
+    bin weights, from the agents' counts in the region blocks.
 
-    ``draws`` and ``sure`` are the expected tallied agents and their
-    expected sure hits (certain lottery wins, forced audits) per bin.
-    Each group holds the profiles whose draw is a real choice, 0 < quota <
-    pool size, with one quota and pool size: the pool members' bins and the
-    profile probabilities.
+    The region blocks, in descending order of type, split the n agents by a
+    multinomial law.  Given the counts, the agents of a block are iid over
+    its cells, and the stage rule sets the quota and, in each block, the
+    pool: none, all, or a run of its top or bottom agents.  ``draws`` and
+    ``sure`` are the expected tallied agents and their expected sure hits
+    (certain lottery wins, forced audits) per bin.  The cells of the blocks
+    that race have bins ``racing_bin`` and masses ``mu``; ``share`` spreads
+    each block's agents over them.  ``whole`` holds the draws whose pools
+    are whole blocks, one row per pool block: the block, its pool agents,
+    the other pool block and its pool agents (0 for none), the quota and
+    the probability.  ``cuts`` holds the others.
     """
 
     draws: np.ndarray
     sure: np.ndarray
-    groups: tuple
-    multisets: int
+    racing_bin: np.ndarray
+    mu: np.ndarray
+    share: np.ndarray
+    whole: tuple
+    cuts: tuple
+    agents: int
+    configurations: int
+
+    @property
+    def stats(self) -> dict:
+        return {"method": "exact", "configurations": self.configurations}
 
     def rate(self, w: np.ndarray) -> np.ndarray:
-        bins = len(self.draws)
-        hits = self.sure.copy()
-        for quota, pool_bins, prob in self.groups:
-            top = _plackett_luce_top(w[pool_bins], quota)
-            hits += np.bincount(pool_bins.ravel(), weights=(prob[:, None] * top).ravel(),
-                                minlength=bins)
+        """P(a member is among the first q of the race) is the integral over
+        x of w e^{-w x} P(fewer than q other members arrived by x).  A
+        member of a whole block arrives by x with probability
+        pi_b(x) = sum_c mu_c (1 - e^{-w_c x}) / M_b, so the others'
+        arrivals are binomial; a run's are binomial given its cut agent."""
+        hits = np.zeros(len(self.mu))
+        if self.mu.size:
+            wc = w[self.racing_bin]
+            x, wx = _race_nodes(float(wc.min()), float(wc.max()))
+            wt = np.outer(wc, x)
+            came, left = -np.expm1(-wt), np.exp(-wt)
+            race = wx * wc[:, None] * left
+            pmf, cdf = _binom_tables(self.share @ came, self.share @ left, self.agents)
+            member, size, other, others, quota, prob = self.whole
+            # per block and x, its members' chance that fewer than quota
+            # others arrived, summed over the draws with their members
+            steps = np.maximum(quota[:, None] - np.arange(self.agents + 1), 0)
+            per_block = np.zeros((len(self.share), len(x)))
+            np.add.at(per_block, member, np.einsum(
+                "r,rix,rix->rx", prob * size, pmf[member, size - 1],
+                cdf[other[:, None], others[:, None], steps]))
+            cum = {}
+            for f in self.cuts:
+                self._cut_race(f, came, left, race, cdf, cum, hits, per_block)
+            hits += np.einsum("cx,cx->c", race, self.share.T @ per_block)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return hits / self.draws
+            return (np.bincount(self.racing_bin, hits, len(self.draws)) + self.sure) / self.draws
+
+    def _cut_race(self, f: _CutDraws, came, left, race, cdf, cum, hits, per_block) -> None:
+        """Add the race hits of one run's draws: its members' to ``hits``,
+        its other block's to ``per_block``."""
+        cell, off, y, weight = f.node
+        key = (f.block, int(f.order[0]))
+        if key not in cum:
+            mass, zero = self.mu[f.order, None], np.zeros((1, came.shape[1]))
+            cum[key] = [(np.concatenate([zero, np.cumsum(mass * a[f.order], axis=0)]), a[f.order])
+                        for a in (came, left)]
+        # a run member arrives by x with probability p, given the cut
+        pw, qw = _powers(*((c[cell] + off[:, None] * a[cell]) / y[:, None]
+                           for c, a in cum[key]), f.r)
+        steps = np.maximum(f.quota[:, None] - np.arange(f.r + 1), 0)
+        coef = np.einsum("k,kix->ix", f.prob, cdf[f.other, f.others[:, None], steps[:, :-1]])
+        arrivals = sum(math.comb(f.r - 1, i) * coef[i] * (pw[:, i] * qw[:, f.r - 1 - i])
+                       for i in range(f.r))
+        share = _run_share(self.mu[f.order], off, (weight * f.r / y)[:, None] * arrivals)
+        hits[f.order] += np.einsum("cx,cx->c", race[f.order], share)
+        with_other = f.others > 0
+        if with_other.any():
+            coef = np.einsum("k,kix->ix", f.prob[with_other] * f.others[with_other],
+                             cdf[f.other, f.others[with_other, None] - 1, steps[with_other]])
+            per_block[f.other] += sum(math.comb(f.r, i) * coef[i]
+                                      * (weight @ (pw[:, i] * qw[:, f.r - i]))
+                                      for i in range(f.r + 1))
 
 
-def _stage_maps(inst: ProblemInstance, part: RegionPartition, bins: int,
-                stages) -> Optional[dict]:
-    """The exact maps of the given stages' draws, by stage, from one profile
-    table, or None when the instance has too many cell multisets to
-    enumerate."""
-    table = _profile_table(inst, part, bins)
-    if table is None:
-        return None
-    cell_bin, reg, prob = table
-    # positions hold descending types, so the merit stage reads the ranks
-    rank = np.arange(inst.n)
-    merit = ((reg == 2) & (rank < inst.m)) | ((reg == 1) & (rank < inst.k))
-    return {stage: _stage_map(cell_bin, reg, prob, merit, inst, bins, stage)
-            for stage in stages}
+def _runs(mask: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """Set entries of ``mask`` in each block of each row, and whether the
+    block's first (highest) entry is one of them."""
+    cum = np.concatenate([np.zeros((len(mask), 1), dtype=np.int64),
+                          np.cumsum(mask, axis=1)], axis=1)
+    rows = np.arange(len(mask))[:, None]
+    inside = cum[rows, starts + counts] - cum[rows, starts]
+    top = mask[rows, np.minimum(starts, mask.shape[1] - 1)]
+    return inside, top
 
 
-def _stage_map(cell_bin, reg, prob, merit, inst: ProblemInstance, bins: int,
-               stage: str) -> _StageMap:
-    """The exact map of one stage's draw over the profile table."""
-    tallied, pool, quota, sure, chosen = _stage_rule(stage, reg, merit, inst.m, inst.k)
-    size = _row_count(pool)
-    draws, sure = (np.bincount(cell_bin.ravel(), minlength=bins,
-                               weights=(prob[:, None] * (mask & tallied)).ravel())
-                   for mask in (tallied, sure))
+def _stage_maps(inst: ProblemInstance, part: RegionPartition, bins: int, stages) -> dict:
+    """The exact maps of the given stages' draws, by stage, from one row per
+    split of the n agents over the region blocks (each a region interval's
+    nonempty cells), holding the region of each position in descending
+    order, so that merit winners are read off the ranks."""
+    n, m, k = inst.n, inst.m, inst.k
+    grid, reg = _cells(inst, part, bins)
+    keep = np.flatnonzero(grid.mass > 0)
+    mu, cell_bin, reg = grid.mass[keep], grid.bin[keep], reg[keep]
+    piece = part.region_codes(0.5 * (grid.lo + grid.hi))[keep]
+    blocks = tuple(c for c in (np.flatnonzero(piece == i)
+                               for i in reversed(range(len(part.intervals)))) if c.size)
+    mass = np.array([mu[c].sum() for c in blocks])
+    share = np.zeros((len(blocks), len(mu)))
+    for b, cells in enumerate(blocks):
+        share[b, cells] = mu[cells] / mass[b]
+    # every split of the n agents over the blocks, with its multinomial probability
+    counts = np.stack([np.sum(multiset_table(len(blocks), n) == b, axis=1)
+                       for b in range(len(blocks))], axis=1)
+    prob = np.array([math.factorial(n) // math.prod(map(math.factorial, row))
+                     for row in counts.tolist()], dtype=float)
+    prob *= np.prod(mass ** counts, axis=1)
+    ends = np.cumsum(counts, axis=1)
+    starts = ends - counts
+    rank = np.arange(n)
+    row_reg = reg[[c[0] for c in blocks]][np.sum(ends[:, :, None] <= rank, axis=1)]
+    merit = ((row_reg == 2) & (rank < m)) | ((row_reg == 1) & (rank < k))
 
-    # a draw depends only on its quota and its pool's bins (in descending
-    # order), so profiles sharing both are merged into one row
-    width = reg.shape[1] + 1
-    group = np.where(chosen, quota * width + size, -1)
-    groups = []
-    for code in np.unique(group[chosen]).tolist():
-        q, s = divmod(code, width)
-        rows = np.flatnonzero(group == code)
-        pool_bins = cell_bin[rows][pool[rows]].reshape(-1, s)
-        order = np.lexsort(pool_bins.T)
-        pool_bins, rows = pool_bins[order], rows[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (pool_bins[1:] != pool_bins[:-1]).any(axis=1)
-        merged = np.bincount(np.cumsum(first) - 1, weights=prob[rows])
-        groups.append((q, pool_bins[first], merged))
-    return _StageMap(draws, sure, tuple(groups), len(prob))
+    maps = {}
+    for stage in stages:
+        tallied, pool, quota, sure, choice = _stage_rule(stage, row_reg, merit, m, k)
+        in_tally, _ = _runs(tallied, starts, counts)
+        draws = n * (np.all(in_tally == counts, axis=0) * mass) @ share
+        in_pool, top = _runs(pool, starts, counts)
+        racing = np.concatenate([blocks[b] for b in np.flatnonzero(in_pool[choice].any(axis=0))]
+                                + [[]]).astype(np.int64)
+        maps[stage] = _StageMap(
+            np.bincount(cell_bin, draws, bins),
+            np.bincount(cell_bin, _sure_hits(blocks, mu, counts, starts, prob, sure & tallied),
+                        bins),
+            cell_bin[racing], mu[racing], share[:, racing],
+            *_race_rows(blocks, mu, racing, counts, prob, in_pool, top, quota, choice),
+            n, len(prob))
+    return maps
+
+
+def _order(cells: np.ndarray, top: bool) -> np.ndarray:
+    return cells[::-1] if top else cells
+
+
+def _sure_hits(blocks, mu, counts, starts, prob, sure) -> np.ndarray:
+    """Expected sure hits per kept cell."""
+    in_sure, top = _runs(sure, starts, counts)
+    runs = {}
+    for row, b in zip(*np.nonzero(in_sure)):
+        key = (b, bool(top[row, b]), counts[row, b], in_sure[row, b])
+        runs[key] = runs.get(key, 0.0) + prob[row]
+    hits = np.zeros(len(mu))
+    for (b, upper, s, r), p in runs.items():
+        cells = _order(blocks[b], upper)
+        if r == s:
+            hits[cells] += p * r * mu[cells] / mu[cells].sum()
+        else:
+            _, off, y, weight = _cut_nodes(mu[cells], s, r)
+            hits[cells] += p * _run_share(mu[cells], off, weight * r / y)
+    return hits
+
+
+def _race_rows(blocks, mu, racing, counts, prob, in_pool, top, quota, choice):
+    """The ``whole`` rows and the ``cuts`` of ``_StageMap``: the draws with
+    a real choice, merged by what their race depends on."""
+    whole, cut = {}, {}
+    for row in np.flatnonzero(choice):
+        members = np.flatnonzero(in_pool[row]).tolist()
+        runs = [b for b in members if in_pool[row, b] < counts[row, b]]
+        if len(members) > 2 or len(runs) > 1:
+            raise ValueError("a draw's pool spans more than two region blocks or "
+                             "cuts more than one")
+        q, p = int(quota[row]), prob[row]
+        for b in runs or members:
+            o = next((o for o in members if o != b), b)
+            others = int(in_pool[row, o]) if o != b else 0
+            if runs:
+                key = (b, bool(top[row, b]), int(counts[row, b]), int(in_pool[row, b]), o)
+                rows = cut.setdefault(key, {})
+                rows[others, q] = rows.get((others, q), 0.0) + p
+            else:
+                key = (b, int(in_pool[row, b]), o, others, q)
+                whole[key] = whole.get(key, 0.0) + p
+    cols = list(zip(*whole)) or [()] * 5
+    whole = tuple(np.array(c, dtype=np.int64) for c in cols) + (
+        np.array(list(whole.values()), dtype=float),)
+    at = np.zeros(len(mu), dtype=np.int64)
+    at[racing] = np.arange(len(racing))
+    cuts = []
+    for (b, upper, s, r, o), rows in cut.items():
+        order = _order(blocks[b], upper)
+        others, q = (np.array(c, dtype=np.int64) for c in zip(*rows))
+        cuts.append(_CutDraws(b, at[order], _cut_nodes(mu[order], s, r), r, o, others, q,
+                              np.array(list(rows.values()))))
+    return whole, tuple(cuts)
 
 
 def _forced_audit_error(b: int, bins: int, forced: float,
@@ -630,8 +790,7 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
             f"{stage} calibration stalled: after {_EXACT_MAX_ITER} iterations of the "
             f"exact map the worst bin is still {resid:.3g} from its target"
         )
-    stats = {"method": "exact", "iterations": it, "multisets": smap.multisets,
-             "max_residual": resid}
+    stats = {**smap.stats, "iterations": it, "max_residual": resid}
     return BinWeights(edges=np.linspace(0.0, 1.0, bins + 1), values=w, stats=stats)
 
 
@@ -645,135 +804,29 @@ def _bin_counts(idx: np.ndarray, mask: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(idx, weights=mask.ravel(), minlength=bins)
 
 
-def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
-                 *, stage: str, trials: int, seed: int, bins: int,
-                 polish_trials: Optional[int]) -> BinWeights:
-    """Damped multiplicative fixed point for the weights of one stage.
-
-    ``target`` is the per-bin hit probability wanted among the stage's
-    tallied agents (NaN marks a bin with no target).  Each round measures
-    the stage on fresh rows with the other stage switched off and sets
-    w <- w * (target / empirical)^``_DAMPING`` per bin, normalised to unit
-    geometric mean, until every bin deviation is under two standard errors
-    (``CalibrationError`` after ``_MAX_ROUNDS`` rounds).  ``_POLISH_ROUNDS`` rounds then
-    continue with lower damping on ``polish_trials`` rows each, and the
-    log-weights of the polish rounds are averaged.
-
-    Audit calibration fails at once when no weights can reach the target:
-    if the sure audits alone exceed a bin's target by more than six
-    standard errors in the first round, the fixed point cannot converge.
-    The fitted weights carry the work done in ``stats``.
-    """
-    lottery_stage = stage == "lottery"
-    stream = 0 if lottery_stage else 1
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    flat = BinWeights.uniform(bins)
-    w = np.ones(bins)
-
-    def measure(weights: np.ndarray, rows: int, rng):
-        """Per-bin hits, tallied agents and sure hits of the stage."""
-        fitted = BinWeights(edges, weights)
-        lottery_w, audit_w = (fitted, flat) if lottery_stage else (flat, fitted)
-        counts = np.zeros((3, bins))
-        for done in range(0, rows, _CHUNK):
-            types = _sample_types(inst, min(_CHUNK, rows - done), rng)
-            reg, merit, lottery, _, audited, _ = _mechanism_batch(
-                types, part, inst, lottery_w, audit_w, rng,
-                run_lottery=lottery_stage, run_audit=not lottery_stage,
-            )
-            idx = _bin_index(types, bins).ravel()
-            tallied, _, _, sure, _ = _stage_rule(stage, reg, merit, inst.m, inst.k)
-            for row, hit in zip(counts, (lottery if lottery_stage else audited, tallied, sure)):
-                row += _bin_counts(idx, hit & tallied, bins)
-        return counts
-
-    def step(weights, rows, rng, clip_lo, clip_hi, power, check_sure=False):
-        hits, draws, sure_hits = measure(weights, rows, rng)
-        active = (draws > 0) & np.isfinite(target)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            emp = hits / draws
-            se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
-            dev = np.abs(emp - target) / se
-            ratio = np.where(active & (hits > 0), target / np.where(hits > 0, emp, 1.0), 1.0)
-            sure_rate = sure_hits / draws
-            excess = np.where(active, (sure_rate - target) / se, -np.inf)
-        if check_sure and excess.max() > 6.0:
-            b = int(np.argmax(excess))
-            raise _forced_audit_error(b, bins, sure_rate[b], target[b])
-        ratio = np.clip(np.nan_to_num(ratio, nan=1.0), clip_lo, clip_hi)
-        worst = float(np.nanmax(np.where(active, dev, 0.0)))
-        return active, dev, worst, weights * ratio**power
-
-    for rnd in range(_MAX_ROUNDS):
-        active, dev, worst, stepped = step(
-            w, trials, _philox(seed, stream, rnd), 0.25, 4.0, _DAMPING,
-            check_sure=rnd == 0 and not lottery_stage,
-        )
-        if worst < 2.0:
-            break
-        w = np.clip(stepped / np.exp(np.mean(np.log(stepped[active]))), 1e-6, 1e6)
-    else:
-        hint = "" if lottery_stage else (
-            "; check that the target is above the forced-audit floor")
-        raise CalibrationError(
-            f"{stage} calibration did not reach the 2-standard-error band in "
-            f"{_MAX_ROUNDS} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
-        )
-    stats = {"method": "monte_carlo", "rounds": rnd + 1, "polish_rounds": 0,
-             "rows": (rnd + 1) * trials, "max_dev": worst}
-
-    if polish_trials and np.isfinite(target).any():
-        logs = []
-        for rnd in range(_POLISH_ROUNDS):
-            rng = _philox(seed, stream, _MAX_ROUNDS + rnd)
-            _, _, worst, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
-            logs.append(np.log(w))
-        w = np.exp(np.mean(logs, axis=0))
-        stats.update(polish_rounds=_POLISH_ROUNDS, max_dev=worst,
-                     rows=stats["rows"] + _POLISH_ROUNDS * polish_trials)
-    return BinWeights(edges=edges, values=w, stats=stats)
-
-
 def _calibrate(inst: ProblemInstance, part: RegionPartition, targets: dict,
-               *, trials: int, seed: int, bins: int,
-               polish_trials: Optional[int]) -> dict:
+               *, bins: int) -> dict:
     """Fit each stage's weights to its target ``targets[stage]`` (per bin,
-    or one float for every bin): all on the exact maps of one profile table
-    where they cover the instance, each by the Monte Carlo fixed point
-    otherwise."""
-    if trials < 1:
-        raise ValueError("calibration needs at least one trial")
+    or one float for every bin) on its exact map."""
     maps = _stage_maps(inst, part, bins, tuple(targets))  # checks bins >= 1
-    targets = {stage: np.broadcast_to(np.asarray(target, dtype=float), (bins,))
-               for stage, target in targets.items()}
-    if maps is not None:
-        return {stage: _fit_exact(maps[stage], target, stage)
-                for stage, target in targets.items()}
-    return {stage: _fit_weights(inst, part, target, stage=stage, trials=trials, seed=seed,
-                                bins=bins, polish_trials=polish_trials)
-            for stage, target in targets.items()}
+    return {stage: _fit_exact(maps[stage], np.broadcast_to(
+        np.asarray(target, dtype=float), (bins,)), stage) for stage, target in targets.items()}
 
 
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
-                      trials: int = 200_000, seed: int = 0, bins: int = 64,
-                      polish_trials: Optional[int] = None) -> BinWeights:
+                      bins: int = 64) -> BinWeights:
     """Fit lottery weights so each audit/incentive-region type wins with
     probability phi.
 
-    ``trials``, ``seed`` and ``polish_trials`` steer the Monte Carlo
-    fallback only; the exact map ignores them.  When the audit region is
-    empty every eligible type survives the merit stage with the same
-    probability, so the uniform start is already a fixed point and the
-    first round converges.
+    The fit is exact and needs no seed.  When the audit region is empty
+    every eligible type survives the merit stage with the same
+    probability, so the uniform start is already a fixed point.
     """
-    return _calibrate(inst, part, {"lottery": part.phi}, trials=trials, seed=seed, bins=bins,
-                      polish_trials=polish_trials)["lottery"]
+    return _calibrate(inst, part, {"lottery": part.phi}, bins=bins)["lottery"]
 
 
 def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
-                    rules: InterimRules, *,
-                    trials: int = 200_000, seed: int = 0, bins: int = 64,
-                    polish_trials: Optional[int] = None) -> BinWeights:
+                    rules: InterimRules, *, bins: int = 64) -> BinWeights:
     """Fit audit-selection weights so every supply-region type is audited
     with probability P(t) - phi, P read from ``rules``.
 
@@ -781,11 +834,10 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
     their target; the weights only steer the choice among supply-region
     winners when more than k agents won the merit stage.  A bin whose
     forced audits alone exceed its target raises ``CalibrationError``
-    naming the bin.  The other keywords are as in ``calibrate_lottery``.
+    naming the bin.  The fit is exact and needs no seed.
     """
     _, _, target = _cell_targets(inst, part, rules, bins)
-    return _calibrate(inst, part, {"audit": target}, trials=trials, seed=seed,
-                      bins=bins, polish_trials=polish_trials)["audit"]
+    return _calibrate(inst, part, {"audit": target}, bins=bins)["audit"]
 
 
 # ---------------------------------------------------------------------------
@@ -795,16 +847,15 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
 def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
              bins: int = 64,
              lottery_weights: Optional[BinWeights] = None,
-             audit_weights: Optional[BinWeights] = None,
-             calibration_trials: Optional[int] = None) -> SimReport:
+             audit_weights: Optional[BinWeights] = None) -> SimReport:
     """Run the full mechanism on ``trials`` iid profiles and compare the
     binned empirical interim rules against their targets.
 
-    Weights not supplied are calibrated first: exactly, and independently
-    of the seed, where the exact map covers the instance; otherwise by the
-    Monte Carlo fixed point on ``calibration_trials`` rows per round (default
-    max(100000, trials / 5)), reproducibly from the same seed.  Identical
-    (inst, phi, trials, seed, bins) inputs give a bit-identical report.
+    Weights not supplied are calibrated first, on the exact maps of both
+    stages, so they do not depend on the seed and no profile is simulated
+    for them: the ``trials`` profiles of the main pass are the only ones.
+    Identical (inst, phi, trials, seed, bins) inputs give a bit-identical
+    report.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -827,14 +878,12 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
             capacity_violations=0, payoff_total=0.0, stats={"main_rows": 0},
         )
 
-    cal_rows = calibration_trials or max(100_000, trials // 5)
     targets = {}
     if lottery_weights is None:
         targets["lottery"] = np.full(bins, part.phi)
     if audit_weights is None:
         targets["audit"] = audit_target
-    fitted = _calibrate(inst, part, targets, trials=cal_rows, seed=seed, bins=bins,
-                        polish_trials=max(cal_rows, trials // 2)) if targets else {}
+    fitted = _calibrate(inst, part, targets, bins=bins) if targets else {}
     lottery_weights = fitted.get("lottery", lottery_weights)
     audit_weights = fitted.get("audit", audit_weights)
     stats = {"main_rows": trials, "main_draw_rows": {"lottery": 0, "audit": 0}}

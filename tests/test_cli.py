@@ -170,6 +170,12 @@ class TestCheckCommand:
         ("--rules", {"P": [0.5, 0.5]}, '"P"'),
         ("--instance", {"masses": [[0.5, 0.5]]}, '"grids"'),
         ("--instance", [[0.2, 0.8]], '"grids"'),
+        # bad values under keys that are present
+        ("--instance", {"grids": [[None, 0.8]], "masses": [[0.5, 0.5]]}, '"grids"'),
+        ("--instance", {"grids": [[0.2, 0.8]], "masses": [[0.5, 0.5]],
+                        "capacity": {"default": 1, "entries": [{"profile": [0]}]}}, '"capacity"'),
+        ("--instance", {"grids": [[0.2, 0.8]], "masses": [[0.5, 0.5]], "capacity": [1]},
+         '"capacity"'),
     ])
     def test_malformed_file_is_invalid_input(self, capsys, tmp_path, option, data, key):
         # one error line naming the key, exit 1, no traceback
@@ -272,9 +278,9 @@ def test_config_file_overrides(capsys, tmp_path):
 
 
 def test_commands_run_without_scipy():
-    # with scipy blocked from import, solve, simulate on the exact map at
-    # (3,2,1) and on the Monte Carlo fallback at (4,2,1) with 64 bins, and
-    # check of the bundled (infeasible) example exit as they do with it
+    # with scipy blocked from import, solve, simulate at (3,2,1) and at
+    # (4,2,1) with 64 bins, and check of the bundled (infeasible) example
+    # exit as they do with it
     script = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None

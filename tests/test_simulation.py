@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from verialloc.envelope import (
     RegionPartition,
     partition,
 )
+from verialloc.flows import multiset_table
 from verialloc.interim import merit_with_guarantee
 from verialloc.optimizer import solve
 from verialloc.simulation import (
@@ -47,13 +49,6 @@ def ex_part(ex_inst):
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
-
-
-@pytest.fixture
-def calibration_path():
-    """The calibrator a test expects; the exact map covers (3,2,1).
-    ``TestMonteCarloFallback`` overrides this to rerun tests on the fallback."""
-    return "exact"
 
 
 def _count_batch_rows(monkeypatch) -> list:
@@ -322,21 +317,19 @@ class TestBinWeights:
 
 
 class TestCalibration:
-    def test_case3_uniform_weights_converge_immediately(self, ex_inst, calibration_path):
+    def test_case3_uniform_weights_converge_immediately(self, ex_inst):
         # empty audit region: all eligible types survive merit identically
         part = partition(0.6, ex_inst)
         assert part.case_tag == "IcAllo"
-        w = calibrate_lottery(ex_inst, part, trials=120_000, seed=3, bins=16,
-                              polish_trials=None)
-        assert w.stats["method"] == calibration_path
+        w = calibrate_lottery(ex_inst, part, bins=16)
+        assert w.stats["method"] == "exact"
         active = w.values[:8]
         assert np.allclose(active, active.mean(), rtol=0.2)
 
-    def test_weights_increase_over_audit_region(self, ex_inst, ex_solved, calibration_path):
+    def test_weights_increase_over_audit_region(self, ex_inst, ex_solved):
         part = ex_solved.partition
-        w = calibrate_lottery(ex_inst, part, trials=150_000, seed=5, bins=32,
-                              polish_trials=150_000)
-        assert w.stats["method"] == calibration_path
+        w = calibrate_lottery(ex_inst, part, bins=32)
+        assert w.stats["method"] == "exact"
         edges = w.edges
         mids = 0.5 * (edges[:-1] + edges[1:])
         in_aud = (mids > part.gamma2) & (mids < part.gamma3)
@@ -344,15 +337,6 @@ class TestCalibration:
         # higher audit-region types win merit more often, so they need
         # larger weights to reach the same lottery probability
         assert w.values[in_aud].max() > 1.2 * w.values[in_ic].mean()
-
-    def test_zero_trials_rejected(self, ex_inst, ex_solved):
-        with pytest.raises(ValueError):
-            calibrate_lottery(ex_inst, ex_solved.partition, trials=0)
-
-    def test_audit_zero_trials_rejected(self, ex_inst, ex_solved):
-        rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, ex_solved.partition)
-        with pytest.raises(ValueError):
-            calibrate_audit(ex_inst, ex_solved.partition, rules, trials=0)
 
     def test_audit_unreachable_target_raises(self, ex_inst, monkeypatch):
         # at phi = 0.6 a lone supply-region merit winner just above gamma1
@@ -362,7 +346,7 @@ class TestCalibration:
         rules = merit_with_guarantee(0.6, ex_inst, part)
         rows = _count_batch_rows(monkeypatch)
         with pytest.raises(CalibrationError, match="audit.*forced-audit") as err:
-            calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16)
+            calibrate_audit(ex_inst, part, rules, bins=16)
         assert rows == []
         # the error names the bin holding gamma1 = 0.829, just above which
         # the target tends to 0, and both rates
@@ -372,29 +356,19 @@ class TestCalibration:
                                                str(err.value))[0])
         assert forced > target + 0.1
 
-    def test_monte_carlo_unreachable_target_raises_after_one_round(
-            self, ex_inst, monkeypatch):
-        monkeypatch.setattr(simulation, "_EXACT_MAX_PROFILES", 0)
-        part = partition(0.6, ex_inst)
-        rules = merit_with_guarantee(0.6, ex_inst, part)
-        rows = _count_batch_rows(monkeypatch)
-        with pytest.raises(CalibrationError,
-                           match=r"audit target unreachable in type bin \[.*forced-audit"):
-            calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16)
-        assert rows == [20_000]
-
     def test_exact_weights_do_not_depend_on_the_seed(self, ex_inst, ex_solved):
+        # the calibrators take no seed, and simulate's fit uses none
         part = ex_solved.partition
         rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, part)
-        a = calibrate_lottery(ex_inst, part, seed=1)
-        b = calibrate_lottery(ex_inst, part, seed=2)
-        assert np.array_equal(a.values, b.values)
-        assert a.stats == b.stats
-        assert a.stats["method"] == "exact" and a.stats["multisets"] == 50_116
+        a = calibrate_lottery(ex_inst, part)
+        assert np.array_equal(a.values, calibrate_lottery(ex_inst, part).values)
+        # three agents over three region blocks: C(5, 2) splits
+        assert a.stats["method"] == "exact" and a.stats["configurations"] == 10
         assert a.stats["max_residual"] <= 1e-10
-        c = calibrate_audit(ex_inst, part, rules, seed=1)
-        d = calibrate_audit(ex_inst, part, rules, seed=2)
-        assert np.array_equal(c.values, d.values)
+        runs = [simulate(ex_inst, ex_solved.phi_star, 1_000, seed=seed).stats
+                for seed in (1, 2)]
+        for stage, fitted in (("lottery", a), ("audit", calibrate_audit(ex_inst, part, rules))):
+            assert runs[0][stage] == runs[1][stage] == fitted.stats
 
 
 def _reference_targets(inst, part, rules, bins):
@@ -490,6 +464,91 @@ def _successive_draws(w, quota):
     return top
 
 
+def _plackett_luce_top(w, quota):
+    """P(each column is among the first ``quota`` of a successive weighted
+    draw without replacement), row by row of the positive weights ``w``:
+    P(the first j draws are the set S) summed over the member of S drawn
+    last.  Each step's weight left is the sum of the undrawn weights;
+    subtracting the drawn ones, as ``_successive_draws`` does, cancels when
+    they dominate (2.3e-4 off on rows of weights 1e-6 and 1e6)."""
+    rows, s = w.shape
+    layer = {(): np.ones(rows)}
+    for _ in range(quota):
+        nxt = {}
+        for drawn, p in layer.items():
+            left = w[:, [i for i in range(s) if i not in drawn]].sum(axis=1)
+            for j in set(range(s)) - set(drawn):
+                key = tuple(sorted(drawn + (j,)))
+                nxt[key] = nxt.get(key, 0.0) + p * w[:, j] / left
+        layer = nxt
+    top = np.zeros_like(w)
+    for drawn, p in layer.items():
+        top[:, list(drawn)] += p[:, None]
+    return top
+
+
+def _fraction_top(w, quota):
+    """``_plackett_luce_top`` of one row in exact rational arithmetic."""
+    layer = {(): Fraction(1)}
+    for _ in range(quota):
+        nxt = {}
+        for drawn, p in layer.items():
+            left = sum(x for i, x in enumerate(w) if i not in drawn)
+            for j in set(range(len(w))) - set(drawn):
+                key = tuple(sorted(drawn + (j,)))
+                nxt[key] = nxt.get(key, 0) + p * w[j] / left
+        layer = nxt
+    return [sum((p for drawn, p in layer.items() if j in drawn), Fraction(0))
+            for j in range(len(w))]
+
+
+def _profiles(inst, part, bins):
+    """Every descending profile of the kept type cells of ``_cells``, as
+    (bin, region) per position, with its multinomial count and the masses
+    of its cells: the enumeration the region-count map replaces."""
+    grid, reg = simulation._cells(inst, part, bins)
+    keep = np.flatnonzero(grid.mass > 0)
+    table = multiset_table(len(keep), inst.n)[:, ::-1]
+    count = np.array([math.factorial(inst.n) // math.prod(
+        math.factorial(c) for c in np.unique(row, return_counts=True)[1]) for row in table])
+    return grid.bin[keep][table], reg[keep][table], count, grid.mass[keep][table]
+
+
+def _enumerated_rates(inst, part, bins, stage, w, exact=False):
+    """Per-bin hit rate of one stage at weights ``w``, summed over every
+    profile of type cells, with its draw's Plackett-Luce law; in exact
+    rational arithmetic when ``exact``."""
+    cell_bin, reg, count, mass = _profiles(inst, part, bins)
+    rank = np.arange(inst.n)
+    merit = ((reg == 2) & (rank < inst.m)) | ((reg == 1) & (rank < inst.k))
+    tallied, pool, quota, sure, choice = simulation._stage_rule(stage, reg, merit,
+                                                                inst.m, inst.k)
+    if not exact:
+        prob = count * np.prod(mass, axis=1)
+        draws, hits = (np.bincount(cell_bin.ravel(), (prob[:, None] * (mask & tallied)).ravel(),
+                                   bins) for mask in (tallied, sure))
+        for q, size in set(zip(quota[choice].tolist(), pool[choice].sum(axis=1).tolist())):
+            rows = np.flatnonzero(choice & (quota == q) & (pool.sum(axis=1) == size))
+            pool_bins = cell_bin[rows][pool[rows]].reshape(-1, size)
+            top = _plackett_luce_top(w[pool_bins], q)
+            hits += np.bincount(pool_bins.ravel(), (prob[rows, None] * top).ravel(), bins)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return hits / draws
+    wf = [Fraction(float(x)) for x in w]
+    draws, hits = [Fraction(0)] * bins, [Fraction(0)] * bins
+    for row in range(len(count)):
+        prob = int(count[row]) * math.prod(Fraction(float(x)) for x in mass[row])
+        for j in np.flatnonzero(tallied[row]):
+            draws[cell_bin[row, j]] += prob
+            hits[cell_bin[row, j]] += prob * sure[row, j]
+        if choice[row]:
+            members = np.flatnonzero(pool[row])
+            top = _fraction_top([wf[cell_bin[row, j]] for j in members], int(quota[row]))
+            for j, t in zip(members, top):
+                hits[cell_bin[row, j]] += prob * t
+    return np.array([float(h / d) if d else np.nan for h, d in zip(hits, draws)])
+
+
 def _tally(inst, part, weights, stage, rows, seed):
     """Per-bin (hits, draws) of one stage over ``rows`` simulated profiles."""
     bins = len(weights.values)
@@ -520,6 +579,12 @@ _MAP_CASES = [
 ]
 
 
+# more cut runs: an audit pool cut out of the lower supply region (k = 2 of
+# a larger supply region), and the interleaved partition with n = 6
+_ENUMERATED_CASES = sorted({case[:5] for case in _MAP_CASES}
+                           | {(5, 3, 2, "star", 8), (6, 4, 2, "interleaved", 8)}, key=str)
+
+
 def _map_instance(dist, n, m, k, phi):
     """The instance and partition of a ``_MAP_CASES`` entry."""
     inst = ProblemInstance(n, m, k, dist)
@@ -531,6 +596,23 @@ def _map_instance(dist, n, m, k, phi):
             RegionInterval(0.0, 0.2, LABEL_IC), RegionInterval(0.2, 0.4, LABEL_ALLO),
             RegionInterval(0.4, 0.6, LABEL_AUD), RegionInterval(0.6, 1.0, LABEL_ALLO)))
     return inst, partition(solve(inst).phi_star if phi == "star" else phi, inst)
+
+
+def _assert_map_matches_tally(inst, part, bins, stage):
+    """The map's rates at random non-flat weights, and its expected tallied
+    agents, within 4.5 standard errors of a 1M-profile tally per bin."""
+    w = np.exp(np.random.default_rng(bins).normal(0.0, 0.7, bins))
+    weights = BinWeights(np.linspace(0.0, 1.0, bins + 1), w)
+    smap = simulation._stage_maps(inst, part, bins, (stage,))[stage]
+    exact = smap.rate(w)
+    hits, draws = _tally(inst, part, weights, stage, 1_000_000, seed=bins)
+    active = smap.draws > 0
+    assert np.array_equal(active, draws > 0) and active.sum() >= 3
+    exact, hits, draws = exact[active], hits[active], draws[active]
+    se = np.sqrt(np.clip(exact * (1.0 - exact), 1e-12, None) / draws)
+    assert np.max(np.abs(hits / draws - exact) / se) <= 4.5
+    expected = 1_000_000 * smap.draws[active]
+    assert np.max(np.abs(draws - expected) / np.sqrt(expected)) <= 4.5
 
 
 def _plain_fit(smap, target):
@@ -554,41 +636,79 @@ class TestExactMap:
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_plackett_luce_matches_successive_draws(self, size):
+        # the enumeration oracle's draw law, against every order of draws
         rng = np.random.default_rng(size)
         rows = [np.ones(size), rng.uniform(0.1, 5.0, size), rng.uniform(0.1, 5.0, size),
                 np.array([1e-3] + [1.0] * (size - 1))]
         w = np.array(rows)
         for quota in range(1, size):
-            top = simulation._plackett_luce_top(w, quota)
+            top = _plackett_luce_top(w, quota)
             brute = np.array([_successive_draws(row, quota) for row in w])
             np.testing.assert_allclose(top, brute, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(top[0], quota / size, rtol=1e-14)
             np.testing.assert_allclose(top.sum(axis=1), quota, rtol=1e-13)
 
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_plackett_luce_matches_fraction_sums_at_extreme_weights(self, size):
+        # weights 1e-6 and 1e6, the ends of the fit's clip range
+        w = np.where(np.random.default_rng(size).random((40, size)) < 0.5, 1e-6, 1e6)
+        for quota in range(1, size):
+            top = _plackett_luce_top(w, quota)
+            exact = np.array([[float(x) for x in _fraction_top(
+                [Fraction(float(x)) for x in row], quota)] for row in w])
+            assert np.max(np.abs(top - exact)) <= 1e-13
+
     def test_profiles_are_a_distribution(self, ex_inst, ex_part):
-        cell_bin, reg, prob = simulation._profile_table(ex_inst, ex_part, 64)
-        assert len(prob) == 50_116 and cell_bin.dtype == np.int16
+        # the enumeration oracle's profiles
+        cell_bin, _, count, mass = _profiles(ex_inst, ex_part, 64)
+        prob = count * np.prod(mass, axis=1)
+        assert len(prob) == 50_116
         assert prob.sum() == pytest.approx(1.0, abs=1e-12)
         # each agent's bin has the bin's mass: n agents, 1/64 each
         per_bin = np.bincount(cell_bin.ravel(), weights=np.repeat(prob, 3), minlength=64)
         np.testing.assert_allclose(per_bin, 3 / 64, rtol=1e-12)
 
+    def test_draws_spread_the_agents_over_the_bins(self, ex_inst, ex_part):
+        # the lottery tallies the incentive and audit regions, the audit the
+        # supply region: together every agent, n times each bin's mass
+        maps = simulation._stage_maps(ex_inst, ex_part, 64, ("lottery", "audit"))
+        np.testing.assert_allclose(maps["lottery"].draws + maps["audit"].draws, 3 / 64,
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("n, m, k, phi, bins", _ENUMERATED_CASES)
+    def test_map_matches_enumeration(self, uniform, n, m, k, phi, bins):
+        inst, part = _map_instance(uniform, n, m, k, phi)
+        maps = simulation._stage_maps(inst, part, bins, ("lottery", "audit"))
+        for sigma in (0.0, 0.7, 4.0):
+            w = np.exp(np.random.default_rng(bins).normal(0.0, sigma, bins))
+            for stage, smap in maps.items():
+                reference = _enumerated_rates(inst, part, bins, stage, w)
+                active = smap.draws > 0
+                assert np.array_equal(active, ~np.isnan(reference))
+                assert np.max(np.abs(smap.rate(w) - reference)[active], initial=0.0) <= 1e-9
+
+    @pytest.mark.parametrize("n, m, k, phi, bins", [
+        (3, 2, 1, "star", 8), (3, 2, 1, "interleaved", 8), (6, 4, 2, "interleaved", 4)])
+    def test_map_matches_fraction_sums_at_extreme_weights(self, uniform, n, m, k, phi, bins):
+        inst, part = _map_instance(uniform, n, m, k, phi)
+        maps = simulation._stage_maps(inst, part, bins, ("lottery", "audit"))
+        w = np.where(np.random.default_rng(bins).random(bins) < 0.5, 1e-6, 1e6)
+        for stage, smap in maps.items():
+            exact = _enumerated_rates(inst, part, bins, stage, w, exact=True)
+            active = smap.draws > 0
+            assert np.array_equal(active, ~np.isnan(exact)) and active.sum() >= 2
+            assert np.max(np.abs(smap.rate(w) - exact)[active]) <= 1e-12
+
     @pytest.mark.parametrize("n, m, k, phi, bins, stage", _MAP_CASES)
     def test_map_matches_monte_carlo_tally(self, uniform, n, m, k, phi, bins, stage):
-        inst, part = _map_instance(uniform, n, m, k, phi)
-        w = np.exp(np.random.default_rng(bins).normal(0.0, 0.7, bins))
-        weights = BinWeights(np.linspace(0.0, 1.0, bins + 1), w)
-        smap = simulation._stage_maps(inst, part, bins, (stage,))[stage]
-        exact = smap.rate(w)
-        hits, draws = _tally(inst, part, weights, stage, 1_000_000, seed=bins)
-        active = smap.draws > 0
-        assert np.array_equal(active, draws > 0) and active.sum() >= 3
-        exact, hits, draws = exact[active], hits[active], draws[active]
-        se = np.sqrt(np.clip(exact * (1.0 - exact), 1e-12, None) / draws)
-        assert np.max(np.abs(hits / draws - exact) / se) <= 4.5
-        # so do the expected tallied agents per bin
-        expected = 1_000_000 * smap.draws[active]
-        assert np.max(np.abs(draws - expected) / np.sqrt(expected)) <= 4.5
+        _assert_map_matches_tally(*_map_instance(uniform, n, m, k, phi), bins, stage)
+
+    @pytest.mark.parametrize("stage", ["lottery", "audit"])
+    def test_map_matches_monte_carlo_tally_at_twelve_agents(self, stage):
+        # 455 splits of 12 agents over four region blocks, where the
+        # profiles of 64 bins' cells would number about 1.4e13
+        inst = ProblemInstance(12, 6, 2, make_power(0.3))
+        _assert_map_matches_tally(inst, partition(solve(inst).phi_star, inst), 64, stage)
 
     @pytest.mark.parametrize("n, m, k, phi, bins, stage", _MAP_CASES)
     def test_fit_matches_plain_fixed_point(self, uniform, n, m, k, phi, bins, stage):
@@ -639,10 +759,9 @@ class TestSimulate:
         assert report.payoff_total == 0.0
         assert report.bins_within_3se_p == report.bins
 
-    def test_small_run_consistency(self, ex_inst, ex_solved, calibration_path):
-        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=11,
-                          bins=32, calibration_trials=120_000)
-        assert report.stats["audit"]["method"] == calibration_path
+    def test_small_run_consistency(self, ex_inst, ex_solved):
+        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=11, bins=32)
+        assert report.stats["audit"]["method"] == "exact"
         assert report.capacity_violations == 0
         assert abs(report.payoff_total - ex_solved.payoff) < 0.02
         # generous bands for the small run
@@ -654,29 +773,25 @@ class TestSimulate:
                              1e-12, None) / np.maximum(report.draws, 1))
         assert int(np.sum(dev > 4 * se)) <= 3
 
-    def test_guarantee_region_hits_phi(self, ex_inst, ex_solved, calibration_path):
-        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=13,
-                          bins=32, calibration_trials=120_000)
-        assert report.stats["lottery"]["method"] == calibration_path
+    def test_guarantee_region_hits_phi(self, ex_inst, ex_solved):
+        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=13, bins=32)
+        assert report.stats["lottery"]["method"] == "exact"
         part = ex_solved.partition
         mids = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
         low = mids < part.gamma1 - 1.0 / 32
         assert np.allclose(report.p_target[low], ex_solved.phi_star, atol=1e-9)
         assert np.max(np.abs(report.p_hat[low] - ex_solved.phi_star)) < 0.02
 
-    def test_pure_lottery_limit(self, ex_inst, calibration_path):
+    def test_pure_lottery_limit(self, ex_inst):
         # phi = m/n: every type should receive with probability about m/n
-        report = simulate(ex_inst, 2 / 3, 60_000, seed=17, bins=16,
-                          calibration_trials=60_000)
-        assert report.stats["lottery"]["method"] == calibration_path
+        report = simulate(ex_inst, 2 / 3, 60_000, seed=17, bins=16)
+        assert report.stats["lottery"]["method"] == "exact"
         assert report.capacity_violations == 0
         assert np.max(np.abs(report.p_hat - 2 / 3)) < 0.03
 
     def test_deterministic_reports(self, ex_inst, ex_solved):
-        a = simulate(ex_inst, ex_solved.phi_star, 60_000, seed=99, bins=16,
-                     calibration_trials=60_000)
-        b = simulate(ex_inst, ex_solved.phi_star, 60_000, seed=99, bins=16,
-                     calibration_trials=60_000)
+        a = simulate(ex_inst, ex_solved.phi_star, 60_000, seed=99, bins=16)
+        b = simulate(ex_inst, ex_solved.phi_star, 60_000, seed=99, bins=16)
         assert np.array_equal(a.p_hat, b.p_hat)
         assert np.array_equal(a.a_hat, b.a_hat)
         assert a.payoff_total == b.payoff_total
@@ -687,15 +802,14 @@ class TestSimulate:
     def test_stats_add_up_to_the_batch_rows(self, ex_inst, ex_solved, monkeypatch):
         # the exact map calibrates both stages without running the kernel
         rows = _count_batch_rows(monkeypatch)
-        report = simulate(ex_inst, ex_solved.phi_star, 30_000, seed=5, bins=16,
-                          calibration_trials=20_000)
+        report = simulate(ex_inst, ex_solved.phi_star, 30_000, seed=5, bins=16)
         stats = report.stats
         assert stats["main_rows"] == 30_000
         assert sum(rows) == 30_000
         for stage in ("lottery", "audit"):
             assert stats[stage]["method"] == "exact"
             assert stats[stage]["iterations"] >= 1
-            assert stats[stage]["multisets"] == math.comb(18 + 2, 3)  # 16 bins + 2 cuts
+            assert stats[stage]["configurations"] == math.comb(3 + 2, 2)  # 3 region blocks
             assert 0.0 <= stats[stage]["max_residual"] <= 1e-10
         assert "stats" not in report.to_record()
 
@@ -722,8 +836,7 @@ class TestSimulate:
                                                                 sort_keys=True)
 
     def test_csv_export(self, tmp_path, ex_inst):
-        report = simulate(ex_inst, PHI, 5_000, seed=3, bins=8,
-                          calibration_trials=20_000)
+        report = simulate(ex_inst, PHI, 5_000, seed=3, bins=8)
         path = tmp_path / "sim.csv"
         report.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -731,41 +844,35 @@ class TestSimulate:
         assert lines[0].startswith("t_mid,draws,P_target,P_hat")
 
 
-class TestMonteCarloFallback:
-    """Above the enumeration cap the Monte Carlo fixed point calibrates.
-
-    The calibration and simulation tests below are rerun here with a cap of
-    zero, so the fallback must meet the same bands as the exact map.
-    """
-
-    @pytest.fixture
-    def calibration_path(self, monkeypatch):
-        monkeypatch.setattr(simulation, "_EXACT_MAX_PROFILES", 0)
-        return "monte_carlo"
-
-    test_case3_uniform_weights_converge_immediately = (
-        TestCalibration.test_case3_uniform_weights_converge_immediately)
-    test_weights_increase_over_audit_region = (
-        TestCalibration.test_weights_increase_over_audit_region)
-    test_small_run_consistency = TestSimulate.test_small_run_consistency
-    test_guarantee_region_hits_phi = TestSimulate.test_guarantee_region_hits_phi
-    test_pure_lottery_limit = TestSimulate.test_pure_lottery_limit
+class TestLargerInstances:
+    """Instances whose profiles of type cells are too many to enumerate: the
+    map works from region counts, so nothing is simulated to calibrate."""
 
     def test_stats_add_up_to_the_batch_rows(self, monkeypatch):
+        # (4,2,1) at 64 bins has 864,501 cell multisets, and 15 splits
         inst = ProblemInstance(4, 2, 1, make_uniform())
         phi = solve(inst).phi_star
-        assert simulation._profile_table(inst, partition(phi, inst), 64) is None
         rows = _count_batch_rows(monkeypatch)
-        report = simulate(inst, phi, 20_000, seed=5, calibration_trials=20_000)
-        stats = report.stats
-        assert stats["lottery"]["rows"] + stats["audit"]["rows"] + 20_000 == sum(rows)
+        runs = [simulate(inst, phi, 500, seed=seed) for seed in (1, 2)]
+        assert rows == [500, 500]
         for stage in ("lottery", "audit"):
-            assert stats[stage]["method"] == "monte_carlo"
-            assert stats[stage]["rows"] == 20_000 * (stats[stage]["rounds"]
-                                                    + stats[stage]["polish_rounds"])
-            assert stats[stage]["max_dev"] >= 0.0
-        assert report.capacity_violations == 0
-        assert report.bins - report.bins_within_3se_p <= 3
+            stats = runs[0].stats[stage]
+            assert stats == runs[1].stats[stage]
+            assert stats["method"] == "exact" and stats["configurations"] == 15
+            assert stats["max_residual"] <= 1e-10
+        assert runs[0].capacity_violations == 0
+
+    def test_unreachable_audit_target_raises(self, monkeypatch):
+        # at phi = 0.4 the supply region starts at 0.825: a lone merit winner
+        # there is always audited, more often than its target allows
+        inst = ProblemInstance(4, 2, 1, make_uniform())
+        part = partition(0.4, inst)
+        rules = merit_with_guarantee(0.4, inst, part)
+        rows = _count_batch_rows(monkeypatch)
+        with pytest.raises(CalibrationError,
+                           match=r"audit target unreachable in type bin \[0.8125, 0.875\)"):
+            calibrate_audit(inst, part, rules, bins=16)
+        assert rows == []
 
 
 class TestEpicWitness:
