@@ -15,15 +15,16 @@ and every supply-region type is audited with probability P(t) - phi.
 Weighted draws without replacement are exponential races: each pool
 member arrives at E / w with E ~ Exp(1) and the first arrivals are drawn
 (successive-draws semantics, i.e. Plackett-Luce).  Only rows whose draw
-is a real choice, 0 < quota < pool size, draw any variates.  Each stage's
-per-bin hit rate is computed exactly, at every n, from the agents' counts
-in the region blocks (``_stage_maps``), and the weights are fitted on it by
-an Anderson-accelerated fixed point, so they do not depend on the seed and
-no profile is simulated to fit them.
+is a real choice, 0 < quota < pool size, draw any variates.  Up to
+``_EXACT_MAX_AGENTS`` agents each stage's per-bin hit rate is computed
+exactly from the agents' counts in the region blocks (``_stage_maps``),
+and the weights are fitted on it by an Anderson-accelerated fixed point,
+so they do not depend on the seed and no profile is simulated to fit
+them; above, a damped stochastic fixed point fits them on simulated
+profiles.
 
-All randomness flows through counter-based Philox streams keyed by the
-seed and the batch of the main pass, so a report is a pure function of its
-seed.
+All randomness flows through counter-based Philox streams keyed by
+(seed, stage, round), so a report is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ class BinWeights:
 
     ``edges`` must be ``linspace(0, 1, len(values) + 1)``: a type's weight
     is read by the same floor(t * bins) index the simulation tallies use.
-    ``stats`` describes the calibration that fitted the weights, if any:
-    its ``method`` ("exact"), the ``configurations`` of the exact map (the
+    ``stats`` describes the calibration that fitted the weights, if any.
+    With ``method`` "exact": the ``configurations`` of the exact map (the
     splits of the n agents over the region blocks), its ``iterations``
     (evaluations of the map) and the largest final |rate - target|,
-    ``max_residual``.
+    ``max_residual``.  With ``method`` "monte_carlo": fixed-point
+    ``rounds``, ``polish_rounds``, ``rows`` simulated and the worst bin
+    deviation (in standard errors) of the last round, ``max_dev``.
     """
 
     edges: np.ndarray
@@ -104,10 +107,10 @@ class SimReport:
     """Binned empirical interim rules versus their targets.
 
     ``stats`` counts the work behind it: ``main_rows`` profiles in the main
-    pass (the only profiles simulated), ``main_draw_rows`` of them whose
-    ``lottery`` and ``audit`` draws had a real choice and, for each stage
-    calibrated here (``lottery``, ``audit``), the ``stats`` of its fitted
-    weights.  It is left out of ``to_record()``, which holds results only.
+    pass, ``main_draw_rows`` of them whose ``lottery`` and ``audit`` draws
+    had a real choice and, for each stage calibrated here (``lottery``,
+    ``audit``), the ``stats`` of its fitted weights.  It is left out of
+    ``to_record()``, which holds results only.
     """
 
     trials: int
@@ -410,12 +413,28 @@ def bin_targets(inst: ProblemInstance, rules: InterimRules,
 # calibration
 # ---------------------------------------------------------------------------
 
+# Up to _EXACT_MAX_AGENTS agents the exact map calibrates, the Monte Carlo
+# fixed point above.  simulate() with 1,000 trials at 64 bins (calibration
+# is nearly all of it), uniform and power-law types at phi*, one core: at
+# 20 and 24 agents (9 instances) the map took 0.5-4.4 s and 50-109 MB
+# against the fixed point's 4.0-15.9 s and 133-158 MB, 1.3-9x faster, and
+# the fixed point failed at (24,4,1); at 27 agents the map took 5.4 s
+# against 4.3 s, at (30,10,3) 8.1 s against 5.2 s.  The map's cut runs
+# grow with n (81 at (30,10,3)), its splits are C(n + 3, 3) for four
+# region blocks and its binomial coefficients are floats, so it is not
+# built above the cap.
+_EXACT_MAX_AGENTS = 24
 # The fit stops when every bin is within _EXACT_TOL of its target.
 _EXACT_TOL = 1e-10
 _EXACT_MAX_ITER = 2_000
 # the exact fit's Anderson depth and its log-weight bound, log(1e6)
 _ANDERSON_DEPTH = 5
 _LOG_CLIP = math.log(1e6)
+# the Monte Carlo fixed point: its round cap, the damping exponent of its
+# rounds and the number of polish rounds averaged after them
+_MAX_ROUNDS = 100
+_DAMPING = 0.5
+_POLISH_ROUNDS = 3
 
 # The race integral's rule in x: 12 Gauss-Legendre nodes on each panel of
 # ``_race_nodes``.  Against exact Fraction sums over every profile, with
@@ -424,12 +443,15 @@ _LOG_CLIP = math.log(1e6)
 _RACE_X, _RACE_W = np.polynomial.legendre.leggauss(12)
 
 
-def _race_nodes(w_lo: float, w_hi: float):
+def _race_nodes(w_lo: float, w_hi: float, agents: int):
     """Nodes and weights in x for the integral over [0, inf) of a sum of
-    terms w e^{-w x} g(x), w in [w_lo, w_hi], g a polynomial in the
-    e^{-w_c x}: one panel on [0, 1 / w_hi], then panels of unit width in
-    log x up to 40 / w_lo, past which e^{-w x} is below 5e-18."""
-    start = 1.0 / w_hi
+    terms w e^{-w x} g(x), w in [w_lo, w_hi], g a polynomial of degree
+    below ``agents`` in the e^{-w_c x}: one panel on [0, 1 / (agents w_hi)],
+    over which no term falls by more than a factor e, then panels of unit
+    width in log x up to 40 / w_lo, past which e^{-w x} is below 5e-18.
+    (A first panel of [0, 1 / w_hi] was 4.4e-9 off at flat weights with 24
+    agents, where the terms fall as e^{-24 w x}.)"""
+    start = 1.0 / (agents * w_hi)
     panels = max(1, math.ceil(math.log(40.0 / (w_lo * start))))
     ends = np.concatenate([[0.0], start * np.exp(np.arange(panels + 1))])
     lo, hi = ends[:-1, None], ends[1:, None]
@@ -565,7 +587,7 @@ class _StageMap:
         hits = np.zeros(len(self.mu))
         if self.mu.size:
             wc = w[self.racing_bin]
-            x, wx = _race_nodes(float(wc.min()), float(wc.max()))
+            x, wx = _race_nodes(float(wc.min()), float(wc.max()), self.agents)
             wt = np.outer(wc, x)
             came, left = -np.expm1(-wt), np.exp(-wt)
             race = wx * wc[:, None] * left
@@ -698,9 +720,8 @@ def _race_rows(blocks, mu, racing, counts, prob, in_pool, top, quota, choice):
     for row in np.flatnonzero(choice):
         members = np.flatnonzero(in_pool[row]).tolist()
         runs = [b for b in members if in_pool[row, b] < counts[row, b]]
-        if len(members) > 2 or len(runs) > 1:
-            raise ValueError("a draw's pool spans more than two region blocks or "
-                             "cuts more than one")
+        # at most four region blocks: a pool spans two and cuts one
+        assert len(members) <= 2 and len(runs) <= 1, (members, runs)
         q, p = int(quota[row]), prob[row]
         for b in runs or members:
             o = next((o for o in members if o != b), b)
@@ -804,29 +825,138 @@ def _bin_counts(idx: np.ndarray, mask: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(idx, weights=mask.ravel(), minlength=bins)
 
 
+def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
+                 *, stage: str, trials: int, seed: int, bins: int,
+                 polish_trials: Optional[int]) -> BinWeights:
+    """Damped multiplicative fixed point for the weights of one stage.
+
+    ``target`` is the per-bin hit probability wanted among the stage's
+    tallied agents (NaN marks a bin with no target).  Each round measures
+    the stage on fresh rows with the other stage switched off and sets
+    w <- w * (target / empirical)^``_DAMPING`` per bin, normalised to unit
+    geometric mean, until every bin deviation is under two standard errors
+    (``CalibrationError`` after ``_MAX_ROUNDS`` rounds).  ``_POLISH_ROUNDS`` rounds then
+    continue with lower damping on ``polish_trials`` rows each, and the
+    log-weights of the polish rounds are averaged.
+
+    Audit calibration fails at once when no weights can reach the target:
+    if the sure audits alone exceed a bin's target by more than six
+    standard errors in the first round, the fixed point cannot converge.
+    The fitted weights carry the work done in ``stats``.
+    """
+    lottery_stage = stage == "lottery"
+    stream = 0 if lottery_stage else 1
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    flat = BinWeights.uniform(bins)
+    w = np.ones(bins)
+
+    def measure(weights: np.ndarray, rows: int, rng):
+        """Per-bin hits, tallied agents and sure hits of the stage."""
+        fitted = BinWeights(edges, weights)
+        lottery_w, audit_w = (fitted, flat) if lottery_stage else (flat, fitted)
+        counts = np.zeros((3, bins))
+        for done in range(0, rows, _CHUNK):
+            types = _sample_types(inst, min(_CHUNK, rows - done), rng)
+            reg, merit, lottery, _, audited, _ = _mechanism_batch(
+                types, part, inst, lottery_w, audit_w, rng,
+                run_lottery=lottery_stage, run_audit=not lottery_stage,
+            )
+            idx = _bin_index(types, bins).ravel()
+            tallied, _, _, sure, _ = _stage_rule(stage, reg, merit, inst.m, inst.k)
+            for row, hit in zip(counts, (lottery if lottery_stage else audited, tallied, sure)):
+                row += _bin_counts(idx, hit & tallied, bins)
+        return counts
+
+    def step(weights, rows, rng, clip_lo, clip_hi, power, check_sure=False):
+        hits, draws, sure_hits = measure(weights, rows, rng)
+        active = (draws > 0) & np.isfinite(target)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            emp = hits / draws
+            se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
+            dev = np.abs(emp - target) / se
+            ratio = np.where(active & (hits > 0), target / np.where(hits > 0, emp, 1.0), 1.0)
+            sure_rate = sure_hits / draws
+            excess = np.where(active, (sure_rate - target) / se, -np.inf)
+        if check_sure and excess.max() > 6.0:
+            b = int(np.argmax(excess))
+            raise _forced_audit_error(b, bins, sure_rate[b], target[b])
+        ratio = np.clip(np.nan_to_num(ratio, nan=1.0), clip_lo, clip_hi)
+        worst = float(np.nanmax(np.where(active, dev, 0.0)))
+        return active, dev, worst, weights * ratio**power
+
+    for rnd in range(_MAX_ROUNDS):
+        active, dev, worst, stepped = step(
+            w, trials, _philox(seed, stream, rnd), 0.25, 4.0, _DAMPING,
+            check_sure=rnd == 0 and not lottery_stage,
+        )
+        if worst < 2.0:
+            break
+        w = np.clip(stepped / np.exp(np.mean(np.log(stepped[active]))), 1e-6, 1e6)
+    else:
+        hint = "" if lottery_stage else (
+            "; check that the target is above the forced-audit floor")
+        raise CalibrationError(
+            f"{stage} calibration did not reach the 2-standard-error band in "
+            f"{_MAX_ROUNDS} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
+        )
+    stats = {"method": "monte_carlo", "rounds": rnd + 1, "polish_rounds": 0,
+             "rows": (rnd + 1) * trials, "max_dev": worst}
+
+    if polish_trials and np.isfinite(target).any():
+        logs = []
+        for rnd in range(_POLISH_ROUNDS):
+            rng = _philox(seed, stream, _MAX_ROUNDS + rnd)
+            _, _, worst, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
+            logs.append(np.log(w))
+        w = np.exp(np.mean(logs, axis=0))
+        stats.update(polish_rounds=_POLISH_ROUNDS, max_dev=worst,
+                     rows=stats["rows"] + _POLISH_ROUNDS * polish_trials)
+    return BinWeights(edges=edges, values=w, stats=stats)
+
+
 def _calibrate(inst: ProblemInstance, part: RegionPartition, targets: dict,
-               *, bins: int) -> dict:
+               *, trials: int, seed: int, bins: int,
+               polish_trials: Optional[int]) -> dict:
     """Fit each stage's weights to its target ``targets[stage]`` (per bin,
-    or one float for every bin) on its exact map."""
+    or one float for every bin): on the exact map of each stage up to
+    ``_EXACT_MAX_AGENTS`` agents, by the Monte Carlo fixed point above."""
+    if trials < 1:
+        raise ValueError("calibration needs at least one trial")
+    if inst.n > _EXACT_MAX_AGENTS:
+        _cells(inst, part, bins)  # checks bins >= 1
+        return {stage: _fit_weights(inst, part, _per_bin(target, bins), stage=stage,
+                                    trials=trials, seed=seed, bins=bins,
+                                    polish_trials=polish_trials)
+                for stage, target in targets.items()}
     maps = _stage_maps(inst, part, bins, tuple(targets))  # checks bins >= 1
-    return {stage: _fit_exact(maps[stage], np.broadcast_to(
-        np.asarray(target, dtype=float), (bins,)), stage) for stage, target in targets.items()}
+    return {stage: _fit_exact(maps[stage], _per_bin(target, bins), stage)
+            for stage, target in targets.items()}
+
+
+def _per_bin(target, bins: int) -> np.ndarray:
+    return np.broadcast_to(np.asarray(target, dtype=float), (bins,))
 
 
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
-                      bins: int = 64) -> BinWeights:
+                      trials: int = 200_000, seed: int = 0, bins: int = 64,
+                      polish_trials: Optional[int] = None) -> BinWeights:
     """Fit lottery weights so each audit/incentive-region type wins with
     probability phi.
 
-    The fit is exact and needs no seed.  When the audit region is empty
-    every eligible type survives the merit stage with the same
-    probability, so the uniform start is already a fixed point.
+    Up to ``_EXACT_MAX_AGENTS`` agents the fit is exact and ignores
+    ``trials``, ``seed`` and ``polish_trials``, which steer the Monte Carlo
+    fixed point above.  When the audit region is empty every eligible type
+    survives the merit stage with the same probability, so the uniform
+    start is already a fixed point.
     """
-    return _calibrate(inst, part, {"lottery": part.phi}, bins=bins)["lottery"]
+    return _calibrate(inst, part, {"lottery": part.phi}, trials=trials, seed=seed, bins=bins,
+                      polish_trials=polish_trials)["lottery"]
 
 
 def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
-                    rules: InterimRules, *, bins: int = 64) -> BinWeights:
+                    rules: InterimRules, *,
+                    trials: int = 200_000, seed: int = 0, bins: int = 64,
+                    polish_trials: Optional[int] = None) -> BinWeights:
     """Fit audit-selection weights so every supply-region type is audited
     with probability P(t) - phi, P read from ``rules``.
 
@@ -834,10 +964,11 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
     their target; the weights only steer the choice among supply-region
     winners when more than k agents won the merit stage.  A bin whose
     forced audits alone exceed its target raises ``CalibrationError``
-    naming the bin.  The fit is exact and needs no seed.
+    naming the bin.  The other keywords are as in ``calibrate_lottery``.
     """
     _, _, target = _cell_targets(inst, part, rules, bins)
-    return _calibrate(inst, part, {"audit": target}, bins=bins)["audit"]
+    return _calibrate(inst, part, {"audit": target}, trials=trials, seed=seed,
+                      bins=bins, polish_trials=polish_trials)["audit"]
 
 
 # ---------------------------------------------------------------------------
@@ -847,15 +978,18 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
 def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
              bins: int = 64,
              lottery_weights: Optional[BinWeights] = None,
-             audit_weights: Optional[BinWeights] = None) -> SimReport:
+             audit_weights: Optional[BinWeights] = None,
+             calibration_trials: Optional[int] = None) -> SimReport:
     """Run the full mechanism on ``trials`` iid profiles and compare the
     binned empirical interim rules against their targets.
 
-    Weights not supplied are calibrated first, on the exact maps of both
-    stages, so they do not depend on the seed and no profile is simulated
-    for them: the ``trials`` profiles of the main pass are the only ones.
-    Identical (inst, phi, trials, seed, bins) inputs give a bit-identical
-    report.
+    Weights not supplied are calibrated first.  Up to ``_EXACT_MAX_AGENTS``
+    agents the fit is exact on each stage's map, so the weights do not
+    depend on the seed and the ``trials`` profiles of the main pass are
+    the only ones simulated.  Above, the Monte Carlo fixed point fits them
+    on ``calibration_trials`` rows per round (default max(100000,
+    trials / 5)), reproducibly from the same seed.  Identical (inst, phi,
+    trials, seed, bins) inputs give a bit-identical report.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -878,12 +1012,14 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
             capacity_violations=0, payoff_total=0.0, stats={"main_rows": 0},
         )
 
+    cal_rows = calibration_trials or max(100_000, trials // 5)
     targets = {}
     if lottery_weights is None:
         targets["lottery"] = np.full(bins, part.phi)
     if audit_weights is None:
         targets["audit"] = audit_target
-    fitted = _calibrate(inst, part, targets, bins=bins) if targets else {}
+    fitted = _calibrate(inst, part, targets, trials=cal_rows, seed=seed, bins=bins,
+                        polish_trials=max(cal_rows, trials // 2)) if targets else {}
     lottery_weights = fitted.get("lottery", lottery_weights)
     audit_weights = fitted.get("audit", audit_weights)
     stats = {"main_rows": trials, "main_draw_rows": {"lottery": 0, "audit": 0}}

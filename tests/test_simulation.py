@@ -51,6 +51,13 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+@pytest.fixture
+def calibration_path():
+    """The calibrator a test expects; the exact map covers (3,2,1).
+    ``TestMonteCarloFallback`` overrides this to rerun tests on the fallback."""
+    return "exact"
+
+
 def _count_batch_rows(monkeypatch) -> list:
     """Record the rows of every ``_mechanism_batch`` call from now on."""
     rows = []
@@ -317,19 +324,21 @@ class TestBinWeights:
 
 
 class TestCalibration:
-    def test_case3_uniform_weights_converge_immediately(self, ex_inst):
+    def test_case3_uniform_weights_converge_immediately(self, ex_inst, calibration_path):
         # empty audit region: all eligible types survive merit identically
         part = partition(0.6, ex_inst)
         assert part.case_tag == "IcAllo"
-        w = calibrate_lottery(ex_inst, part, bins=16)
-        assert w.stats["method"] == "exact"
+        w = calibrate_lottery(ex_inst, part, trials=120_000, seed=3, bins=16,
+                              polish_trials=None)
+        assert w.stats["method"] == calibration_path
         active = w.values[:8]
         assert np.allclose(active, active.mean(), rtol=0.2)
 
-    def test_weights_increase_over_audit_region(self, ex_inst, ex_solved):
+    def test_weights_increase_over_audit_region(self, ex_inst, ex_solved, calibration_path):
         part = ex_solved.partition
-        w = calibrate_lottery(ex_inst, part, bins=32)
-        assert w.stats["method"] == "exact"
+        w = calibrate_lottery(ex_inst, part, trials=150_000, seed=5, bins=32,
+                              polish_trials=150_000)
+        assert w.stats["method"] == calibration_path
         edges = w.edges
         mids = 0.5 * (edges[:-1] + edges[1:])
         in_aud = (mids > part.gamma2) & (mids < part.gamma3)
@@ -337,6 +346,15 @@ class TestCalibration:
         # higher audit-region types win merit more often, so they need
         # larger weights to reach the same lottery probability
         assert w.values[in_aud].max() > 1.2 * w.values[in_ic].mean()
+
+    def test_zero_trials_rejected(self, ex_inst, ex_solved):
+        with pytest.raises(ValueError):
+            calibrate_lottery(ex_inst, ex_solved.partition, trials=0)
+
+    def test_audit_zero_trials_rejected(self, ex_inst, ex_solved):
+        rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, ex_solved.partition)
+        with pytest.raises(ValueError):
+            calibrate_audit(ex_inst, ex_solved.partition, rules, trials=0)
 
     def test_audit_unreachable_target_raises(self, ex_inst, monkeypatch):
         # at phi = 0.6 a lone supply-region merit winner just above gamma1
@@ -356,12 +374,22 @@ class TestCalibration:
                                                str(err.value))[0])
         assert forced > target + 0.1
 
+    def test_monte_carlo_unreachable_target_raises_after_one_round(
+            self, ex_inst, monkeypatch):
+        monkeypatch.setattr(simulation, "_EXACT_MAX_AGENTS", 0)
+        part = partition(0.6, ex_inst)
+        rules = merit_with_guarantee(0.6, ex_inst, part)
+        rows = _count_batch_rows(monkeypatch)
+        with pytest.raises(CalibrationError,
+                           match=r"audit target unreachable in type bin \[.*forced-audit"):
+            calibrate_audit(ex_inst, part, rules, trials=20_000, bins=16)
+        assert rows == [20_000]
+
     def test_exact_weights_do_not_depend_on_the_seed(self, ex_inst, ex_solved):
-        # the calibrators take no seed, and simulate's fit uses none
         part = ex_solved.partition
         rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, part)
-        a = calibrate_lottery(ex_inst, part)
-        assert np.array_equal(a.values, calibrate_lottery(ex_inst, part).values)
+        a = calibrate_lottery(ex_inst, part, seed=1)
+        assert np.array_equal(a.values, calibrate_lottery(ex_inst, part, seed=2).values)
         # three agents over three region blocks: C(5, 2) splits
         assert a.stats["method"] == "exact" and a.stats["configurations"] == 10
         assert a.stats["max_residual"] <= 1e-10
@@ -750,6 +778,19 @@ class TestExactMap:
         with pytest.raises(CalibrationError, match="lottery calibration stalled"):
             simulation._fit_exact(smap, np.full(16, 0.9), "lottery")
 
+    def test_lottery_total_does_not_depend_on_the_weights_at_the_cap(self):
+        # every lottery object left by merit is drawn, so the expected wins
+        # summed over the bins are the same at any weights; with a first race
+        # panel of [0, 1/w_max] the sum at flat weights was 8.9e-8 off here
+        n = simulation._EXACT_MAX_AGENTS
+        inst = ProblemInstance(n, n // 3, 3, make_uniform())
+        smap = simulation._stage_maps(inst, partition(solve(inst).phi_star, inst), 16,
+                                      ("lottery",))["lottery"]
+        active = smap.draws > 0
+        totals = [np.sum(smap.rate(np.exp(np.random.default_rng(1).normal(0.0, sigma, 16)))
+                         [active] * smap.draws[active]) for sigma in (0.0, 0.05, 2.0)]
+        assert np.ptp(totals) <= 1e-12
+
 
 class TestSimulate:
     def test_empty_run(self, ex_inst):
@@ -759,9 +800,10 @@ class TestSimulate:
         assert report.payoff_total == 0.0
         assert report.bins_within_3se_p == report.bins
 
-    def test_small_run_consistency(self, ex_inst, ex_solved):
-        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=11, bins=32)
-        assert report.stats["audit"]["method"] == "exact"
+    def test_small_run_consistency(self, ex_inst, ex_solved, calibration_path):
+        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=11,
+                          bins=32, calibration_trials=120_000)
+        assert report.stats["audit"]["method"] == calibration_path
         assert report.capacity_violations == 0
         assert abs(report.payoff_total - ex_solved.payoff) < 0.02
         # generous bands for the small run
@@ -773,19 +815,21 @@ class TestSimulate:
                              1e-12, None) / np.maximum(report.draws, 1))
         assert int(np.sum(dev > 4 * se)) <= 3
 
-    def test_guarantee_region_hits_phi(self, ex_inst, ex_solved):
-        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=13, bins=32)
-        assert report.stats["lottery"]["method"] == "exact"
+    def test_guarantee_region_hits_phi(self, ex_inst, ex_solved, calibration_path):
+        report = simulate(ex_inst, ex_solved.phi_star, 150_000, seed=13,
+                          bins=32, calibration_trials=120_000)
+        assert report.stats["lottery"]["method"] == calibration_path
         part = ex_solved.partition
         mids = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
         low = mids < part.gamma1 - 1.0 / 32
         assert np.allclose(report.p_target[low], ex_solved.phi_star, atol=1e-9)
         assert np.max(np.abs(report.p_hat[low] - ex_solved.phi_star)) < 0.02
 
-    def test_pure_lottery_limit(self, ex_inst):
+    def test_pure_lottery_limit(self, ex_inst, calibration_path):
         # phi = m/n: every type should receive with probability about m/n
-        report = simulate(ex_inst, 2 / 3, 60_000, seed=17, bins=16)
-        assert report.stats["lottery"]["method"] == "exact"
+        report = simulate(ex_inst, 2 / 3, 60_000, seed=17, bins=16,
+                          calibration_trials=60_000)
+        assert report.stats["lottery"]["method"] == calibration_path
         assert report.capacity_violations == 0
         assert np.max(np.abs(report.p_hat - 2 / 3)) < 0.03
 
@@ -842,6 +886,54 @@ class TestSimulate:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 9
         assert lines[0].startswith("t_mid,draws,P_target,P_hat")
+
+
+class TestMonteCarloFallback:
+    """Above the exact map's agent cap the Monte Carlo fixed point calibrates.
+
+    The calibration and simulation tests below are rerun here with a cap of
+    zero, so the fallback must meet the same bands as the exact map.
+    """
+
+    @pytest.fixture
+    def calibration_path(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_EXACT_MAX_AGENTS", 0)
+        return "monte_carlo"
+
+    test_case3_uniform_weights_converge_immediately = (
+        TestCalibration.test_case3_uniform_weights_converge_immediately)
+    test_weights_increase_over_audit_region = (
+        TestCalibration.test_weights_increase_over_audit_region)
+    test_small_run_consistency = TestSimulate.test_small_run_consistency
+    test_guarantee_region_hits_phi = TestSimulate.test_guarantee_region_hits_phi
+    test_pure_lottery_limit = TestSimulate.test_pure_lottery_limit
+
+    def test_stats_add_up_to_the_batch_rows(self, monkeypatch, calibration_path):
+        inst = ProblemInstance(4, 2, 1, make_uniform())
+        phi = solve(inst).phi_star
+        rows = _count_batch_rows(monkeypatch)
+        report = simulate(inst, phi, 20_000, seed=5, calibration_trials=20_000)
+        stats = report.stats
+        assert stats["lottery"]["rows"] + stats["audit"]["rows"] + 20_000 == sum(rows)
+        for stage in ("lottery", "audit"):
+            assert stats[stage]["method"] == calibration_path
+            assert stats[stage]["rows"] == 20_000 * (stats[stage]["rounds"]
+                                                    + stats[stage]["polish_rounds"])
+            assert stats[stage]["max_dev"] >= 0.0
+        assert report.capacity_violations == 0
+        assert report.bins - report.bins_within_3se_p <= 3
+
+    @pytest.mark.parametrize("extra, method", [(0, "exact"), (1, "monte_carlo")])
+    def test_agent_cap_picks_the_calibrator(self, extra, method):
+        # at the real cap, not a patched one: the exact map fits 24 agents,
+        # the fixed point 25, and seeds change only the fixed point's weights
+        n = simulation._EXACT_MAX_AGENTS + extra
+        inst = ProblemInstance(n, n // 2, 3, make_uniform())
+        part = partition(solve(inst).phi_star, inst)
+        fits = [calibrate_lottery(inst, part, trials=20_000, seed=seed, bins=4)
+                for seed in (1, 2)]
+        assert [w.stats["method"] for w in fits] == [method, method]
+        assert np.array_equal(fits[0].values, fits[1].values) == (method == "exact")
 
 
 class TestLargerInstances:
