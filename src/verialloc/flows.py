@@ -434,6 +434,73 @@ def multiset_table(size: int, n: int) -> np.ndarray:
     return table
 
 
+def _multiset_rank(asc: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The row of ``multiset_table(size, n)`` holding each multiset given as
+    n sorted columns, the inverse of the table.  The rows before a
+    nondecreasing a are those that first differ from it at some place j by
+    a value in [a[j-1], a[j]); with count[l, v] nondecreasing sequences of
+    length l over range(v, size), they number
+    count[n, 0] - 1 + sum_j count[n-1-j, a[j]] - count[n-j, a[j]]."""
+    n = len(asc)
+    count = np.zeros((n + 1, size + 1), dtype=np.int64)
+    count[0] = 1
+    for length in range(1, n + 1):
+        count[length, :size] = np.cumsum(count[length - 1, size - 1::-1])[::-1]
+    rank = np.full(len(asc[0]), count[n, 0] - 1)
+    for j, col in enumerate(asc):
+        rank += (count[n - 1 - j] - count[n - j])[col]
+    return rank
+
+
+# Rows of at most _NETWORK_MAX_N entries are sorted by whole-column numpy
+# calls, above by a per-row sort.  100,000 random float rows, one core,
+# medians of 15: the network takes 2.1-3.1 ms against np.sort's 4.5-5.9 ms
+# at n = 3, 5.5-5.7 against 5.9-6.6 at n = 6, and loses from n = 7
+# (6.7-7.0 against 4.8-5.0; 9.1-9.2 against 3.4-6.4 at n = 8).  Counting
+# places over column pairs beats a stable argsort further (4.3-4.9 ms
+# against 16-20 ms at n = 6), so one bound serves both.
+_NETWORK_MAX_N = 6
+
+
+def _sorted_columns(a: np.ndarray):
+    """The entries of each row of the 2-d ``a`` in ascending order, as its
+    n sorted columns (a list of them, or the rows of an n x rows array;
+    no NaN).  Short rows run an insertion network of column
+    compare-exchanges (Knuth, TAOCP vol. 3, 5.3.4): n(n-1)/2
+    ``np.minimum``/``np.maximum`` pairs on whole columns, where a per-row
+    sort pays a call's overhead on every row of n entries."""
+    n = a.shape[1]
+    if n > _NETWORK_MAX_N:
+        return np.sort(a, axis=1).T
+    cols = list(a.T)
+    for i in range(1, n):
+        for j in range(i, 0, -1):
+            lo, hi = cols[j - 1], cols[j]
+            cols[j - 1], cols[j] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return cols
+
+
+def _row_places(a: np.ndarray) -> np.ndarray:
+    """Each entry's place in a stable ascending sort of its row of the 2-d
+    ``a``: the entries of the row below it, and those equal to it in
+    earlier columns.  Short rows count them over the n(n-1)/2 column
+    pairs, one comparison each; carrying a source index through the
+    network's exchanges costs about ten times as much."""
+    rows, n = a.shape
+    if n > _NETWORK_MAX_N:
+        place = np.empty((rows, n), dtype=np.intp)
+        np.put_along_axis(place, np.argsort(a, axis=1, kind="stable"),
+                          np.arange(n)[None], axis=1)
+        return place
+    place = np.zeros((n, rows), dtype=np.int8)
+    for i in range(n):
+        for j in range(i + 1, n):
+            after = a[:, i] > a[:, j]
+            place[i] += after
+            place[j] += ~after
+    return place.T
+
+
 def _refuted(sc: _Scaled, E: CheckSet, rhs: int, stats: dict) -> FeasibilityVerdict:
     """The infeasible verdict with witness E and its exact sides under the
     given P (E refutes the decided rule, which P dominates)."""
@@ -663,7 +730,7 @@ def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
     rank = np.empty(size, dtype=table.dtype)
     rank[order] = np.arange(size)
     return FeasibilityVerdict(feasible=True, expost=_expand_multisets(
-        inst, table, _mix_pooled(rules, rank[table], m)),
+        inst, _mix_pooled(rules, rank[table], m)),
         stats={**stats, "path": "pooled"})
 
 
@@ -748,12 +815,13 @@ def _mix_pooled(rules: list[tuple[Fraction, list]], table: np.ndarray, m: int) -
     n_rows, n = table.shape
     size = int(table.max(initial=0)) + 1
     count = np.int8 if n < 2**7 else np.int16
-    # below[r, x]: agents of multiset r with type < x, for x = 0..size
-    below = np.zeros((n_rows, size + 1), dtype=count)
+    # below[x, r]: agents of multiset r with type < x, for x = 0..size,
+    # type-major so that each step of the sum adds a contiguous row
+    below = np.zeros((size + 1, n_rows), dtype=count)
     rows = np.arange(n_rows)
     for j in range(n):
-        below[rows, table[:, j].astype(np.intp) + 1] += 1
-    np.cumsum(below, axis=1, dtype=count, out=below)
+        below[table[:, j].astype(np.intp) + 1, rows] += 1
+    np.cumsum(below, axis=0, dtype=count, out=below)
     below = below.ravel()
     # share by (above, within); within = 0 marks a type outside every pool
     per_agent = np.zeros((n + 1, n + 1))
@@ -771,31 +839,28 @@ def _mix_pooled(rules: list[tuple[Fraction, list]], table: np.ndarray, m: int) -
     share = np.zeros(table.size)
     for (lo, hi), w in weight.items():
         entries = by_type[start[lo]:start[hi + 1]]
-        at = entries // n * (size + 1)
-        end = below[at + hi + 1].astype(np.intp)
-        within = end - below[at + lo]
+        at = entries // n
+        end = below[(hi + 1) * n_rows + at].astype(np.intp)
+        within = end - below[lo * n_rows + at]
         share[entries] += float(w) * per_agent[(n - end) * (n + 1) + within]
     # the weights sum to 1 exactly but their floats need not, so a share
     # that is exactly 1 can come out one ulp above it
     return np.minimum(share, 1.0, out=share).reshape(table.shape)
 
 
-def _expand_multisets(inst: DiscreteInstance, table: np.ndarray,
-                      share: np.ndarray) -> ExPostRule:
-    """Per-profile rule from shares on the entries of ``table``.
+def _expand_multisets(inst: DiscreteInstance, share: np.ndarray) -> ExPostRule:
+    """Per-profile rule from shares on the entries of ``multiset_table``.
 
-    ``table`` holds every type multiset as a sorted row and ``share[r, j]``
-    the share of the agent at place j of multiset r.  Agent i at profile p
-    takes the share at p's multiset and its place in a sort of p; tied
-    types have equal shares, so the order among ties does not matter.
+    ``share[r, j]`` is the share of the agent at place j of the table's
+    multiset r.  Agent i at profile p takes the share at p's multiset, read
+    in closed form from p's sorted columns (``_multiset_rank``), and at its
+    place in a stable sort of p; tied types have equal shares, so the order
+    among ties does not matter.
     """
     n, size = inst.n_agents, inst.sizes[0]
-    prof = np.indices(inst.sizes, dtype=table.dtype).reshape(n, -1)
-    col = np.argsort(prof, axis=0)
-    digits = size ** np.arange(n - 1, -1, -1)
-    mid = np.searchsorted(table @ digits, digits @ np.take_along_axis(prof, col, axis=0))
-    alloc = np.empty((inst.n_profiles, n))
-    np.put_along_axis(alloc, col.T, share[mid], axis=1)
+    prof = np.indices(inst.sizes, dtype=np.min_scalar_type(size - 1)).reshape(n, -1).T
+    mid = _multiset_rank(_sorted_columns(prof), size)
+    alloc = share.ravel()[(mid * n)[:, None] + _row_places(prof)]
     return ExPostRule(inst=inst, alloc=alloc)
 
 

@@ -46,7 +46,7 @@ from .envelope import (
     RegionPartition,
     partition,
 )
-from .flows import multiset_table
+from .flows import _row_places, _sorted_columns, multiset_table
 from .interim import InterimRules, merit_with_guarantee
 
 _REGION_CODE = {LABEL_IC: 0, LABEL_AUD: 1, LABEL_ALLO: 2}
@@ -190,19 +190,20 @@ def _top_quota(keys: np.ndarray, quota: np.ndarray) -> np.ndarray:
     """Entries ranked below ``quota`` when their row is sorted descending,
     exact ties ranked by column as a stable sort would.
 
-    One sort: an entry is kept when it reaches its row's quota-th largest
-    key.  Only a row whose next key equals that threshold can have more
-    than ``quota`` entries reach it; there the entries at the threshold are
-    kept in column order until the quota is full.
+    One sort of the keys into columns (``_sorted_columns``): an entry is
+    kept when it reaches its row's quota-th largest key.  Only a row whose
+    next key equals that threshold can have more than ``quota`` entries
+    reach it; there the entries at the threshold are kept in column order
+    until the quota is full.
     """
     rows, n = keys.shape
     q = np.clip(quota, 0, n)
-    asc = np.sort(keys, axis=1)
+    asc = np.asarray(_sorted_columns(keys))  # one n x rows array for the gathers
     at = n - np.maximum(q, 1)
     r = np.arange(rows)
-    kth = asc[r, at]
+    kth = asc[at, r]
     top = (keys >= kth[:, None]) & (q > 0)[:, None]
-    tied = np.flatnonzero((q > 0) & (q < n) & (asc[r, np.maximum(at - 1, 0)] == kth))
+    tied = np.flatnonzero((q > 0) & (q < n) & (asc[np.maximum(at - 1, 0), r] == kth))
     if tied.size:
         sub, thr = keys[tied], kth[tied, None]
         above = sub > thr
@@ -234,16 +235,17 @@ def _merit_stage(types, reg, m: int, k: int):
     audit-region types among the k highest) and the rows with an exact tie,
     which allocate nothing.
 
-    One sort per batch: in a row without ties, "among the c highest" is "at
-    least the row's c-th largest report".
+    One sort of the batch into columns (``_sorted_columns``): in a row
+    without ties, "among the c highest" is "at least the row's c-th largest
+    report", and a tie is two equal neighbours in the sorted row.
     """
     n = types.shape[1]
-    asc = np.sort(types, axis=1)
+    asc = _sorted_columns(types)
     tie = np.zeros(len(types), dtype=bool)
-    for j in range(1, n):
-        tie |= asc[:, j] == asc[:, j - 1]
-    merit = (~tie)[:, None] & (((reg == 2) & (types >= asc[:, max(n - m, 0), None]))
-                               | ((reg == 1) & (types >= asc[:, max(n - k, 0), None])))
+    for lo, hi in zip(asc, asc[1:]):
+        tie |= lo == hi
+    merit = (~tie)[:, None] & (((reg == 2) & (types >= asc[max(n - m, 0)][:, None]))
+                               | ((reg == 1) & (types >= asc[max(n - k, 0)][:, None])))
     return merit, tie
 
 
@@ -767,6 +769,10 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
     plain steps accelerates it; a mixed step that does not lower the worst
     bin's residual is replaced by the plain step, and the history restarts.
     ``iterations`` counts evaluations of the map.
+
+    Every object or audit slot a draw hands out goes to some pool member,
+    so the expected hits summed over the bins are the same at any weights:
+    targets whose sum differs raise at the first evaluation, at flat weights.
     """
     bins = len(target)
     active = (smap.draws > 0) & np.isfinite(target)
@@ -776,6 +782,7 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
         b = int(np.argmax(excess))
         raise _forced_audit_error(b, bins, smap.sure[b] / smap.draws[b], target[b])
     goal = target[active]
+    draws = smap.draws[active]
     log_goal = np.log(goal)
 
     def plain(x, rate):
@@ -790,6 +797,11 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
     for it in range(1, _EXACT_MAX_ITER + 1):
         w[active] = np.exp(x)
         rate = smap.rate(w)[active]
+        if it == 1 and abs(draws @ (rate - goal)) > draws.sum() * _EXACT_TOL:
+            raise CalibrationError(
+                f"{stage} target unreachable: the stage hits {draws @ rate:.6g} agents "
+                f"per profile in expectation, and its targets ask for {draws @ goal:.6g}; "
+                f"no weights move this total")
         resid = float(np.max(np.abs(rate - goal), initial=0.0))
         if resid <= _EXACT_TOL:
             break

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,20 @@ class TestSimulateCommand:
         assert code == 3
         assert "audit target unreachable in type bin [0.828125, 0.84375)" in err
         assert "forced-audit rate 0.6875" in err and "audit target 0.3732" in err
+
+    def test_audit_target_total_out_of_reach_exits_3_at_once(self, capsys):
+        # at (4,2,1) and phi = 0.35 the audit targets sum to fewer audits
+        # than the stage makes at any weights; the fit says so at its first
+        # evaluation instead of running out its iterations
+        start = time.perf_counter()
+        code, _, err = run(capsys, [
+            "simulate", "--n", "4", "--m", "2", "--k", "1", "--phi", "0.35",
+            "--trials", "20000", "--seed", "1",
+        ])
+        assert code == 3
+        assert "audit target unreachable: the stage hits 0.687591 agents" in err
+        assert "ask for 0.6; no weights move this total" in err
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCheckCommand:

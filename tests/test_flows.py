@@ -424,6 +424,61 @@ def test_multiset_table_is_lexicographic(size, n):
         itertools.combinations_with_replacement(range(size), n))
 
 
+_NET = flows._NETWORK_MAX_N
+
+
+@pytest.mark.parametrize("n", [1, 2, _NET - 1, _NET, _NET + 1, 12])
+def test_column_sort_matches_a_stable_sort(n):
+    # values from a small set, so rows tie, with both infinities and both zeros
+    rng = np.random.default_rng(n)
+    pool = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 3.0, np.inf])
+    a = pool[rng.integers(0, len(pool), (2_000, n))]
+    ints = rng.integers(0, 3, (2_000, n)).astype(np.int16)
+    for x in (a, ints, rng.random((50, n))):
+        asc = flows._sorted_columns(x)
+        assert len(asc) == n
+        assert np.array_equal(np.column_stack(asc), np.sort(x, axis=1))
+        place = flows._row_places(x)
+        order = np.argsort(x, axis=1, kind="stable")
+        assert place.shape == x.shape
+        assert np.array_equal(np.take_along_axis(place, order, axis=1),
+                              np.broadcast_to(np.arange(n), x.shape))
+
+
+@pytest.mark.parametrize("size,n", [(1, 1), (1, 4), (4, 1), (2, 9), (3, 4), (6, 3), (64, 3)])
+def test_multiset_rank_inverts_the_table(size, n):
+    table = multiset_table(size, n)
+    assert np.array_equal(flows._multiset_rank(list(table.T), size), np.arange(len(table)))
+
+
+def _expand_by_lookup(inst, share):
+    """The expansion by a stable argsort of each profile and a packed-key
+    ``searchsorted`` into the multiset table."""
+    n, size = inst.n_agents, inst.sizes[0]
+    table = multiset_table(size, n)
+    prof = np.indices(inst.sizes).reshape(n, -1)
+    col = np.argsort(prof, axis=0, kind="stable")
+    digits = size ** np.arange(n - 1, -1, -1)
+    mid = np.searchsorted(table @ digits, digits @ np.take_along_axis(prof, col, axis=0))
+    alloc = np.empty((inst.n_profiles, n))
+    np.put_along_axis(alloc, col.T, share[mid], axis=1)
+    return alloc
+
+
+def test_expansion_matches_a_sort_and_lookup():
+    # random shares, so the order among tied types shows too
+    rng = np.random.default_rng(19)
+    instances = [random_symmetric_instance(rng) for _ in range(40)]
+    instances += [DiscreteInstance.symmetric(n, tuple(range(size)), (1 / size,) * size, 1)
+                  for n, size in ((_NET, 4), (_NET + 1, 3), (8, 3), (1, 5))]
+    for inst in instances:
+        n, size = inst.n_agents, inst.sizes[0]
+        share = rng.random((len(multiset_table(size, n)), n))
+        alloc = flows._expand_multisets(inst, share).alloc
+        assert alloc.shape == (inst.n_profiles, n)
+        assert np.array_equal(alloc, _expand_by_lookup(inst, share))
+
+
 class TestCollapsedAgainstBruteForce:
     """The symmetric check of check_interim_allocation, which sorts the
     types by P, for monotone and non-monotone rules, against the profile

@@ -771,12 +771,53 @@ class TestExactMap:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unreachable_lottery_target_stalls(self, ex_inst, ex_part):
-        # the lottery hands out E[m - merit winners] objects whatever the
-        # weights, fewer than phi = 0.9 for every eligible type needs; the
-        # fit must stall on finite weights, without an overflow on the way
+        # the lowest bin asks to win 0.99 of the time, which no weights give
+        # (two merit winners leave no object); the other bins' targets are
+        # scaled so the total is the one the lottery hands out, so the fit
+        # cannot refuse the targets at once and must stall on finite weights,
+        # without an overflow on the way
         smap = simulation._stage_maps(ex_inst, ex_part, 16, ("lottery",))["lottery"]
+        rate = smap.rate(np.ones(16))
+        target = rate.copy()
+        target[0] = 0.99
+        # (bins without draws have no rate and no target)
+        target[1:] *= 1 + smap.draws[0] * (rate[0] - 0.99) / np.nansum(smap.draws[1:] * rate[1:])
         with pytest.raises(CalibrationError, match="lottery calibration stalled"):
-            simulation._fit_exact(smap, np.full(16, 0.9), "lottery")
+            simulation._fit_exact(smap, target, "lottery")
+
+    @pytest.mark.parametrize("stage", ["lottery", "audit"])
+    def test_target_total_out_of_reach_raises_after_one_evaluation(
+            self, ex_inst, ex_part, uniform, monkeypatch, stage):
+        # lottery: phi = 0.9 for every eligible type asks for more objects
+        # than merit leaves; audit: at (4,2,1) and phi = 0.35 the supply
+        # region's targets sum to 0.6 audits per profile where the stage
+        # makes 0.6876 whatever the weights; both fail at flat weights
+        if stage == "lottery":
+            inst, part, bins, target = ex_inst, ex_part, 16, np.full(16, 0.9)
+        else:
+            inst, bins = ProblemInstance(4, 2, 1, uniform), 64
+            part = partition(0.35, inst)
+            target = simulation._cell_targets(
+                inst, part, merit_with_guarantee(0.35, inst, part), bins)[2]
+        smap = simulation._stage_maps(inst, part, bins, (stage,))[stage]
+        calls = []
+        real = simulation._StageMap.rate
+
+        def counted(self, w):
+            calls.append(w.copy())
+            return real(self, w)
+
+        monkeypatch.setattr(simulation._StageMap, "rate", counted)
+        with pytest.raises(CalibrationError, match=rf"{stage} target unreachable: the stage "
+                                                   r"hits [0-9.]+ agents per profile") as err:
+            simulation._fit_exact(smap, target, stage)
+        assert len(calls) == 1 and np.all(calls[0] == 1.0)
+        hits, goal = map(float, re.findall(r"hits ([0-9.]+) .* ask for ([0-9.]+)",
+                                           str(err.value))[0])
+        if stage == "audit":
+            assert (hits, goal) == (0.687591, 0.6)
+        else:
+            assert hits < goal
 
     def test_lottery_total_does_not_depend_on_the_weights_at_the_cap(self):
         # every lottery object left by merit is drawn, so the expected wins
