@@ -15,22 +15,21 @@ and every supply-region type is audited with probability P(t) - phi.
 Weighted draws without replacement are exponential races: each pool
 member arrives at E / w with E ~ Exp(1) and the first arrivals are drawn
 (successive-draws semantics, i.e. Plackett-Luce).  Only rows whose draw
-is a real choice, 0 < quota < pool size, draw any variates.  Up to
-``_EXACT_MAX_AGENTS`` agents each stage's per-bin hit rate is computed
-exactly from the agents' counts in the region blocks (``_stage_maps``),
-and the weights are fitted on it by an Anderson-accelerated fixed point,
-so they do not depend on the seed and no profile is simulated to fit
-them; above, a damped stochastic fixed point fits them on simulated
-profiles.
+is a real choice, 0 < quota < pool size, draw any variates.  Each
+stage's per-bin hit rate is computed exactly by conditioning on the order
+statistic at which merit cuts the pool's block (``_stage_maps``), and the
+weights are fitted on it by an Anderson-accelerated fixed point: at every
+n they depend on nothing random, and no profile is simulated to fit them.
 
-All randomness flows through counter-based Philox streams keyed by
-(seed, stage, round), so a report is a pure function of its seed.
+All randomness of the main pass flows through counter-based Philox streams
+keyed by (seed, stage, chunk), so a report is a pure function of its seed.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -44,9 +43,11 @@ from .envelope import (
     LABEL_IC,
     ProblemInstance,
     RegionPartition,
+    _anchor_pmf,
+    _binom_cdf,
     partition,
 )
-from .flows import _row_places, _sorted_columns, multiset_table
+from .flows import _sorted_columns
 from .interim import InterimRules, merit_with_guarantee
 
 _REGION_CODE = {LABEL_IC: 0, LABEL_AUD: 1, LABEL_ALLO: 2}
@@ -68,13 +69,11 @@ class BinWeights:
 
     ``edges`` must be ``linspace(0, 1, len(values) + 1)``: a type's weight
     is read by the same floor(t * bins) index the simulation tallies use.
-    ``stats`` describes the calibration that fitted the weights, if any.
-    With ``method`` "exact": the ``configurations`` of the exact map (the
-    splits of the n agents over the region blocks), its ``iterations``
-    (evaluations of the map) and the largest final |rate - target|,
-    ``max_residual``.  With ``method`` "monte_carlo": fixed-point
-    ``rounds``, ``polish_rounds``, ``rows`` simulated and the worst bin
-    deviation (in standard errors) of the last round, ``max_dev``.
+    ``stats`` describes the calibration that fitted the weights, if any:
+    the exact map's ``v_nodes`` (its nodes in the merit cut's order
+    statistic) and ``x_nodes`` (its race nodes at the fitted weights), the
+    fit's ``iterations`` (evaluations of the map) and the largest final
+    |rate - target|, ``max_residual``.
     """
 
     edges: np.ndarray
@@ -109,8 +108,9 @@ class SimReport:
     ``stats`` counts the work behind it: ``main_rows`` profiles in the main
     pass, ``main_draw_rows`` of them whose ``lottery`` and ``audit`` draws
     had a real choice and, for each stage calibrated here (``lottery``,
-    ``audit``), the ``stats`` of its fitted weights.  It is left out of
-    ``to_record()``, which holds results only.
+    ``audit``), the ``stats`` of its fitted weights (``BinWeights``), which
+    no seed changes.  It is left out of ``to_record()``, which holds
+    results only.
     """
 
     trials: int
@@ -415,28 +415,12 @@ def bin_targets(inst: ProblemInstance, rules: InterimRules,
 # calibration
 # ---------------------------------------------------------------------------
 
-# Up to _EXACT_MAX_AGENTS agents the exact map calibrates, the Monte Carlo
-# fixed point above.  simulate() with 1,000 trials at 64 bins (calibration
-# is nearly all of it), uniform and power-law types at phi*, one core: at
-# 20 and 24 agents (9 instances) the map took 0.5-4.4 s and 50-109 MB
-# against the fixed point's 4.0-15.9 s and 133-158 MB, 1.3-9x faster, and
-# the fixed point failed at (24,4,1); at 27 agents the map took 5.4 s
-# against 4.3 s, at (30,10,3) 8.1 s against 5.2 s.  The map's cut runs
-# grow with n (81 at (30,10,3)), its splits are C(n + 3, 3) for four
-# region blocks and its binomial coefficients are floats, so it is not
-# built above the cap.
-_EXACT_MAX_AGENTS = 24
 # The fit stops when every bin is within _EXACT_TOL of its target.
 _EXACT_TOL = 1e-10
 _EXACT_MAX_ITER = 2_000
 # the exact fit's Anderson depth and its log-weight bound, log(1e6)
 _ANDERSON_DEPTH = 5
 _LOG_CLIP = math.log(1e6)
-# the Monte Carlo fixed point: its round cap, the damping exponent of its
-# rounds and the number of polish rounds averaged after them
-_MAX_ROUNDS = 100
-_DAMPING = 0.5
-_POLISH_ROUNDS = 3
 
 # The race integral's rule in x: 12 Gauss-Legendre nodes on each panel of
 # ``_race_nodes``.  Against exact Fraction sums over every profile, with
@@ -449,314 +433,253 @@ def _race_nodes(w_lo: float, w_hi: float, agents: int):
     """Nodes and weights in x for the integral over [0, inf) of a sum of
     terms w e^{-w x} g(x), w in [w_lo, w_hi], g a polynomial of degree
     below ``agents`` in the e^{-w_c x}: one panel on [0, 1 / (agents w_hi)],
-    over which no term falls by more than a factor e, then panels of unit
+    over which no term falls by more than a factor e, then panels of equal
     width in log x up to 40 / w_lo, past which e^{-w x} is below 5e-18.
     (A first panel of [0, 1 / w_hi] was 4.4e-9 off at flat weights with 24
-    agents, where the terms fall as e^{-24 w x}.)"""
+    agents, where the terms fall as e^{-24 w x}.)
+
+    The panels are a unit wide up to 16 agents and 4 / sqrt(agents) wide
+    above: g holds binomial tails over up to ``agents`` draws, whose step
+    in log x narrows as 1 / sqrt(agents).  With unit panels the lottery's
+    total hits, which no weights move, differed between flat weights and
+    log-normal weights of sigma 1 and 4 by 3.7e-11 of itself at (60,30,6),
+    6.1e-10 at (100,50,10) and 1.2e-8 at (200,100,20), with 16 bins; with
+    these panels by at most 4.3e-16, and at (24,8,3) by 1e-15 either way.
+    """
     start = 1.0 / (agents * w_hi)
-    panels = max(1, math.ceil(math.log(40.0 / (w_lo * start))))
-    ends = np.concatenate([[0.0], start * np.exp(np.arange(panels + 1))])
+    width = min(1.0, 4.0 / math.sqrt(agents))
+    panels = max(1, math.ceil(math.log(40.0 / (w_lo * start)) / width))
+    ends = np.concatenate([[0.0], start * np.exp(width * np.arange(panels + 1))])
     lo, hi = ends[:-1, None], ends[1:, None]
     return ((0.5 * (lo + hi) + 0.5 * (hi - lo) * _RACE_X).ravel(),
             (0.5 * (hi - lo) * _RACE_W).ravel())
 
 
-@functools.lru_cache(maxsize=16)
-def _comb_table(n: int) -> np.ndarray:
-    """C(j, i) for j, i = 0..n, 0 where i > j; read-only, as it is shared."""
-    table = np.array([[math.comb(j, i) for i in range(n + 1)] for j in range(n + 1)], dtype=float)
-    table.setflags(write=False)
-    return table
+def _compositions(total: int, parts: int):
+    """Every tuple of ``parts`` counts of at least 0 that sum to ``total``."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        ends = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
-def _powers(p: np.ndarray, q: np.ndarray, n: int):
-    """p^i and q^i for i = 0..n, each stacked on a new axis before the last.
-    q is 1 - p, given apart so that neither loses digits near 0."""
-    pw, qw = [np.ones_like(p)], [np.ones_like(q)]
-    for _ in range(n):
-        pw.append(pw[-1] * p)
-        qw.append(qw[-1] * q)
-    return np.stack(pw, axis=-2), np.stack(qw, axis=-2)
-
-
-def _binom_tables(p: np.ndarray, q: np.ndarray, n: int):
-    """pmf[..., j, i] = P(Binomial(j, p) = i) and cdf[..., j, t + 1] =
-    P(Binomial(j, p) <= t) for j, i = 0..n and t = -1..n, the last axis
-    that of p and q = 1 - p."""
-    pw, qw = _powers(p, q, n)
-    j, i = np.arange(n + 1)[:, None], np.arange(n + 1)
-    pmf = _comb_table(n)[:, :, None] * pw[..., None, :, :] * qw[..., np.maximum(j - i, 0), :]
-    cdf = np.concatenate([np.zeros_like(pmf[..., :1, :]), np.cumsum(pmf, axis=-2)], axis=-2)
-    return pmf, cdf
-
-
-def _cut_nodes(mu: np.ndarray, s: int, r: int):
-    """Where the cut agent sits when a run of r < s of a block's s agents
-    lies on one side of it: the (r+1)-th agent from that side.
-
-    ``mu`` holds the block's cell masses in order from that side, and y is
-    the mass between the side's end and the cut agent, whose density is
-    s! / (r! (s-r-1)!) y^r (M - y)^(s-r-1) / M^s.  Within a cell, the
-    chance that a run member arrived is linear in y over y, so that density
-    times a binomial law of up to r run members, times the run's mass in
-    the cell, is a polynomial in y of degree at most s - 1: (s + 1) // 2
-    Gauss-Legendre nodes per cell integrate it exactly.  Returns each
-    node's cell, its offset into the cell, y, and its weight.
-    """
-    total = float(mu.sum())
-    gx, gw = np.polynomial.legendre.leggauss((s + 1) // 2)
-    before = np.cumsum(mu) - mu
-    after = np.cumsum(mu[::-1])[::-1] - mu
-    off = mu[:, None] * (0.5 * (gx + 1.0))
-    y = before[:, None] + off
-    other = after[:, None] + mu[:, None] * (0.5 * (1.0 - gx))
-    dens = (math.comb(s, r) * (s - r) / total) * (y / total) ** r * (other / total) ** (s - r - 1)
-    cell = np.repeat(np.arange(len(mu)), len(gx))
-    return cell, off.ravel(), y.ravel(), (0.5 * mu[:, None] * gw * dens).ravel()
-
-
-def _run_share(mu: np.ndarray, off: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per cell, the sum over the cut agent's nodes (``_cut_nodes``, the
-    same number in each cell) of ``k`` times the mass of the cell on the
-    run's side of the node: all of it for the cells nearer the run's end
-    than the node's, the offset for the node's own cell.  ``k`` has the
-    nodes on its first axis."""
-    rest = k.shape[1:]
-    per_cell = (len(mu), len(off) // len(mu)) + rest
-    s1 = k.reshape(per_cell).sum(axis=1)
-    s2 = (off.reshape((-1,) + (1,) * len(rest)) * k).reshape(per_cell).sum(axis=1)
-    beyond = np.zeros_like(s1)
-    beyond[:-1] = np.cumsum(s1[:0:-1], axis=0)[::-1]
-    return mu.reshape((-1,) + (1,) * len(rest)) * beyond + s2
-
-
-@dataclass(frozen=True)
-class _CutDraws:
-    """The draws whose pool holds a run of ``r`` < s of the agents of block
-    ``block``, cut at an agent whose position ``node`` gives
-    (``_cut_nodes``, on the racing cells ``order`` listed from the run's
-    side), and ``others`` agents of the whole block ``other``, with quota
-    ``quota`` and probability ``prob`` per row."""
-
-    block: int
-    order: np.ndarray
-    node: tuple
-    r: int
-    other: int
-    others: np.ndarray
-    quota: np.ndarray
-    prob: np.ndarray
+def _multinomial_sums(probs, total: int, keeps) -> list:
+    """For each predicate of ``keeps``, the chance that ``total`` iid draws
+    over the categories of probabilities ``probs`` (arrays) give counts it
+    keeps: a sum over every tuple of counts."""
+    powers = [np.cumprod([np.ones_like(p)] + [p] * total, axis=0) for p in probs]
+    sums = [np.zeros(np.broadcast_shapes(*(p.shape for p in probs))) for _ in keeps]
+    for counts in _compositions(total, len(probs)):
+        term = math.factorial(total) // math.prod(map(math.factorial, counts)) * math.prod(
+            power[c] for power, c in zip(powers, counts))
+        for out, keep in zip(sums, keeps):
+            if keep(*counts):
+                out += term
+    return sums
 
 
 @dataclass(frozen=True)
 class _StageMap:
-    """Exact per-bin hit rate of one weighted draw as a function of the
-    bin weights, from the agents' counts in the region blocks.
+    """Exact per-bin hit rate of one weighted draw as a function of the bin
+    weights.
 
-    The region blocks, in descending order of type, split the n agents by a
-    multinomial law.  Given the counts, the agents of a block are iid over
-    its cells, and the stage rule sets the quota and, in each block, the
-    pool: none, all, or a run of its top or bottom agents.  ``draws`` and
-    ``sure`` are the expected tallied agents and their expected sure hits
-    (certain lottery wins, forced audits) per bin.  The cells of the blocks
-    that race have bins ``racing_bin`` and masses ``mu``; ``share`` spreads
-    each block's agents over them.  ``whole`` holds the draws whose pools
-    are whole blocks, one row per pool block: the block, its pool agents,
-    the other pool block and its pool agents (0 for none), the quota and
-    the probability.  ``cuts`` holds the others.
+    A pool member in cell c arrives at x with density w_c e^{-w_c x} and is
+    drawn when the others that merit made winners or that arrived before
+    her number fewer than m (lottery) or k (audit).  Her rate is the
+    integral over x of that density times H_c(x), the chance that she is in
+    the pool and the count stays below the bound by x; H_c(inf) are her
+    sure hits.  Merit cuts the pool's block at an order statistic V of the
+    other n - 1 types: the k-th highest for the lottery (audit-region types
+    below it lose merit and join the pool) and the m-th highest for the
+    audit (supply-region types above it win).  Given V = v the others on
+    the pool's side of v are iid, and each adds one Bernoulli to the count:
+    a winner, or a pool member who arrived by x.  So H_c is a Gauss-Legendre
+    sum over v of V's density, the mass of c on the pool's side of v and one
+    binomial tail; the lottery adds a short sum for the draws merit does
+    not cut, when fewer than k others lie in the audit and supply regions.
+
+    The cells run from the end of the pool's side (the bottom for the
+    lottery, the top for the audit); a run of cells no pool member holds is
+    one cell.  ``block`` marks each as incentive (0), supply below the audit
+    region (1), audit (2) or supply above it (3).  Supply below the audit
+    region changes who wins merit: there the count is summed over every
+    tuple of counts per category (``_multinomial_sums``), and the pool
+    members inside the audit region (lottery) or the supply above it
+    (audit) are a class of their own.  ``nodes`` hold each cell's mass on
+    the pool's side of each v node (``spread``) and the side's mass;
+    ``classes`` hold each class's tallied cells and their ``spread`` times
+    each node's quadrature weight and V's density.  ``settled`` holds
+    H_c(inf) times the cell's mass; ``draws`` and ``sure`` are the expected
+    tallied agents and sure hits per bin.
     """
 
+    stage: str
+    n: int
+    m: int
+    k: int
+    mu: np.ndarray
+    cell_bin: np.ndarray
+    block: np.ndarray
+    tallied: np.ndarray
+    interleaved: bool
+    classes: tuple
+    nodes: tuple
     draws: np.ndarray
     sure: np.ndarray
-    racing_bin: np.ndarray
-    mu: np.ndarray
-    share: np.ndarray
-    whole: tuple
-    cuts: tuple
-    agents: int
-    configurations: int
+    settled: np.ndarray
 
-    @property
-    def stats(self) -> dict:
-        return {"method": "exact", "configurations": self.configurations}
+    def race_nodes(self, w: np.ndarray):
+        wc = w[self.cell_bin[self.tallied]]
+        return _race_nodes(float(wc.min()), float(wc.max()), self.n)
+
+    def node_counts(self, w: np.ndarray) -> dict:
+        """The map's v nodes and its x nodes at the weights ``w``."""
+        return {"v_nodes": len(self.nodes[1]),
+                "x_nodes": len(self.race_nodes(w)[0]) if self.tallied.any() else 0}
 
     def rate(self, w: np.ndarray) -> np.ndarray:
-        """P(a member is among the first q of the race) is the integral over
-        x of w e^{-w x} P(fewer than q other members arrived by x).  A
-        member of a whole block arrives by x with probability
-        pi_b(x) = sum_c mu_c (1 - e^{-w_c x}) / M_b, so the others'
-        arrivals are binomial; a run's are binomial given its cut agent."""
         hits = np.zeros(len(self.mu))
-        if self.mu.size:
-            wc = w[self.racing_bin]
-            x, wx = _race_nodes(float(wc.min()), float(wc.max()), self.agents)
+        if self.tallied.any():
+            x, wx = self.race_nodes(w)
+            wc = w[self.cell_bin]
             wt = np.outer(wc, x)
-            came, left = -np.expm1(-wt), np.exp(-wt)
-            race = wx * wc[:, None] * left
-            pmf, cdf = _binom_tables(self.share @ came, self.share @ left, self.agents)
-            member, size, other, others, quota, prob = self.whole
-            # per block and x, its members' chance that fewer than quota
-            # others arrived, summed over the draws with their members
-            steps = np.maximum(quota[:, None] - np.arange(self.agents + 1), 0)
-            per_block = np.zeros((len(self.share), len(x)))
-            np.add.at(per_block, member, np.einsum(
-                "r,rix,rix->rx", prob * size, pmf[member, size - 1],
-                cdf[other[:, None], others[:, None], steps]))
-            cum = {}
-            for f in self.cuts:
-                self._cut_race(f, came, left, race, cdf, cum, hits, per_block)
-            hits += np.einsum("cx,cx->c", race, self.share.T @ per_block)
+            left = np.exp(-wt)
+            held = self._held(-np.expm1(-wt), left) - self.settled[:, None]
+            hits = self.n * np.einsum("cx,cx->c", (wx * wc[:, None]) * left, held)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return (np.bincount(self.racing_bin, hits, len(self.draws)) + self.sure) / self.draws
+            return (np.bincount(self.cell_bin, hits, len(self.draws)) + self.sure) / self.draws
 
-    def _cut_race(self, f: _CutDraws, came, left, race, cdf, cum, hits, per_block) -> None:
-        """Add the race hits of one run's draws: its members' to ``hits``,
-        its other block's to ``per_block``."""
-        cell, off, y, weight = f.node
-        key = (f.block, int(f.order[0]))
-        if key not in cum:
-            mass, zero = self.mu[f.order, None], np.zeros((1, came.shape[1]))
-            cum[key] = [(np.concatenate([zero, np.cumsum(mass * a[f.order], axis=0)]), a[f.order])
-                        for a in (came, left)]
-        # a run member arrives by x with probability p, given the cut
-        pw, qw = _powers(*((c[cell] + off[:, None] * a[cell]) / y[:, None]
-                           for c, a in cum[key]), f.r)
-        steps = np.maximum(f.quota[:, None] - np.arange(f.r + 1), 0)
-        coef = np.einsum("k,kix->ix", f.prob, cdf[f.other, f.others[:, None], steps[:, :-1]])
-        arrivals = sum(math.comb(f.r - 1, i) * coef[i] * (pw[:, i] * qw[:, f.r - 1 - i])
-                       for i in range(f.r))
-        share = _run_share(self.mu[f.order], off, (weight * f.r / y)[:, None] * arrivals)
-        hits[f.order] += np.einsum("cx,cx->c", race[f.order], share)
-        with_other = f.others > 0
-        if with_other.any():
-            coef = np.einsum("k,kix->ix", f.prob[with_other] * f.others[with_other],
-                             cdf[f.other, f.others[with_other, None] - 1, steps[with_other]])
-            per_block[f.other] += sum(math.comb(f.r, i) * coef[i]
-                                      * (weight @ (pw[:, i] * qw[:, f.r - i]))
-                                      for i in range(f.r + 1))
+    def _kinds(self, came, left) -> list:
+        """Per cell and x, the chance that an agent of the cell falls in
+        each category of the count: for a binomial tail, counted or not;
+        with supply below the audit region, the categories of ``_tails``."""
+        b = self.block[:, None]
+        if self.stage == "lottery":
+            if not self.interleaved:
+                return [(b == 3) + self.tallied[:, None] * came]
+            return [(b == 3) + (b == 2) * came, (b == 2) * left, 1.0 * (b == 1),
+                    (b == 0) * came, (b == 0) * left]
+        if not self.interleaved:
+            return [self.tallied[:, None] * came]
+        return [(b == 3) * came, (b == 3) * left, 1.0 * (b == 2), (b == 1) * came,
+                (b == 0) + (b == 1) * left]
 
+    def _lottery_ok(self, above: int, iota: int):
+        """Whether fewer than m lottery objects are gone: ``above`` winners
+        at or above the cut, and below it u_in audit or high supply agents
+        who count (winners, or pool members who arrived) and u_out who do
+        not, ``low`` supply agents below the audit region, who win while
+        fewer than m agents outrank them (the pool member herself among them
+        when ``iota``), and i_in incentive-region agents who arrived."""
+        m = self.m
+        return lambda u_in, u_out, low, i_in, _: (
+            above + u_in + i_in + min(low, max(0, m - above - u_in - u_out - iota)) <= m - 1)
 
-def _runs(mask: np.ndarray, starts: np.ndarray, counts: np.ndarray):
-    """Set entries of ``mask`` in each block of each row, and whether the
-    block's first (highest) entry is one of them."""
-    cum = np.concatenate([np.zeros((len(mask), 1), dtype=np.int64),
-                          np.cumsum(mask, axis=1)], axis=1)
-    rows = np.arange(len(mask))[:, None]
-    inside = cum[rows, starts + counts] - cum[rows, starts]
-    top = mask[rows, np.minimum(starts, mask.shape[1] - 1)]
-    return inside, top
+    def _tails(self, probs) -> list:
+        """Per v node and x, the chance that the count stays below the
+        quota, for a pool member outside (index 0) and inside (1) the audit
+        region (lottery) or the supply above it (audit)."""
+        n, m, k = self.n, self.m, self.k
+        if self.stage == "lottery":
+            if not self.interleaved:
+                return [_binom_cdf(m - k - 1, n - 1 - k, probs[0])]
+            return _multinomial_sums(probs, n - 1 - k, [self._lottery_ok(k, 0),
+                                                          self._lottery_ok(k, 1)])
+        if not self.interleaved:
+            return [_binom_cdf(k - 1, m - 1, probs[0])]
+        # h_in + h_out high supply winners outrank the audit region, whose
+        # top winners fill what is left of the first k ranks
+        return _multinomial_sums(probs, m - 1, [
+            lambda h_in, h_out, aud, low_in, _, iota=iota:
+                min(aud, max(0, k - h_in - h_out - iota)) + h_in + low_in <= k - 1
+            for iota in (0, 1)])
+
+    def _uncut(self, came, left) -> np.ndarray:
+        """Per x, the chance of a lottery pool member of the incentive region
+        that merit cuts no block, fewer than k others lying in the audit and
+        supply regions (all winners), and that the count stays below m."""
+        n, m, k = self.n, self.m, self.k
+        mu, b = self.mu[:, None], self.block[:, None]
+        if self.interleaved:
+            probs = [np.sum(mu * kind, axis=0) for kind in (
+                1.0 * (b >= 2), 1.0 * (b == 1), (b == 0) * came, (b == 0) * left)]
+            whole = self._lottery_ok(0, 0)
+            return _multinomial_sums(probs, n - 1, [
+                lambda u, low, i_in, i_out: u < k and whole(u, 0, low, i_in, i_out)])[0]
+        pool = self.block == 0
+        mass, rest = mu[pool].sum(), mu[~pool].sum()
+        share = np.sum(mu[pool] * came[pool], axis=0) / mass
+        return sum(math.comb(n - 1, s) * rest ** s * mass ** (n - 1 - s)
+                   * _binom_cdf(m - 1 - s, n - 1 - s, share) for s in range(k))
+
+    def _held(self, came, left) -> np.ndarray:
+        """H_c(x) times the mass of cell c, per cell and x (0 on the cells
+        not tallied), given each cell's chance to have arrived (``came``)
+        and not (``left``) by x."""
+        spread, side = self.nodes
+        held = np.zeros(np.broadcast_shapes(came.shape, left.shape))
+        if len(side):
+            probs = [np.minimum(spread @ kind / side[:, None], 1.0)
+                     for kind in self._kinds(came, left)]
+            for (rows, reach), tail in zip(self.classes, self._tails(probs)):
+                held[rows] = reach @ tail
+        if self.stage == "lottery" and self.block[0] == 0:
+            # the incentive region, the lowest cells
+            rows = np.flatnonzero(self.block == 0)
+            held[rows] += self.mu[rows, None] * self._uncut(came, left)
+        return held
 
 
 def _stage_maps(inst: ProblemInstance, part: RegionPartition, bins: int, stages) -> dict:
-    """The exact maps of the given stages' draws, by stage, from one row per
-    split of the n agents over the region blocks (each a region interval's
-    nonempty cells), holding the region of each position in descending
-    order, so that merit winners are read off the ranks."""
+    """The exact maps of the given stages' draws, by stage (``_StageMap``)."""
     n, m, k = inst.n, inst.m, inst.k
     grid, reg = _cells(inst, part, bins)
     keep = np.flatnonzero(grid.mass > 0)
     mu, cell_bin, reg = grid.mass[keep], grid.bin[keep], reg[keep]
-    piece = part.region_codes(0.5 * (grid.lo + grid.hi))[keep]
-    blocks = tuple(c for c in (np.flatnonzero(piece == i)
-                               for i in reversed(range(len(part.intervals)))) if c.size)
-    mass = np.array([mu[c].sum() for c in blocks])
-    share = np.zeros((len(blocks), len(mu)))
-    for b, cells in enumerate(blocks):
-        share[b, cells] = mu[cells] / mass[b]
-    # every split of the n agents over the blocks, with its multinomial probability
-    counts = np.stack([np.sum(multiset_table(len(blocks), n) == b, axis=1)
-                       for b in range(len(blocks))], axis=1)
-    prob = np.array([math.factorial(n) // math.prod(map(math.factorial, row))
-                     for row in counts.tolist()], dtype=float)
-    prob *= np.prod(mass ** counts, axis=1)
-    ends = np.cumsum(counts, axis=1)
-    starts = ends - counts
-    rank = np.arange(n)
-    row_reg = reg[[c[0] for c in blocks]][np.sum(ends[:, :, None] <= rank, axis=1)]
-    merit = ((row_reg == 2) & (rank < m)) | ((row_reg == 1) & (rank < k))
-
+    block = np.array([0, 2, 3])[reg]
+    if (reg == 1).any():
+        block[(reg == 2) & (np.arange(len(reg)) < np.argmax(reg == 1))] = 1
+    if np.any(np.diff(block) < 0):
+        raise ValueError("the exact map needs the incentive region lowest and "
+                         "no supply between audit-region pieces")
+    interleaved = bool(np.any(block == 1))
+    gx, gw = np.polynomial.legendre.leggauss((n - 1) // 2 + 1)
     maps = {}
     for stage in stages:
-        tallied, pool, quota, sure, choice = _stage_rule(stage, row_reg, merit, m, k)
-        in_tally, _ = _runs(tallied, starts, counts)
-        draws = n * (np.all(in_tally == counts, axis=0) * mass) @ share
-        in_pool, top = _runs(pool, starts, counts)
-        racing = np.concatenate([blocks[b] for b in np.flatnonzero(in_pool[choice].any(axis=0))]
-                                + [[]]).astype(np.int64)
-        maps[stage] = _StageMap(
-            np.bincount(cell_bin, draws, bins),
-            np.bincount(cell_bin, _sure_hits(blocks, mu, counts, starts, prob, sure & tallied),
-                        bins),
-            cell_bin[racing], mu[racing], share[:, racing],
-            *_race_rows(blocks, mu, racing, counts, prob, in_pool, top, quota, choice),
-            n, len(prob))
+        lottery = stage == "lottery"
+        order = slice(None) if lottery else slice(None, None, -1)
+        s_mu, s_bin, s_block = mu[order], cell_bin[order], block[order]
+        tallied = np.isin(s_block, (0, 2) if lottery else (1, 3))
+        # no pool member holds a cell that is not tallied, so its weight
+        # moves nothing: a run of them is one cell
+        at = np.flatnonzero(np.r_[True, tallied[1:] | tallied[:-1]])
+        s_mu, s_bin, s_block, tallied = (np.add.reduceat(s_mu, at), s_bin[at],
+                                         s_block[at], tallied[at])
+        # the v nodes, in the cells V can lie in when merit cuts the pool's block
+        cut = np.repeat(np.flatnonzero(s_block >= (2 if lottery else 0)), len(gx))
+        off = s_mu[cut] * np.resize(0.5 * (gx + 1.0), len(cut))
+        # each cell's mass on the pool's side of each node: all of it for
+        # the cells before the node's, the offset into the node's own
+        spread = np.where(np.arange(len(s_mu)) < cut[:, None], s_mu, 0.0)
+        spread[np.arange(len(cut)), cut] = off
+        side = (np.cumsum(s_mu) - s_mu)[cut] + off
+        # V's density: n - 1 choices of the cut agent, and the others on
+        # the pool's side of it are n - 1 - k (lottery) or m - 1 (audit)
+        dens = (n - 1) * _anchor_pmf(n - 2, n - 1 - k if lottery else m - 1, side)
+        weight = 0.5 * s_mu[cut] * np.resize(gw, len(cut)) * dens
+        inside = s_block == (2 if lottery else 3)
+        # the tallied cells, by class, and the mass of each on the pool's side
+        # of each node times its weight
+        classes = tuple((rows, (spread[:, rows] * weight[:, None]).T) for rows in (
+            map(np.flatnonzero, (tallied & ~inside, tallied & inside)) if interleaved
+            else [np.flatnonzero(tallied)]))
+        smap = _StageMap(stage, n, m, k, s_mu, s_bin, s_block, tallied, interleaved, classes,
+                         (spread, side),
+                         n * np.bincount(s_bin, s_mu * tallied, bins), np.zeros(bins),
+                         np.zeros(len(s_mu)))
+        settled = smap._held(np.ones((len(s_mu), 1)), np.zeros((len(s_mu), 1)))[:, 0]
+        maps[stage] = dataclasses.replace(smap, sure=n * np.bincount(s_bin, settled, bins),
+                                          settled=settled)
     return maps
-
-
-def _order(cells: np.ndarray, top: bool) -> np.ndarray:
-    return cells[::-1] if top else cells
-
-
-def _sure_hits(blocks, mu, counts, starts, prob, sure) -> np.ndarray:
-    """Expected sure hits per kept cell."""
-    in_sure, top = _runs(sure, starts, counts)
-    runs = {}
-    for row, b in zip(*np.nonzero(in_sure)):
-        key = (b, bool(top[row, b]), counts[row, b], in_sure[row, b])
-        runs[key] = runs.get(key, 0.0) + prob[row]
-    hits = np.zeros(len(mu))
-    for (b, upper, s, r), p in runs.items():
-        cells = _order(blocks[b], upper)
-        if r == s:
-            hits[cells] += p * r * mu[cells] / mu[cells].sum()
-        else:
-            _, off, y, weight = _cut_nodes(mu[cells], s, r)
-            hits[cells] += p * _run_share(mu[cells], off, weight * r / y)
-    return hits
-
-
-def _race_rows(blocks, mu, racing, counts, prob, in_pool, top, quota, choice):
-    """The ``whole`` rows and the ``cuts`` of ``_StageMap``: the draws with
-    a real choice, merged by what their race depends on."""
-    whole, cut = {}, {}
-    for row in np.flatnonzero(choice):
-        members = np.flatnonzero(in_pool[row]).tolist()
-        runs = [b for b in members if in_pool[row, b] < counts[row, b]]
-        # at most four region blocks: a pool spans two and cuts one
-        assert len(members) <= 2 and len(runs) <= 1, (members, runs)
-        q, p = int(quota[row]), prob[row]
-        for b in runs or members:
-            o = next((o for o in members if o != b), b)
-            others = int(in_pool[row, o]) if o != b else 0
-            if runs:
-                key = (b, bool(top[row, b]), int(counts[row, b]), int(in_pool[row, b]), o)
-                rows = cut.setdefault(key, {})
-                rows[others, q] = rows.get((others, q), 0.0) + p
-            else:
-                key = (b, int(in_pool[row, b]), o, others, q)
-                whole[key] = whole.get(key, 0.0) + p
-    cols = list(zip(*whole)) or [()] * 5
-    whole = tuple(np.array(c, dtype=np.int64) for c in cols) + (
-        np.array(list(whole.values()), dtype=float),)
-    at = np.zeros(len(mu), dtype=np.int64)
-    at[racing] = np.arange(len(racing))
-    cuts = []
-    for (b, upper, s, r, o), rows in cut.items():
-        order = _order(blocks[b], upper)
-        others, q = (np.array(c, dtype=np.int64) for c in zip(*rows))
-        cuts.append(_CutDraws(b, at[order], _cut_nodes(mu[order], s, r), r, o, others, q,
-                              np.array(list(rows.values()))))
-    return whole, tuple(cuts)
-
-
-def _forced_audit_error(b: int, bins: int, forced: float,
-                        target: float) -> CalibrationError:
-    return CalibrationError(
-        f"audit target unreachable in type bin [{b / bins:.6g}, {(b + 1) / bins:.6g}): "
-        f"its forced-audit rate {forced:.6g} alone exceeds the audit target "
-        f"{target:.6g} (supply-region merit winners in a profile with at most "
-        f"k winners are always audited)"
-    )
 
 
 def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
@@ -773,6 +696,7 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
     Every object or audit slot a draw hands out goes to some pool member,
     so the expected hits summed over the bins are the same at any weights:
     targets whose sum differs raise at the first evaluation, at flat weights.
+    A fit that stalls raises naming its worst bin.
     """
     bins = len(target)
     active = (smap.draws > 0) & np.isfinite(target)
@@ -780,7 +704,11 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
         excess = np.where(active, smap.sure / smap.draws - target, -np.inf)
     if stage == "audit" and excess.max() > _EXACT_TOL:
         b = int(np.argmax(excess))
-        raise _forced_audit_error(b, bins, smap.sure[b] / smap.draws[b], target[b])
+        raise CalibrationError(
+            f"audit target unreachable in type bin [{b / bins:.6g}, {(b + 1) / bins:.6g}): "
+            f"its forced-audit rate {smap.sure[b] / smap.draws[b]:.6g} alone exceeds the "
+            f"audit target {target[b]:.6g} (supply-region merit winners in a profile with "
+            f"at most k winners are always audited)")
     goal = target[active]
     draws = smap.draws[active]
     log_goal = np.log(goal)
@@ -819,11 +747,17 @@ def _fit_exact(smap: _StageMap, target: np.ndarray, stage: str) -> BinWeights:
             mixed = g[-1] - gamma @ np.diff(g, axis=0)
             x, plain_x = np.clip(mixed - mixed.mean(), -_LOG_CLIP, _LOG_CLIP), x
     else:
+        worst = int(np.argmax(np.abs(rate - goal)))
+        b = int(np.flatnonzero(active)[worst])
+        clip = ("held at the clip bound " + ("1e6" if w[b] > 1.0 else "1e-6")
+                if abs(math.log(w[b])) >= _LOG_CLIP - 1e-9 else "inside the clip range")
         raise CalibrationError(
             f"{stage} calibration stalled: after {_EXACT_MAX_ITER} iterations of the "
-            f"exact map the worst bin is still {resid:.3g} from its target"
+            f"exact map the worst bin, type bin [{b / bins:.6g}, {(b + 1) / bins:.6g}), "
+            f"hits at rate {rate[worst]:.6g} against its target {goal[worst]:.6g} "
+            f"({resid:.3g} off), with weight {w[b]:.3g} {clip}"
         )
-    stats = {**smap.stats, "iterations": it, "max_residual": resid}
+    stats = {**smap.node_counts(w), "iterations": it, "max_residual": resid}
     return BinWeights(edges=np.linspace(0.0, 1.0, bins + 1), values=w, stats=stats)
 
 
@@ -837,138 +771,31 @@ def _bin_counts(idx: np.ndarray, mask: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(idx, weights=mask.ravel(), minlength=bins)
 
 
-def _fit_weights(inst: ProblemInstance, part: RegionPartition, target: np.ndarray,
-                 *, stage: str, trials: int, seed: int, bins: int,
-                 polish_trials: Optional[int]) -> BinWeights:
-    """Damped multiplicative fixed point for the weights of one stage.
-
-    ``target`` is the per-bin hit probability wanted among the stage's
-    tallied agents (NaN marks a bin with no target).  Each round measures
-    the stage on fresh rows with the other stage switched off and sets
-    w <- w * (target / empirical)^``_DAMPING`` per bin, normalised to unit
-    geometric mean, until every bin deviation is under two standard errors
-    (``CalibrationError`` after ``_MAX_ROUNDS`` rounds).  ``_POLISH_ROUNDS`` rounds then
-    continue with lower damping on ``polish_trials`` rows each, and the
-    log-weights of the polish rounds are averaged.
-
-    Audit calibration fails at once when no weights can reach the target:
-    if the sure audits alone exceed a bin's target by more than six
-    standard errors in the first round, the fixed point cannot converge.
-    The fitted weights carry the work done in ``stats``.
-    """
-    lottery_stage = stage == "lottery"
-    stream = 0 if lottery_stage else 1
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    flat = BinWeights.uniform(bins)
-    w = np.ones(bins)
-
-    def measure(weights: np.ndarray, rows: int, rng):
-        """Per-bin hits, tallied agents and sure hits of the stage."""
-        fitted = BinWeights(edges, weights)
-        lottery_w, audit_w = (fitted, flat) if lottery_stage else (flat, fitted)
-        counts = np.zeros((3, bins))
-        for done in range(0, rows, _CHUNK):
-            types = _sample_types(inst, min(_CHUNK, rows - done), rng)
-            reg, merit, lottery, _, audited, _ = _mechanism_batch(
-                types, part, inst, lottery_w, audit_w, rng,
-                run_lottery=lottery_stage, run_audit=not lottery_stage,
-            )
-            idx = _bin_index(types, bins).ravel()
-            tallied, _, _, sure, _ = _stage_rule(stage, reg, merit, inst.m, inst.k)
-            for row, hit in zip(counts, (lottery if lottery_stage else audited, tallied, sure)):
-                row += _bin_counts(idx, hit & tallied, bins)
-        return counts
-
-    def step(weights, rows, rng, clip_lo, clip_hi, power, check_sure=False):
-        hits, draws, sure_hits = measure(weights, rows, rng)
-        active = (draws > 0) & np.isfinite(target)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            emp = hits / draws
-            se = np.sqrt(np.clip(target * (1.0 - target), 1e-12, None) / draws)
-            dev = np.abs(emp - target) / se
-            ratio = np.where(active & (hits > 0), target / np.where(hits > 0, emp, 1.0), 1.0)
-            sure_rate = sure_hits / draws
-            excess = np.where(active, (sure_rate - target) / se, -np.inf)
-        if check_sure and excess.max() > 6.0:
-            b = int(np.argmax(excess))
-            raise _forced_audit_error(b, bins, sure_rate[b], target[b])
-        ratio = np.clip(np.nan_to_num(ratio, nan=1.0), clip_lo, clip_hi)
-        worst = float(np.nanmax(np.where(active, dev, 0.0)))
-        return active, dev, worst, weights * ratio**power
-
-    for rnd in range(_MAX_ROUNDS):
-        active, dev, worst, stepped = step(
-            w, trials, _philox(seed, stream, rnd), 0.25, 4.0, _DAMPING,
-            check_sure=rnd == 0 and not lottery_stage,
-        )
-        if worst < 2.0:
-            break
-        w = np.clip(stepped / np.exp(np.mean(np.log(stepped[active]))), 1e-6, 1e6)
-    else:
-        hint = "" if lottery_stage else (
-            "; check that the target is above the forced-audit floor")
-        raise CalibrationError(
-            f"{stage} calibration did not reach the 2-standard-error band in "
-            f"{_MAX_ROUNDS} rounds (worst deviation {np.nanmax(dev):.2f} se){hint}"
-        )
-    stats = {"method": "monte_carlo", "rounds": rnd + 1, "polish_rounds": 0,
-             "rows": (rnd + 1) * trials, "max_dev": worst}
-
-    if polish_trials and np.isfinite(target).any():
-        logs = []
-        for rnd in range(_POLISH_ROUNDS):
-            rng = _philox(seed, stream, _MAX_ROUNDS + rnd)
-            _, _, worst, w = step(w, polish_trials, rng, 0.5, 2.0, 0.3)
-            logs.append(np.log(w))
-        w = np.exp(np.mean(logs, axis=0))
-        stats.update(polish_rounds=_POLISH_ROUNDS, max_dev=worst,
-                     rows=stats["rows"] + _POLISH_ROUNDS * polish_trials)
-    return BinWeights(edges=edges, values=w, stats=stats)
-
-
 def _calibrate(inst: ProblemInstance, part: RegionPartition, targets: dict,
-               *, trials: int, seed: int, bins: int,
-               polish_trials: Optional[int]) -> dict:
+               bins: int) -> dict:
     """Fit each stage's weights to its target ``targets[stage]`` (per bin,
-    or one float for every bin): on the exact map of each stage up to
-    ``_EXACT_MAX_AGENTS`` agents, by the Monte Carlo fixed point above."""
-    if trials < 1:
-        raise ValueError("calibration needs at least one trial")
-    if inst.n > _EXACT_MAX_AGENTS:
-        _cells(inst, part, bins)  # checks bins >= 1
-        return {stage: _fit_weights(inst, part, _per_bin(target, bins), stage=stage,
-                                    trials=trials, seed=seed, bins=bins,
-                                    polish_trials=polish_trials)
-                for stage, target in targets.items()}
+    or one float for every bin) on the exact map of the stage."""
     maps = _stage_maps(inst, part, bins, tuple(targets))  # checks bins >= 1
-    return {stage: _fit_exact(maps[stage], _per_bin(target, bins), stage)
+    return {stage: _fit_exact(maps[stage], np.broadcast_to(np.asarray(target, dtype=float),
+                                                           (bins,)), stage)
             for stage, target in targets.items()}
 
 
-def _per_bin(target, bins: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(target, dtype=float), (bins,))
-
-
 def calibrate_lottery(inst: ProblemInstance, part: RegionPartition, *,
-                      trials: int = 200_000, seed: int = 0, bins: int = 64,
-                      polish_trials: Optional[int] = None) -> BinWeights:
+                      bins: int = 64) -> BinWeights:
     """Fit lottery weights so each audit/incentive-region type wins with
     probability phi.
 
-    Up to ``_EXACT_MAX_AGENTS`` agents the fit is exact and ignores
-    ``trials``, ``seed`` and ``polish_trials``, which steer the Monte Carlo
-    fixed point above.  When the audit region is empty every eligible type
-    survives the merit stage with the same probability, so the uniform
-    start is already a fixed point.
+    The fit is exact (``_fit_exact`` on the stage's ``_StageMap``), so the
+    weights depend on nothing random.  When the audit region is empty every
+    eligible type survives the merit stage with the same probability, so
+    the uniform start is already a fixed point.
     """
-    return _calibrate(inst, part, {"lottery": part.phi}, trials=trials, seed=seed, bins=bins,
-                      polish_trials=polish_trials)["lottery"]
+    return _calibrate(inst, part, {"lottery": part.phi}, bins)["lottery"]
 
 
 def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
-                    rules: InterimRules, *,
-                    trials: int = 200_000, seed: int = 0, bins: int = 64,
-                    polish_trials: Optional[int] = None) -> BinWeights:
+                    rules: InterimRules, *, bins: int = 64) -> BinWeights:
     """Fit audit-selection weights so every supply-region type is audited
     with probability P(t) - phi, P read from ``rules``.
 
@@ -976,11 +803,10 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
     their target; the weights only steer the choice among supply-region
     winners when more than k agents won the merit stage.  A bin whose
     forced audits alone exceed its target raises ``CalibrationError``
-    naming the bin.  The other keywords are as in ``calibrate_lottery``.
+    naming the bin.  The fit is exact, as in ``calibrate_lottery``.
     """
     _, _, target = _cell_targets(inst, part, rules, bins)
-    return _calibrate(inst, part, {"audit": target}, trials=trials, seed=seed,
-                      bins=bins, polish_trials=polish_trials)["audit"]
+    return _calibrate(inst, part, {"audit": target}, bins)["audit"]
 
 
 # ---------------------------------------------------------------------------
@@ -990,18 +816,15 @@ def calibrate_audit(inst: ProblemInstance, part: RegionPartition,
 def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
              bins: int = 64,
              lottery_weights: Optional[BinWeights] = None,
-             audit_weights: Optional[BinWeights] = None,
-             calibration_trials: Optional[int] = None) -> SimReport:
+             audit_weights: Optional[BinWeights] = None) -> SimReport:
     """Run the full mechanism on ``trials`` iid profiles and compare the
     binned empirical interim rules against their targets.
 
-    Weights not supplied are calibrated first.  Up to ``_EXACT_MAX_AGENTS``
-    agents the fit is exact on each stage's map, so the weights do not
+    Weights not supplied are calibrated first, exactly on each stage's map
+    (``calibrate_lottery``, ``calibrate_audit``), so at every n they do not
     depend on the seed and the ``trials`` profiles of the main pass are
-    the only ones simulated.  Above, the Monte Carlo fixed point fits them
-    on ``calibration_trials`` rows per round (default max(100000,
-    trials / 5)), reproducibly from the same seed.  Identical (inst, phi,
-    trials, seed, bins) inputs give a bit-identical report.
+    the only ones simulated.  Identical (inst, phi, trials, seed, bins)
+    inputs give a bit-identical report.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -1024,14 +847,12 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
             capacity_violations=0, payoff_total=0.0, stats={"main_rows": 0},
         )
 
-    cal_rows = calibration_trials or max(100_000, trials // 5)
     targets = {}
     if lottery_weights is None:
         targets["lottery"] = np.full(bins, part.phi)
     if audit_weights is None:
         targets["audit"] = audit_target
-    fitted = _calibrate(inst, part, targets, trials=cal_rows, seed=seed, bins=bins,
-                        polish_trials=max(cal_rows, trials // 2)) if targets else {}
+    fitted = _calibrate(inst, part, targets, bins) if targets else {}
     lottery_weights = fitted.get("lottery", lottery_weights)
     audit_weights = fitted.get("audit", audit_weights)
     stats = {"main_rows": trials, "main_draw_rows": {"lottery": 0, "audit": 0}}
