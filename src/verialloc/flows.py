@@ -297,8 +297,9 @@ class FeasibilityVerdict:
     """A verdict with its certificate: an ex-post rule or a violated set.
 
     ``stats`` says how it was reached: ``path`` ("screen", "pooled" or
-    "flow"), ``profiles``, and for a flow its footprint ``rows`` and
-    ``arcs``.  It holds counts the check has at hand and nothing else.
+    "flow"), ``profiles``, for a pooled construction its ``rules`` and
+    distinct ``pools``, and for a flow its footprint ``rows`` and ``arcs``.
+    It holds counts the check has at hand and nothing else.
     """
 
     feasible: bool
@@ -419,46 +420,11 @@ def _require_enumerable(inst: DiscreteInstance, max_profiles: int) -> None:
         )
 
 
-def multiset_table(size: int, n: int) -> np.ndarray:
-    """Every multiset of n values from range(size) as a nondecreasing row,
-    int16 where the values fit, in lexicographic order (that of
-    combinations_with_replacement)."""
-    dtype = np.int16 if size <= 2**15 else np.int32
-    table = np.arange(size, dtype=dtype)[:, None]
-    for _ in range(1, n):
-        last = table[:, -1].astype(np.int64)
-        reps = size - last
-        parent = np.repeat(np.arange(len(table)), reps)
-        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
-        table = np.column_stack([table[parent], (last[parent] + offset).astype(dtype)])
-    return table
-
-
-def _multiset_rank(asc: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """The row of ``multiset_table(size, n)`` holding each multiset given as
-    n sorted columns, the inverse of the table.  The rows before a
-    nondecreasing a are those that first differ from it at some place j by
-    a value in [a[j-1], a[j]); with count[l, v] nondecreasing sequences of
-    length l over range(v, size), they number
-    count[n, 0] - 1 + sum_j count[n-1-j, a[j]] - count[n-j, a[j]]."""
-    n = len(asc)
-    count = np.zeros((n + 1, size + 1), dtype=np.int64)
-    count[0] = 1
-    for length in range(1, n + 1):
-        count[length, :size] = np.cumsum(count[length - 1, size - 1::-1])[::-1]
-    rank = np.full(len(asc[0]), count[n, 0] - 1)
-    for j, col in enumerate(asc):
-        rank += (count[n - 1 - j] - count[n - j])[col]
-    return rank
-
-
 # Rows of at most _NETWORK_MAX_N entries are sorted by whole-column numpy
 # calls, above by a per-row sort.  100,000 random float rows, one core,
 # medians of 15: the network takes 2.1-3.1 ms against np.sort's 4.5-5.9 ms
 # at n = 3, 5.5-5.7 against 5.9-6.6 at n = 6, and loses from n = 7
-# (6.7-7.0 against 4.8-5.0; 9.1-9.2 against 3.4-6.4 at n = 8).  Counting
-# places over column pairs beats a stable argsort further (4.3-4.9 ms
-# against 16-20 ms at n = 6), so one bound serves both.
+# (6.7-7.0 against 4.8-5.0; 9.1-9.2 against 3.4-6.4 at n = 8).
 _NETWORK_MAX_N = 6
 
 
@@ -478,27 +444,6 @@ def _sorted_columns(a: np.ndarray):
             lo, hi = cols[j - 1], cols[j]
             cols[j - 1], cols[j] = np.minimum(lo, hi), np.maximum(lo, hi)
     return cols
-
-
-def _row_places(a: np.ndarray) -> np.ndarray:
-    """Each entry's place in a stable ascending sort of its row of the 2-d
-    ``a``: the entries of the row below it, and those equal to it in
-    earlier columns.  Short rows count them over the n(n-1)/2 column
-    pairs, one comparison each; carrying a source index through the
-    network's exchanges costs about ten times as much."""
-    rows, n = a.shape
-    if n > _NETWORK_MAX_N:
-        place = np.empty((rows, n), dtype=np.intp)
-        np.put_along_axis(place, np.argsort(a, axis=1, kind="stable"),
-                          np.arange(n)[None], axis=1)
-        return place
-    place = np.zeros((n, rows), dtype=np.int8)
-    for i in range(n):
-        for j in range(i + 1, n):
-            after = a[:, i] > a[:, j]
-            place[i] += after
-            place[j] += ~after
-    return place.T
 
 
 def _refuted(sc: _Scaled, E: CheckSet, rhs: int, stats: dict) -> FeasibilityVerdict:
@@ -669,7 +614,8 @@ def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
     threshold sets are screened exactly via a binomial count expansion, and
     without ``construct`` that screen is the whole answer.  With it, a
     feasible rule is built without a flow, as a mixture of pooled-efficient
-    rules (``_pooled_rules``), which refuses instances above
+    rules (``_pooled_rules``) whose shares are summed straight onto every
+    profile (``_pooled_alloc``); construction refuses instances above
     ``max_profiles`` profiles.
     """
     if not inst.is_symmetric():
@@ -702,7 +648,8 @@ def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
     types are stable-sorted by their P in exact units (the identity for a
     monotone rule), the sorted threshold sets {order[e:]} are screened
     exactly, and a feasible rule is peeled into pooled-efficient rules on
-    the sorted types, mixed per type multiset and expanded to profiles.
+    the sorted types, whose mixture is summed onto every profile in one pass
+    per distinct pool.
     """
     inst = sc.inst
     n, size, m = inst.n_agents, inst.sizes[0], inst.capacity_default
@@ -726,12 +673,10 @@ def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
         return FeasibilityVerdict(feasible=True, stats=stats)
     _require_enumerable(inst, max_profiles)
     rules = _pooled_rules(p_units, mass_above, supply, n * sc.denoms[0] ** (n - 1))
-    table = multiset_table(size, n)
-    rank = np.empty(size, dtype=table.dtype)
-    rank[order] = np.arange(size)
-    return FeasibilityVerdict(feasible=True, expost=_expand_multisets(
-        inst, _mix_pooled(rules, rank[table], m)),
-        stats={**stats, "path": "pooled"})
+    alloc, pools = _pooled_alloc(rules, order, n, m)
+    return FeasibilityVerdict(feasible=True, expost=ExPostRule(inst=inst, alloc=alloc),
+                              stats={**stats, "path": "pooled", "rules": len(rules),
+                                     "pools": pools})
 
 
 def _pooled_rules(p_units: Sequence[int], mass_above: Sequence[int],
@@ -801,67 +746,50 @@ def _pooled_rules(p_units: Sequence[int], mass_above: Sequence[int],
     return rules
 
 
-def _mix_pooled(rules: list[tuple[Fraction, list]], table: np.ndarray, m: int) -> np.ndarray:
-    """Shares of the mixed pooled-efficient rules, one per entry of ``table``.
+def _pooled_alloc(rules: list[tuple[Fraction, list]], order: Sequence[int],
+                  n: int, m: int) -> tuple[np.ndarray, int]:
+    """Per-profile shares of a mixture of pooled-efficient rules on the
+    types sorted as ``order``, and the number of distinct pools.
 
-    Entry (r, j) is the probability that the agent holding type table[r, j]
-    in multiset r gets an object.  Under one rule an agent of pool (lo, hi)
-    gets min(1, max(0, m - above) / within), where above counts the agents
-    of the multiset with type past hi and within those in the pool.  That
-    share depends on the pool alone, so each distinct pool is visited once,
-    with the summed weight of the rules that hold it, on the run of entries
-    whose type it covers.
+    Under one rule an agent of pool (lo, hi) gets min(1, max(0, m - above)
+    / within), where above counts the agents whose type ranks past hi and
+    within those ranked in [lo, hi], itself included.  That depends on the
+    rule only through the pool, so each distinct pool is visited once, with
+    the summed weight of the rules that hold it (exact, in units of one
+    common denominator, and rounded once): its share over the other n - 1
+    agents' types, read from one broadcast sum of their per-type codes, is
+    added to agent 0's share at the pool's place in the sorted types.
+    Agent 0's share is symmetric in the others, so agent i's column is it
+    with i's type axis put first.
     """
-    n_rows, n = table.shape
-    size = int(table.max(initial=0)) + 1
-    count = np.int8 if n < 2**7 else np.int16
-    # below[x, r]: agents of multiset r with type < x, for x = 0..size,
-    # type-major so that each step of the sum adds a contiguous row
-    below = np.zeros((size + 1, n_rows), dtype=count)
-    rows = np.arange(n_rows)
-    for j in range(n):
-        below[table[:, j].astype(np.intp) + 1, rows] += 1
-    np.cumsum(below, axis=0, dtype=count, out=below)
-    below = below.ravel()
-    # share by (above, within); within = 0 marks a type outside every pool
-    per_agent = np.zeros((n + 1, n + 1))
-    for above in range(n + 1):
-        for within in range(1, n + 1 - above):
-            per_agent[above, within] = min(1.0, max(0, m - above) / within)
-    per_agent = per_agent.ravel()
+    size = len(order)
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    denom = math.lcm(*(w.denominator for w, _ in rules))
     weight = {}
     for w, pools in rules:
+        units = w.numerator * (denom // w.denominator)
         for pool in pools:
-            weight[pool] = weight.get(pool, 0) + w
-    # the entries sorted by type, and where each type's run starts
-    by_type = np.argsort(table, axis=None, kind="stable")
-    start = np.searchsorted(table.ravel()[by_type], np.arange(size + 1))
-    share = np.zeros(table.size)
-    for (lo, hi), w in weight.items():
-        entries = by_type[start[lo]:start[hi + 1]]
-        at = entries // n
-        end = below[(hi + 1) * n_rows + at].astype(np.intp)
-        within = end - below[lo * n_rows + at]
-        share[entries] += float(w) * per_agent[(n - end) * (n + 1) + within]
+            weight[pool] = weight.get(pool, 0) + units
+    # share by above * (n + 1) + within; within = 0 marks a type outside every pool
+    per_agent = np.zeros((n + 1) ** 2)
+    for above in range(n + 1):
+        for within in range(1, n + 1 - above):
+            per_agent[above * (n + 1) + within] = min(1.0, max(0, m - above) / within)
+    axes = [[-1 if a == j else 1 for a in range(n - 1)] for j in range(n - 1)]
+    # agent 0's type axis in sorted order until the pools are all added
+    share = np.zeros((size,) * n)
+    for (lo, hi), units in weight.items():
+        code = (n + 1) * (rank > hi) + ((rank >= lo) & (rank <= hi))
+        # the sum starts at 1: agent 0 itself is within the pool
+        share[lo:hi + 1] += units / denom * per_agent[sum((code.reshape(a) for a in axes), 1)]
     # the weights sum to 1 exactly but their floats need not, so a share
     # that is exactly 1 can come out one ulp above it
-    return np.minimum(share, 1.0, out=share).reshape(table.shape)
-
-
-def _expand_multisets(inst: DiscreteInstance, share: np.ndarray) -> ExPostRule:
-    """Per-profile rule from shares on the entries of ``multiset_table``.
-
-    ``share[r, j]`` is the share of the agent at place j of the table's
-    multiset r.  Agent i at profile p takes the share at p's multiset, read
-    in closed form from p's sorted columns (``_multiset_rank``), and at its
-    place in a stable sort of p; tied types have equal shares, so the order
-    among ties does not matter.
-    """
-    n, size = inst.n_agents, inst.sizes[0]
-    prof = np.indices(inst.sizes, dtype=np.min_scalar_type(size - 1)).reshape(n, -1).T
-    mid = _multiset_rank(_sorted_columns(prof), size)
-    alloc = share.ravel()[(mid * n)[:, None] + _row_places(prof)]
-    return ExPostRule(inst=inst, alloc=alloc)
+    share = np.minimum(share, 1.0, out=share)[rank]
+    alloc = np.empty((size**n, n))
+    for i in range(n):
+        alloc.reshape(share.shape + (n,))[..., i] = np.moveaxis(share, 0, i)
+    return alloc, len(weight)
 
 
 def construct_expost(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import merit_rule_on_grid, snapped_discretization
 from verialloc import flows
-from verialloc.distributions import cell_grid, make_power
+from verialloc.distributions import cell_grid, make_power, make_uniform
 from verialloc.envelope import LABEL_ALLO, LABEL_AUD, ProblemInstance
 from verialloc.flows import (
     DiscreteInstance,
@@ -25,7 +25,6 @@ from verialloc.flows import (
     construct_expost,
     discretize_rules,
     make_check_set,
-    multiset_table,
     upper_set_report,
 )
 from verialloc.interim import merit_with_guarantee
@@ -283,7 +282,7 @@ class TestFootprints:
         assert flow.stats == {"path": "flow", "profiles": 4, "rows": 4, "arcs": 16}
         inst = DiscreteInstance.symmetric(2, (0.2, 0.8), (0.5, 0.5), capacity=1)
         assert check_interim_allocation(inst, [0.2, 0.6]).stats == {
-            "path": "pooled", "profiles": 4}
+            "path": "pooled", "profiles": 4, "rules": 3, "pools": 2}
         for p, construct in (([0.2, 0.6], False), ([0.9, 0.9], True)):
             verdict = check_interim_allocation(inst, p, construct=construct)
             assert verdict.stats == {"path": "screen", "profiles": 4}
@@ -415,15 +414,6 @@ def random_symmetric_instance(rng):
                                       capacity=int(rng.integers(1, n)))
 
 
-@pytest.mark.parametrize("size,n", [(1, 5), (4, 1), (3, 4), (6, 3), (40_000, 1)])
-def test_multiset_table_is_lexicographic(size, n):
-    # the symmetric check mixes its shares, and looks up profiles, in this order
-    table = multiset_table(size, n)
-    assert table.dtype == (np.int16 if size <= 2**15 else np.int32)
-    assert list(map(tuple, table.tolist())) == list(
-        itertools.combinations_with_replacement(range(size), n))
-
-
 _NET = flows._NETWORK_MAX_N
 
 
@@ -438,45 +428,6 @@ def test_column_sort_matches_a_stable_sort(n):
         asc = flows._sorted_columns(x)
         assert len(asc) == n
         assert np.array_equal(np.column_stack(asc), np.sort(x, axis=1))
-        place = flows._row_places(x)
-        order = np.argsort(x, axis=1, kind="stable")
-        assert place.shape == x.shape
-        assert np.array_equal(np.take_along_axis(place, order, axis=1),
-                              np.broadcast_to(np.arange(n), x.shape))
-
-
-@pytest.mark.parametrize("size,n", [(1, 1), (1, 4), (4, 1), (2, 9), (3, 4), (6, 3), (64, 3)])
-def test_multiset_rank_inverts_the_table(size, n):
-    table = multiset_table(size, n)
-    assert np.array_equal(flows._multiset_rank(list(table.T), size), np.arange(len(table)))
-
-
-def _expand_by_lookup(inst, share):
-    """The expansion by a stable argsort of each profile and a packed-key
-    ``searchsorted`` into the multiset table."""
-    n, size = inst.n_agents, inst.sizes[0]
-    table = multiset_table(size, n)
-    prof = np.indices(inst.sizes).reshape(n, -1)
-    col = np.argsort(prof, axis=0, kind="stable")
-    digits = size ** np.arange(n - 1, -1, -1)
-    mid = np.searchsorted(table @ digits, digits @ np.take_along_axis(prof, col, axis=0))
-    alloc = np.empty((inst.n_profiles, n))
-    np.put_along_axis(alloc, col.T, share[mid], axis=1)
-    return alloc
-
-
-def test_expansion_matches_a_sort_and_lookup():
-    # random shares, so the order among tied types shows too
-    rng = np.random.default_rng(19)
-    instances = [random_symmetric_instance(rng) for _ in range(40)]
-    instances += [DiscreteInstance.symmetric(n, tuple(range(size)), (1 / size,) * size, 1)
-                  for n, size in ((_NET, 4), (_NET + 1, 3), (8, 3), (1, 5))]
-    for inst in instances:
-        n, size = inst.n_agents, inst.sizes[0]
-        share = rng.random((len(multiset_table(size, n)), n))
-        alloc = flows._expand_multisets(inst, share).alloc
-        assert alloc.shape == (inst.n_profiles, n)
-        assert np.array_equal(alloc, _expand_by_lookup(inst, share))
 
 
 class TestCollapsedAgainstBruteForce:
@@ -667,25 +618,58 @@ class TestPooledConstruction:
         p = [0.005208333, 0.067708333, 0.22265625, 0.477864583, 0.82421875]
         assert check_interim_allocation(inst, p).expost.alloc.max() <= 1.0
 
-    def test_mix_matches_a_sum_over_rules(self):
-        # one pass per distinct pool against the sum of every rule's share,
-        # entry by entry, on types relabelled as the symmetric check does
-        rules = [(Fraction(1, 6), [(0, 0), (1, 1), (2, 2), (3, 3)]),
-                 (Fraction(1, 3), [(1, 1), (2, 3)]),
-                 (Fraction(1, 2), [(2, 3)])]
-        rank = np.array([2, 0, 3, 1], dtype=np.int16)
+    # rules on four and on three sorted types, each with its own order of
+    # the grid's types and its count of distinct pools
+    _MIXTURES = {
+        4: ([(Fraction(1, 6), [(0, 0), (1, 1), (2, 2), (3, 3)]),
+             (Fraction(1, 3), [(1, 1), (2, 3)]),
+             (Fraction(1, 2), [(2, 3)])], [1, 3, 0, 2], 5),
+        3: ([(Fraction(1, 6), [(0, 0), (1, 1), (2, 2)]),
+             (Fraction(1, 3), [(0, 0), (1, 2)]),
+             (Fraction(1, 2), [(1, 2)])], [2, 0, 1], 4),
+    }
+
+    @pytest.mark.parametrize("n,size", [(1, 4), (2, 4), (3, 4), (_NET + 1, 3)])
+    def test_profile_shares_match_a_sum_over_rules(self, n, size):
+        # every profile and agent, tied types included, against the sum of
+        # every rule's share on the types relabelled by their sorted place
+        rules, order, distinct = self._MIXTURES[size]
+        place = {t: r for r, t in enumerate(order)}
         for m in (1, 2):
-            table = rank[multiset_table(4, 3)]
-            expected = np.zeros(table.shape)
-            for r, row in enumerate(table.tolist()):
-                for j, x in enumerate(row):
+            alloc, pool_count = flows._pooled_alloc(rules, order, n, m)
+            assert pool_count == distinct and alloc.shape == (size**n, n)
+            expected = np.zeros(alloc.shape)
+            for row, prof in enumerate(itertools.product(range(size), repeat=n)):
+                ranks = [place[t] for t in prof]
+                for i, x in enumerate(ranks):
                     for w, pools in rules:
                         for lo, hi in pools:
                             if lo <= x <= hi:
-                                above = sum(y > hi for y in row)
-                                within = sum(lo <= y <= hi for y in row)
-                                expected[r, j] += float(w) * min(1.0, max(0, m - above) / within)
-            assert np.max(np.abs(flows._mix_pooled(rules, table, m) - expected)) <= 1e-15
+                                above = sum(y > hi for y in ranks)
+                                within = sum(lo <= y <= hi for y in ranks)
+                                expected[row, i] += float(w) * min(1.0, max(0, m - above) / within)
+            assert np.max(np.abs(alloc - expected)) <= 1e-15
+
+    def test_stats_count_the_rules_and_pools(self, ex_inst, ex_solved):
+        # the paper's rule at 64 bins, the benchmark's symmetric input
+        rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, ex_solved.partition)
+        disc, p_avg = discretize_rules(ex_inst, rules, 64)
+        assert check_interim_allocation(disc, p_avg).stats == {
+            "path": "pooled", "profiles": 64**3, "rules": 44, "pools": 51}
+
+    def test_paper_rule_on_four_agents_at_31_bins(self):
+        # 923,521 profiles, just under the cap; the marginals miss P by tau
+        # plus float rounding, so they are bound by MARGINAL_TOL, not TOLERANCE
+        inst = ProblemInstance(4, 2, 1, make_uniform())
+        solved = solve(inst)
+        disc, p_avg = discretize_rules(
+            inst, merit_with_guarantee(solved.phi_star, inst, solved.partition), 31)
+        verdict = check_interim_allocation(disc, p_avg)
+        assert verdict.feasible and verdict.stats["path"] == "pooled"
+        assert verdict.stats["profiles"] == 31**4 <= flows.DEFAULT_MAX_PROFILES
+        assert verdict.expost.max_violation() <= 0
+        for row in verdict.expost.marginals():
+            assert np.max(np.abs(row - np.array(p_avg))) <= MARGINAL_TOL
 
     def test_walk_refuses_a_decreasing_rule(self):
         # two agents, one object, two types of mass 1/2 each, scale 8: the

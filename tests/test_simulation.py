@@ -20,7 +20,6 @@ from verialloc.envelope import (
     RegionPartition,
     partition,
 )
-from verialloc.flows import multiset_table
 from verialloc.interim import merit_with_guarantee
 from verialloc.optimizer import solve
 from verialloc.simulation import (
@@ -509,7 +508,8 @@ def _profiles(inst, part, bins):
     of its cells: the enumeration the region-count map replaces."""
     grid, reg = simulation._cells(inst, part, bins)
     keep = np.flatnonzero(grid.mass > 0)
-    table = multiset_table(len(keep), inst.n)[:, ::-1]
+    table = np.array(list(itertools.combinations_with_replacement(range(len(keep)), inst.n)))
+    table = table[:, ::-1]
     count = np.array([math.factorial(inst.n) // math.prod(
         math.factorial(c) for c in np.unique(row, return_counts=True)[1]) for row in table])
     return grid.bin[keep][table], reg[keep][table], count, grid.mass[keep][table]
