@@ -629,8 +629,7 @@ class TestPooledConstruction:
              (Fraction(1, 2), [(1, 2)])], [2, 0, 1], 4),
     }
 
-    @pytest.mark.parametrize("n,size", [(1, 4), (2, 4), (3, 4), (_NET + 1, 3)])
-    def test_profile_shares_match_a_sum_over_rules(self, n, size):
+    def _assert_shares_match_a_sum_over_rules(self, n, size):
         # every profile and agent, tied types included, against the sum of
         # every rule's share on the types relabelled by their sorted place
         rules, order, distinct = self._MIXTURES[size]
@@ -649,6 +648,14 @@ class TestPooledConstruction:
                                 within = sum(lo <= y <= hi for y in ranks)
                                 expected[row, i] += float(w) * min(1.0, max(0, m - above) / within)
             assert np.max(np.abs(alloc - expected)) <= 1e-15
+
+    def test_mix_matches_a_sum_over_rules(self):
+        # three agents on four types ranked (2, 0, 3, 1)
+        self._assert_shares_match_a_sum_over_rules(3, 4)
+
+    @pytest.mark.parametrize("n,size", [(1, 4), (2, 4), (_NET + 1, 3)])
+    def test_profile_shares_match_a_sum_over_rules(self, n, size):
+        self._assert_shares_match_a_sum_over_rules(n, size)
 
     def test_stats_count_the_rules_and_pools(self, ex_inst, ex_solved):
         # the paper's rule at 64 bins, the benchmark's symmetric input
