@@ -24,9 +24,13 @@ the rule max(P - TOLERANCE, 0): it is feasible iff the max flow saturates
 every demand arc.  On success each row's flow gives the allocation
 probabilities of all its profiles; on failure the sink side of a min cut
 yields a violated set E, reported with its sides under P.
-Symmetric rules on symmetric instances with constant capacity need no
-flow: sorted by P they are monotone, an exact threshold screen decides
-them, and a feasible one is built as a mixture of pooled-efficient rules.
+``check_feasible`` picks the route from its input.  A symmetric rule (a
+symmetric instance without capacity or eligibility overrides, and equal
+rows of P) needs no flow: sorted by P it is monotone, an exact threshold
+screen decides it, and a feasible one is built as a mixture of
+pooled-efficient rules.  Every other input runs the flow.  On both routes
+a built rule's marginals reproduce max(P - TOLERANCE, 0) up to float
+rounding, so they miss P by TOLERANCE plus a few ulps.
 """
 
 from __future__ import annotations
@@ -413,6 +417,9 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_enumerable(inst: DiscreteInstance, max_profiles: int) -> None:
+    if inst.n_agents > 63:  # profile arrays take an axis per agent, plus one; numpy has 64
+        raise ValueError(f"instance has {inst.n_agents} agents; profiles can be "
+                         "enumerated for at most 63")
     if inst.n_profiles > max_profiles:
         raise ValueError(
             f"instance has {inst.n_profiles} profiles, above the cap of "
@@ -505,15 +512,30 @@ def check_feasible(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
     """Decide whether the interim rule P is implementable; construct or refute.
 
     The verdict is exact for the given masses and for max(P - TOLERANCE, 0).
-    Feasible: returns the flow decomposition as an ex-post rule whose
-    marginals reproduce that rule, so they miss P by at most TOLERANCE.
-    Infeasible: returns a violated check set extracted from a minimum cut,
-    with its sides under P.  One row node per footprint (``_Scaled.
-    footprints``), one type node per (agent, type); every profile takes the
-    shares of its footprint's row.
+    Feasible: with ``want_expost``, an ex-post rule whose marginals
+    reproduce that rule up to float rounding.  Infeasible: a violated check
+    set with its exact sides under P.  A symmetric instance with no capacity
+    or eligibility overrides and equal rows of P is decided by the exact
+    threshold screen and built by the pooled construction
+    (``_symmetric_flow_verdict``): ``max_profiles`` caps only that
+    construction.  Every other input runs the profile flow
+    (``_profile_flow``), which always enumerates the profiles.
     """
-    _require_enumerable(inst, max_profiles)
     sc = _Scaled(inst, P)
+    symmetric = (not inst.capacity and not inst.eligible and inst.is_symmetric()
+                 and all(row == sc.given[0] for row in sc.given))
+    check = _symmetric_flow_verdict if symmetric else _profile_flow
+    return check(sc, max_profiles=max_profiles, want_expost=want_expost)
+
+
+def _profile_flow(sc: _Scaled, *, max_profiles: int,
+                  want_expost: bool) -> FeasibilityVerdict:
+    """``check_feasible`` by the flow, on any input: one row node per
+    footprint (``_Scaled.footprints``), one type node per (agent, type);
+    every profile takes the shares of its footprint's row, and a min cut
+    gives the witness."""
+    inst = sc.inst
+    _require_enumerable(inst, max_profiles)
     rows, row_of = sc.footprints()
     n, sizes = inst.n_agents, inst.sizes
     demand = [d for row in sc.demand for d in row]
@@ -604,52 +626,37 @@ def upper_set_report(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
 
 def check_interim_allocation(inst: DiscreteInstance, P: Sequence[float], *,
                              max_profiles: int = DEFAULT_MAX_PROFILES,
-                             construct: bool = True) -> FeasibilityVerdict:
-    """Feasibility of a symmetric interim allocation rule under h(t) = m.
+                             want_expost: bool = True) -> FeasibilityVerdict:
+    """``check_feasible`` restricted to a symmetric rule under h(t) = m.
 
-    On a symmetric instance with constant capacity and universal
-    eligibility, feasibility depends on the types only through their
-    masses and P, and checking the sets of the types with the highest P
-    suffices (Border 1991).  Sorted by P, the rule is monotone: its
-    threshold sets are screened exactly via a binomial count expansion, and
-    without ``construct`` that screen is the whole answer.  With it, a
-    feasible rule is built without a flow, as a mixture of pooled-efficient
-    rules (``_pooled_rules``) whose shares are summed straight onto every
-    profile (``_pooled_alloc``); construction refuses instances above
-    ``max_profiles`` profiles.
+    P is one row shared by every agent, or one equal row per agent.  Any
+    other input, an asymmetric instance or a capacity or eligibility
+    override among them, raises a ValueError rather than going to the flow.
     """
     if not inst.is_symmetric():
         raise ValueError("check_interim_allocation expects a symmetric instance")
     if inst.capacity or inst.eligible:
         raise ValueError("check_interim_allocation expects constant capacity and full eligibility")
-    n = inst.n_agents
-    size = inst.sizes[0]
-    if len(P) > 0 and hasattr(P[0], "__len__"):
-        if len(P) != n:
-            raise ValueError("need one interim rule row per agent")
-        rows = [list(map(float, row)) for row in P]
-        if any(rows[0] != r for r in rows[1:]):
-            raise ValueError("per-agent rows must agree for the symmetric check")
-        p_row = rows[0]
-    else:
-        p_row = [float(x) for x in P]
-    if len(p_row) != size:
-        raise ValueError("interim rule length must match the grid")
-    return _symmetric_flow_verdict(_Scaled(inst, [p_row] * n),
-                                   construct=construct, max_profiles=max_profiles)
+    rows = P if len(P) > 0 and hasattr(P[0], "__len__") else [P] * inst.n_agents
+    rows = [list(map(float, row)) for row in rows]
+    if any(rows[0] != r for r in rows[1:]):
+        raise ValueError("per-agent rows must agree for the symmetric check")
+    return check_feasible(inst, rows, max_profiles=max_profiles, want_expost=want_expost)
 
 
-def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
-                            max_profiles: int) -> FeasibilityVerdict:
-    """Decide, and with ``construct`` build, a symmetric rule on a
+def _symmetric_flow_verdict(sc: _Scaled, *, max_profiles: int,
+                            want_expost: bool) -> FeasibilityVerdict:
+    """Decide, and with ``want_expost`` build, a symmetric rule on a
     symmetric instance with constant capacity and full eligibility.
 
-    No flow runs: the name is the one the benchmark's tracer wraps.  The
-    types are stable-sorted by their P in exact units (the identity for a
-    monotone rule), the sorted threshold sets {order[e:]} are screened
-    exactly, and a feasible rule is peeled into pooled-efficient rules on
-    the sorted types, whose mixture is summed onto every profile in one pass
-    per distinct pool.
+    No flow runs: the name is the one the benchmark's tracer wraps.  Here
+    feasibility depends on a type only through its mass and P, and the sets
+    of the types with the highest P suffice (Border 1991).  So the types are
+    stable-sorted by their P in exact units (the identity for a monotone
+    rule), the sorted threshold sets {order[e:]} are screened exactly, which
+    enumerates no profile, and a feasible rule is peeled into
+    pooled-efficient rules on the sorted types, whose mixture is summed onto
+    every profile in one pass per distinct pool.
     """
     inst = sc.inst
     n, size, m = inst.n_agents, inst.sizes[0], inst.capacity_default
@@ -669,7 +676,7 @@ def _symmetric_flow_verdict(sc: _Scaled, *, construct: bool,
     for e in range(size + 1):
         if n * demand_above[e] > supply[e]:
             return _refuted(sc, (frozenset(order[e:]),) * n, supply[e], stats)
-    if not construct:
+    if not want_expost:
         return FeasibilityVerdict(feasible=True, stats=stats)
     _require_enumerable(inst, max_profiles)
     rules = _pooled_rules(p_units, mass_above, supply, n * sc.denoms[0] ** (n - 1))
@@ -794,8 +801,8 @@ def _pooled_alloc(rules: list[tuple[Fraction, list]], order: Sequence[int],
 
 def construct_expost(inst: DiscreteInstance, P: Sequence[Sequence[float]], *,
                      max_profiles: int = DEFAULT_MAX_PROFILES) -> ExPostRule:
-    """Build an ex-post rule realizing P within TOLERANCE; raises if P is
-    infeasible."""
+    """The ex-post rule ``check_feasible`` builds for P, whose marginals
+    miss P by TOLERANCE plus float rounding; raises if P is infeasible."""
     verdict = check_feasible(inst, P, max_profiles=max_profiles, want_expost=True)
     if not verdict.feasible:
         v = verdict.violating_set

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import verialloc
+from verialloc import (ProblemInstance, discretize_rules, make_uniform, merit_with_guarantee,
+                       solve)
 from verialloc.cli import main
 
 
@@ -155,6 +157,29 @@ class TestCheckCommand:
         assert "feasible         True" in out
         rows = json.loads(out_path.read_text())
         assert len(rows) == 4
+
+    def test_symmetric_projection_with_expost(self, capsys, tmp_path):
+        # the phi* rule of (3,2,1) projected on 8 bins is decided without a
+        # flow; every written row is a valid allocation of the two objects
+        inst = ProblemInstance(3, 2, 1, make_uniform())
+        solved = solve(inst)
+        disc, p = discretize_rules(
+            inst, merit_with_guarantee(solved.phi_star, inst, solved.partition), 8)
+        ipath, rpath, out_path = (tmp_path / name for name in
+                                  ("inst.json", "rules.json", "expost.json"))
+        disc.save(ipath)
+        rpath.write_text(json.dumps({"P": [p] * 3}))
+        code, out, _ = run(capsys, [
+            "check", "--instance", str(ipath), "--rules", str(rpath),
+            "--expost-out", str(out_path), "--format", "json",
+        ])
+        assert code == 0
+        record = json.loads(out)
+        assert record["feasible"] and record["max_marginal_error"] <= 1e-9
+        rows = json.loads(out_path.read_text())
+        assert [row["profile"] for row in rows] == [list(prof) for prof in disc.profiles()]
+        for row in rows:
+            assert all(0.0 <= x <= 1.0 for x in row["p"]) and sum(row["p"]) <= 2 + 1e-12
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check", "--instance", "/nonexistent.json"])

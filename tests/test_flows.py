@@ -51,6 +51,13 @@ MARGINAL_TOL = 1e-12
 EXACT_READ_TOL = flows.TOLERANCE + 1e-15
 
 
+def profile_flow(inst, P, want_expost=True):
+    """The profile network's verdict on any input, symmetric or not: the
+    reference the routed checks are held to."""
+    return flows._profile_flow(flows._Scaled(inst, P), max_profiles=flows.DEFAULT_MAX_PROFILES,
+                               want_expost=want_expost)
+
+
 class TestBorderSums:
     def test_footnote_rhs(self, footnote):
         E = make_check_set(footnote, [[0], [1]])
@@ -114,9 +121,10 @@ class TestFootnoteCounterexample:
         inst = DiscreteInstance(grids=((0.0,), (0.0,)), masses=((1.0,), (1.0,)),
                                 capacity_default=1)
         P = [[0.5 + eps / 2]] * 2
-        verdicts = [check_feasible(inst, P), check_interim_allocation(inst, P),
-                    brute_force_verdict(inst, P)]
-        assert [v.feasible for v in verdicts] == [feasible] * 3
+        verdicts = [profile_flow(inst, P), check_feasible(inst, P),
+                    check_interim_allocation(inst, P), brute_force_verdict(inst, P)]
+        assert [v.feasible for v in verdicts] == [feasible] * 4
+        assert verdicts[1].stats["path"] == ("pooled" if feasible else "screen")
         if not feasible:
             # each witness carries the given rule's exact sides
             for v in verdicts:
@@ -250,7 +258,7 @@ class TestFootprints:
         full = make_check_set(inst, [range(s) for s in inst.sizes])
         for check_set in (E, full):
             assert border_rhs(inst, check_set) == float(exact_sides(inst, P, check_set)[1])
-        verdict = check_feasible(inst, P)
+        verdict = profile_flow(inst, P)
         assert verdict.feasible == brute_force_verdict(inst, P).feasible
         assert verdict.stats["path"] == "flow"
         if verdict.feasible:
@@ -283,8 +291,8 @@ class TestFootprints:
         inst = DiscreteInstance.symmetric(2, (0.2, 0.8), (0.5, 0.5), capacity=1)
         assert check_interim_allocation(inst, [0.2, 0.6]).stats == {
             "path": "pooled", "profiles": 4, "rules": 3, "pools": 2}
-        for p, construct in (([0.2, 0.6], False), ([0.9, 0.9], True)):
-            verdict = check_interim_allocation(inst, p, construct=construct)
+        for p, want_expost in (([0.2, 0.6], False), ([0.9, 0.9], True)):
+            verdict = check_interim_allocation(inst, p, want_expost=want_expost)
             assert verdict.stats == {"path": "screen", "profiles": 4}
         assert brute_force_verdict(inst, [[0.2, 0.6]] * 2).stats == {}
 
@@ -310,14 +318,14 @@ class TestSymmetricAllocation:
                                      ex_solved.partition)
         disc, p_avg = discretize_rules(ex_inst, rules, 10)
         fast = check_interim_allocation(disc, p_avg)
-        general = check_feasible(disc, [p_avg] * 3)
+        general = profile_flow(disc, [p_avg] * 3)
         assert fast.feasible and general.feasible
         for a, b in zip(fast.expost.marginals(), general.expost.marginals()):
             assert np.max(np.abs(a - b)) <= MARGINAL_TOL
 
     def test_oversized_rule_infeasible_at_full_set(self):
         inst = DiscreteInstance.symmetric(3, (0.25, 0.75), (0.5, 0.5), capacity=2)
-        verdict = check_interim_allocation(inst, [1.0, 1.0], construct=False)
+        verdict = check_interim_allocation(inst, [1.0, 1.0], want_expost=False)
         assert not verdict.feasible
         v = verdict.violating_set
         assert v.check_set == tuple(frozenset({0, 1}) for _ in range(3))
@@ -361,21 +369,17 @@ class TestSymmetricAllocation:
             check_interim_allocation(inst, [0.1, 0.2, 0.3, 0.4], max_profiles=10)
 
     def test_screen_alone_needs_no_enumeration(self):
+        # 64 profiles against a cap of 10: both entry points screen anyway
         inst = DiscreteInstance.symmetric(3, (0.1, 0.4, 0.6, 0.9), (0.25,) * 4,
                                           capacity=1)
-        ok = check_interim_allocation(inst, [0.1, 0.2, 0.3, 0.4], max_profiles=10,
-                                      construct=False)
-        assert ok.feasible and ok.expost is None
-        bad = check_interim_allocation(inst, [0.1, 0.1, 0.1, 0.9], max_profiles=10,
-                                       construct=False)
-        assert not bad.feasible
-        assert bad.violating_set.check_set == (frozenset({3}),) * 3
-        unsorted = check_interim_allocation(inst, [0.4, 0.1, 0.3, 0.2], max_profiles=10,
-                                            construct=False)
-        assert unsorted.feasible and unsorted.expost is None
-        unsorted_bad = check_interim_allocation(inst, [0.9, 0.1, 0.1, 0.1], max_profiles=10,
-                                                construct=False)
-        assert unsorted_bad.violating_set.check_set == (frozenset({0}),) * 3
+        for p, witness in (([0.1, 0.2, 0.3, 0.4], None), ([0.1, 0.1, 0.1, 0.9], {3}),
+                           ([0.4, 0.1, 0.3, 0.2], None), ([0.9, 0.1, 0.1, 0.1], {0})):
+            for verdict in (
+                    check_interim_allocation(inst, p, max_profiles=10, want_expost=False),
+                    check_feasible(inst, [p] * 3, max_profiles=10, want_expost=False)):
+                assert verdict.feasible == (witness is None) and verdict.expost is None
+                if witness is not None:
+                    assert verdict.violating_set.check_set == (frozenset(witness),) * 3
 
     def test_screen_matches_threshold_sets_by_enumeration(self):
         # the screen's verdict is the first threshold set {tau >= e} whose
@@ -395,7 +399,7 @@ class TestSymmetricAllocation:
                     expected = flows.ViolatingSet(
                         E, sc.to_float(sc.lhs_units(E, given=True)), sc.to_float(rhs))
                     break
-            verdict = check_interim_allocation(inst, p, construct=False)
+            verdict = check_interim_allocation(inst, p, want_expost=False)
             assert verdict.feasible == (expected is None)
             assert verdict.violating_set == expected
             violated += expected is not None
@@ -431,8 +435,8 @@ def test_column_sort_matches_a_stable_sort(n):
 
 
 class TestCollapsedAgainstBruteForce:
-    """The symmetric check of check_interim_allocation, which sorts the
-    types by P, for monotone and non-monotone rules, against the profile
+    """The symmetric check, which sorts the types by P, for monotone and
+    non-monotone rules, through both entry points, against the profile
     network and brute force."""
 
     def test_agreement_on_random_symmetric_instances(self):
@@ -446,10 +450,13 @@ class TestCollapsedAgainstBruteForce:
                 p.sort()
             non_monotone_seen += any(a > b for a, b in zip(p, p[1:]))
             symmetric = check_interim_allocation(inst, p)
-            general = check_feasible(inst, [p] * n, want_expost=False)
+            routed = check_feasible(inst, [p] * n)
+            general = profile_flow(inst, [p] * n, want_expost=False)
             brute = brute_force_verdict(inst, [p] * n)
-            assert symmetric.feasible == general.feasible == brute.feasible, (
+            assert symmetric.feasible == routed.feasible == general.feasible == brute.feasible, (
                 inst.to_json_dict(), p)
+            assert routed.stats == symmetric.stats
+            assert routed.stats["path"] == ("pooled" if routed.feasible else "screen")
             if symmetric.feasible:
                 for row in symmetric.expost.marginals():
                     assert np.max(np.abs(row - np.array(p))) <= EXACT_READ_TOL
@@ -457,8 +464,10 @@ class TestCollapsedAgainstBruteForce:
             else:
                 infeasible_seen += 1
                 E = symmetric.violating_set.check_set
+                assert routed.violating_set == symmetric.violating_set
                 assert all(Ei == E[0] for Ei in E)
-                assert border_lhs(inst, [p] * n, E) > border_rhs(inst, E)
+                for witness in (E, general.violating_set.check_set):
+                    assert border_lhs(inst, [p] * n, witness) > border_rhs(inst, witness)
         assert infeasible_seen >= 5 and non_monotone_seen >= 5
 
     def test_monotone_is_decided_on_exact_units(self):
@@ -491,6 +500,61 @@ class TestCollapsedAgainstBruteForce:
         assert v.lhs == pytest.approx(0.915, abs=1e-9)
         assert v.rhs == pytest.approx(0.875, abs=1e-9)
         assert not brute_force_verdict(inst, [p] * 3).feasible
+
+
+class TestRouting:
+    """check_feasible takes the screen and the pooled construction on a
+    symmetric rule, and the profile flow on every other input."""
+
+    def test_symmetric_rules_build_no_network(self):
+        inst = DiscreteInstance.symmetric(2, (0.2, 0.8), (0.5, 0.5), capacity=1)
+        with mock.patch.object(flows, "MaxFlow") as network:
+            verdicts = [check_feasible(inst, [[0.2, 0.6]] * 2),
+                        check_feasible(inst, [[0.2, 0.6]] * 2, want_expost=False),
+                        check_feasible(inst, [[0.9, 0.9]] * 2)]
+        network.assert_not_called()
+        assert [v.stats["path"] for v in verdicts] == ["pooled", "screen", "screen"]
+        assert [v.feasible for v in verdicts] == [True, True, False]
+
+    @pytest.mark.parametrize("kind,message", [
+        ("capacity", "constant capacity"), ("eligible", "full eligibility"),
+        ("grids", "symmetric instance"), ("masses", "symmetric instance"),
+        ("rows", "rows must agree")])
+    def test_other_inputs_take_the_flow(self, kind, message):
+        # each input is one step from a symmetric rule; a row one ulp off
+        # counts, since the rows are compared as given
+        grids, masses, P = ((0.2, 0.8),) * 2, ((0.5, 0.5),) * 2, [[0.2, 0.6]] * 2
+        overrides = {}
+        if kind == "capacity":
+            overrides = {"capacity": {(1, 1): 2}}
+        elif kind == "eligible":
+            overrides = {"eligible": {(0, 0): frozenset({0})}}
+        elif kind == "grids":
+            grids = ((0.2, 0.8), (0.3, 0.8))
+        elif kind == "masses":
+            masses = ((0.5, 0.5), (0.25, 0.75))
+        elif kind == "rows":
+            P = [[0.2, 0.6], [0.2, math.nextafter(0.6, 1.0)]]
+        inst = DiscreteInstance(grids=grids, masses=masses, capacity_default=1, **overrides)
+        verdict = check_feasible(inst, P)
+        assert verdict.stats["path"] == "flow"
+        assert verdict.feasible == brute_force_verdict(inst, P).feasible
+        with pytest.raises(ValueError, match=message):
+            check_interim_allocation(inst, P)
+
+    def test_agent_count_beyond_numpy_axes_is_refused(self):
+        # 70 agents of one type ask for just under 3 objects: the screen
+        # answers, while a built rule needs an array axis per agent and
+        # numpy has 64
+        inst = DiscreteInstance.symmetric(70, (0.5,), (1.0,), capacity=3)
+        P = [[3 / 70 - 1e-9]] * 70
+        screened = check_feasible(inst, P, want_expost=False)
+        assert screened.feasible and screened.stats == {"path": "screen", "profiles": 1}
+        for call in (lambda: check_feasible(inst, P),
+                     lambda: check_interim_allocation(inst, P[0]),
+                     lambda: check_feasible(inst, [[0.0]] + P[1:])):  # unequal rows: the flow
+            with pytest.raises(ValueError, match="instance has 70 agents"):
+                call()
 
 
 def _exact_supply(inst):
@@ -574,7 +638,7 @@ def seventeenths_case():
     p = [0.029411764, 0.088235293, 0.147058822, 0.235294116, 0.411764705,
          0.647058823, 0.882352941]
     return inst, p, [check_interim_allocation(inst, p).expost,
-                     check_feasible(inst, [p] * 2).expost]
+                     profile_flow(inst, [p] * 2).expost]
 
 
 class TestPooledConstruction:
@@ -603,7 +667,7 @@ class TestPooledConstruction:
         assert verdict.expost.max_violation() <= 1e-12
         for row in verdict.expost.marginals():
             assert np.max(np.abs(row - np.array(p))) <= MARGINAL_TOL
-        assert check_feasible(inst, [p] * n, want_expost=False).feasible
+        assert profile_flow(inst, [p] * n, want_expost=False).feasible
 
     def test_marginals_are_exact_for_the_instance_masses(self):
         _, p, rules = seventeenths_case()
