@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -51,7 +50,9 @@ from .flows import _sorted_columns
 from .interim import InterimRules, merit_with_guarantee
 
 _REGION_CODE = {LABEL_IC: 0, LABEL_AUD: 1, LABEL_ALLO: 2}
-_CHUNK = 250_000
+# the main pass samples profiles in chunks of about this many entries (rows
+# times n), which bounds its memory at any n
+_CHUNK_ENTRIES = 750_000
 
 
 class CalibrationError(RuntimeError):
@@ -455,28 +456,6 @@ def _race_nodes(w_lo: float, w_hi: float, agents: int):
             (0.5 * (hi - lo) * _RACE_W).ravel())
 
 
-def _compositions(total: int, parts: int):
-    """Every tuple of ``parts`` counts of at least 0 that sum to ``total``."""
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        ends = (-1,) + bars + (total + parts - 1,)
-        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
-
-
-def _multinomial_sums(probs, total: int, keeps) -> list:
-    """For each predicate of ``keeps``, the chance that ``total`` iid draws
-    over the categories of probabilities ``probs`` (arrays) give counts it
-    keeps: a sum over every tuple of counts."""
-    powers = [np.cumprod([np.ones_like(p)] + [p] * total, axis=0) for p in probs]
-    sums = [np.zeros(np.broadcast_shapes(*(p.shape for p in probs))) for _ in keeps]
-    for counts in _compositions(total, len(probs)):
-        term = math.factorial(total) // math.prod(map(math.factorial, counts)) * math.prod(
-            power[c] for power, c in zip(powers, counts))
-        for out, keep in zip(sums, keeps):
-            if keep(*counts):
-                out += term
-    return sums
-
-
 @dataclass(frozen=True)
 class _StageMap:
     """Exact per-bin hit rate of one weighted draw as a function of the bin
@@ -499,17 +478,13 @@ class _StageMap:
 
     The cells run from the end of the pool's side (the bottom for the
     lottery, the top for the audit); a run of cells no pool member holds is
-    one cell.  ``block`` marks each as incentive (0), supply below the audit
-    region (1), audit (2) or supply above it (3).  Supply below the audit
-    region changes who wins merit: there the count is summed over every
-    tuple of counts per category (``_multinomial_sums``), and the pool
-    members inside the audit region (lottery) or the supply above it
-    (audit) are a class of their own.  ``nodes`` hold each cell's mass on
-    the pool's side of each v node (``spread``) and the side's mass;
-    ``classes`` hold each class's tallied cells and their ``spread`` times
-    each node's quadrature weight and V's density.  ``settled`` holds
-    H_c(inf) times the cell's mass; ``draws`` and ``sure`` are the expected
-    tallied agents and sure hits per bin.
+    one cell.  ``region`` holds each cell's region code (0 incentive, 1
+    audit, 2 supply), in the order ``partition()`` builds the regions.
+    ``nodes`` hold each cell's mass on the pool's side of each v node
+    (``spread``) and the side's mass; ``reach`` holds, for the tallied
+    cells, their ``spread`` times each node's quadrature weight and V's
+    density.  ``settled`` holds H_c(inf) times the cell's mass; ``draws``
+    and ``sure`` are the expected tallied agents and sure hits per bin.
     """
 
     stage: str
@@ -518,10 +493,9 @@ class _StageMap:
     k: int
     mu: np.ndarray
     cell_bin: np.ndarray
-    block: np.ndarray
+    region: np.ndarray
     tallied: np.ndarray
-    interleaved: bool
-    classes: tuple
+    reach: np.ndarray
     nodes: tuple
     draws: np.ndarray
     sure: np.ndarray
@@ -543,89 +517,45 @@ class _StageMap:
             wc = w[self.cell_bin]
             wt = np.outer(wc, x)
             left = np.exp(-wt)
-            held = self._held(-np.expm1(-wt), left) - self.settled[:, None]
+            held = self._held(-np.expm1(-wt)) - self.settled[:, None]
             hits = self.n * np.einsum("cx,cx->c", (wx * wc[:, None]) * left, held)
         with np.errstate(invalid="ignore", divide="ignore"):
             return (np.bincount(self.cell_bin, hits, len(self.draws)) + self.sure) / self.draws
 
-    def _kinds(self, came, left) -> list:
-        """Per cell and x, the chance that an agent of the cell falls in
-        each category of the count: for a binomial tail, counted or not;
-        with supply below the audit region, the categories of ``_tails``."""
-        b = self.block[:, None]
-        if self.stage == "lottery":
-            if not self.interleaved:
-                return [(b == 3) + self.tallied[:, None] * came]
-            return [(b == 3) + (b == 2) * came, (b == 2) * left, 1.0 * (b == 1),
-                    (b == 0) * came, (b == 0) * left]
-        if not self.interleaved:
-            return [self.tallied[:, None] * came]
-        return [(b == 3) * came, (b == 3) * left, 1.0 * (b == 2), (b == 1) * came,
-                (b == 0) + (b == 1) * left]
-
-    def _lottery_ok(self, above: int, iota: int):
-        """Whether fewer than m lottery objects are gone: ``above`` winners
-        at or above the cut, and below it u_in audit or high supply agents
-        who count (winners, or pool members who arrived) and u_out who do
-        not, ``low`` supply agents below the audit region, who win while
-        fewer than m agents outrank them (the pool member herself among them
-        when ``iota``), and i_in incentive-region agents who arrived."""
-        m = self.m
-        return lambda u_in, u_out, low, i_in, _: (
-            above + u_in + i_in + min(low, max(0, m - above - u_in - u_out - iota)) <= m - 1)
-
-    def _tails(self, probs) -> list:
-        """Per v node and x, the chance that the count stays below the
-        quota, for a pool member outside (index 0) and inside (1) the audit
-        region (lottery) or the supply above it (audit)."""
-        n, m, k = self.n, self.m, self.k
-        if self.stage == "lottery":
-            if not self.interleaved:
-                return [_binom_cdf(m - k - 1, n - 1 - k, probs[0])]
-            return _multinomial_sums(probs, n - 1 - k, [self._lottery_ok(k, 0),
-                                                          self._lottery_ok(k, 1)])
-        if not self.interleaved:
-            return [_binom_cdf(k - 1, m - 1, probs[0])]
-        # h_in + h_out high supply winners outrank the audit region, whose
-        # top winners fill what is left of the first k ranks
-        return _multinomial_sums(probs, m - 1, [
-            lambda h_in, h_out, aud, low_in, _, iota=iota:
-                min(aud, max(0, k - h_in - h_out - iota)) + h_in + low_in <= k - 1
-            for iota in (0, 1)])
-
-    def _uncut(self, came, left) -> np.ndarray:
+    def _uncut(self, came) -> np.ndarray:
         """Per x, the chance of a lottery pool member of the incentive region
         that merit cuts no block, fewer than k others lying in the audit and
         supply regions (all winners), and that the count stays below m."""
         n, m, k = self.n, self.m, self.k
-        mu, b = self.mu[:, None], self.block[:, None]
-        if self.interleaved:
-            probs = [np.sum(mu * kind, axis=0) for kind in (
-                1.0 * (b >= 2), 1.0 * (b == 1), (b == 0) * came, (b == 0) * left)]
-            whole = self._lottery_ok(0, 0)
-            return _multinomial_sums(probs, n - 1, [
-                lambda u, low, i_in, i_out: u < k and whole(u, 0, low, i_in, i_out)])[0]
-        pool = self.block == 0
+        mu = self.mu[:, None]
+        pool = self.region == 0
         mass, rest = mu[pool].sum(), mu[~pool].sum()
         share = np.sum(mu[pool] * came[pool], axis=0) / mass
         return sum(math.comb(n - 1, s) * rest ** s * mass ** (n - 1 - s)
                    * _binom_cdf(m - 1 - s, n - 1 - s, share) for s in range(k))
 
-    def _held(self, came, left) -> np.ndarray:
+    def _held(self, came) -> np.ndarray:
         """H_c(x) times the mass of cell c, per cell and x (0 on the cells
-        not tallied), given each cell's chance to have arrived (``came``)
-        and not (``left``) by x."""
+        not tallied), given each cell's chance to have arrived by x
+        (``came``)."""
+        n, m, k = self.n, self.m, self.k
+        lottery = self.stage == "lottery"
         spread, side = self.nodes
-        held = np.zeros(np.broadcast_shapes(came.shape, left.shape))
+        held = np.zeros(came.shape)
         if len(side):
-            probs = [np.minimum(spread @ kind / side[:, None], 1.0)
-                     for kind in self._kinds(came, left)]
-            for (rows, reach), tail in zip(self.classes, self._tails(probs)):
-                held[rows] = reach @ tail
-        if self.stage == "lottery" and self.block[0] == 0:
+            # each other on the pool's side of v adds to the count when she
+            # arrived by x and, for the lottery, when she is in the supply region
+            counted = self.tallied[:, None] * came
+            if lottery:
+                counted = (self.region == 2)[:, None] + counted
+            prob = np.minimum(spread @ counted / side[:, None], 1.0)
+            tail = (_binom_cdf(m - k - 1, n - 1 - k, prob) if lottery
+                    else _binom_cdf(k - 1, m - 1, prob))
+            held[self.tallied] = self.reach @ tail
+        if lottery and self.region[0] == 0:
             # the incentive region, the lowest cells
-            rows = np.flatnonzero(self.block == 0)
-            held[rows] += self.mu[rows, None] * self._uncut(came, left)
+            rows = np.flatnonzero(self.region == 0)
+            held[rows] += self.mu[rows, None] * self._uncut(came)
         return held
 
 
@@ -635,27 +565,23 @@ def _stage_maps(inst: ProblemInstance, part: RegionPartition, bins: int, stages)
     grid, reg = _cells(inst, part, bins)
     keep = np.flatnonzero(grid.mass > 0)
     mu, cell_bin, reg = grid.mass[keep], grid.bin[keep], reg[keep]
-    block = np.array([0, 2, 3])[reg]
-    if (reg == 1).any():
-        block[(reg == 2) & (np.arange(len(reg)) < np.argmax(reg == 1))] = 1
-    if np.any(np.diff(block) < 0):
-        raise ValueError("the exact map needs the incentive region lowest and "
-                         "no supply between audit-region pieces")
-    interleaved = bool(np.any(block == 1))
+    if np.any(np.diff(reg) < 0):
+        raise ValueError("the exact map needs the regions in the order partition() builds "
+                         "them: incentive, then audit, then supply")
     gx, gw = np.polynomial.legendre.leggauss((n - 1) // 2 + 1)
     maps = {}
     for stage in stages:
         lottery = stage == "lottery"
         order = slice(None) if lottery else slice(None, None, -1)
-        s_mu, s_bin, s_block = mu[order], cell_bin[order], block[order]
-        tallied = np.isin(s_block, (0, 2) if lottery else (1, 3))
+        s_mu, s_bin, s_reg = mu[order], cell_bin[order], reg[order]
+        tallied = s_reg <= 1 if lottery else s_reg == 2
         # no pool member holds a cell that is not tallied, so its weight
         # moves nothing: a run of them is one cell
         at = np.flatnonzero(np.r_[True, tallied[1:] | tallied[:-1]])
-        s_mu, s_bin, s_block, tallied = (np.add.reduceat(s_mu, at), s_bin[at],
-                                         s_block[at], tallied[at])
+        s_mu, s_bin, s_reg, tallied = (np.add.reduceat(s_mu, at), s_bin[at], s_reg[at],
+                                       tallied[at])
         # the v nodes, in the cells V can lie in when merit cuts the pool's block
-        cut = np.repeat(np.flatnonzero(s_block >= (2 if lottery else 0)), len(gx))
+        cut = np.repeat(np.flatnonzero(s_reg >= (1 if lottery else 0)), len(gx))
         off = s_mu[cut] * np.resize(0.5 * (gx + 1.0), len(cut))
         # each cell's mass on the pool's side of each node: all of it for
         # the cells before the node's, the offset into the node's own
@@ -666,17 +592,11 @@ def _stage_maps(inst: ProblemInstance, part: RegionPartition, bins: int, stages)
         # the pool's side of it are n - 1 - k (lottery) or m - 1 (audit)
         dens = (n - 1) * _anchor_pmf(n - 2, n - 1 - k if lottery else m - 1, side)
         weight = 0.5 * s_mu[cut] * np.resize(gw, len(cut)) * dens
-        inside = s_block == (2 if lottery else 3)
-        # the tallied cells, by class, and the mass of each on the pool's side
-        # of each node times its weight
-        classes = tuple((rows, (spread[:, rows] * weight[:, None]).T) for rows in (
-            map(np.flatnonzero, (tallied & ~inside, tallied & inside)) if interleaved
-            else [np.flatnonzero(tallied)]))
-        smap = _StageMap(stage, n, m, k, s_mu, s_bin, s_block, tallied, interleaved, classes,
-                         (spread, side),
+        smap = _StageMap(stage, n, m, k, s_mu, s_bin, s_reg, tallied,
+                         (spread[:, tallied] * weight[:, None]).T, (spread, side),
                          n * np.bincount(s_bin, s_mu * tallied, bins), np.zeros(bins),
                          np.zeros(len(s_mu)))
-        settled = smap._held(np.ones((len(s_mu), 1)), np.zeros((len(s_mu), 1)))[:, 0]
+        settled = smap._held(np.ones((len(s_mu), 1)))[:, 0]
         maps[stage] = dataclasses.replace(smap, sure=n * np.bincount(s_bin, settled, bins),
                                           settled=settled)
     return maps
@@ -862,9 +782,10 @@ def simulate(inst: ProblemInstance, phi: float, trials: int, seed: int, *,
     violations = 0
     payoff_sum = 0.0
 
-    for chunk_id, done in enumerate(range(0, trials, _CHUNK)):
+    chunk = max(1, _CHUNK_ENTRIES // inst.n)
+    for chunk_id, done in enumerate(range(0, trials, chunk)):
         rng = _philox(seed, 2, chunk_id)
-        types = _sample_types(inst, min(_CHUNK, trials - done), rng)
+        types = _sample_types(inst, min(chunk, trials - done), rng)
         reg, merit, lottery, allocated, audited, tie = _mechanism_batch(
             types, part, inst, lottery_weights, audit_weights, rng,
             draw_rows=stats["main_draw_rows"],

@@ -223,8 +223,25 @@ class TestPartition:
                 label = part.region_of(t)
                 assert bounds[label][j] <= value[j] + 1e-9, (phi, t, label)
 
+    def test_no_guarantee_puts_supply_below_the_audit_region(self):
+        # supply below the audit region needs cutoffs g1 < g2 < g3; the
+        # curves satisfy z2 = q z1 + (1 - q) band, so that needs a q where
+        # the band rises below the z1 curve.  Neither turns up (cutoffs live
+        # in quantile space, so this holds for every distribution)
+        q = (np.arange(2001) + 0.5) / 2001
+        for n in range(3, 21):
+            for m, k in ((m, k) for m in range(2, n) for k in range(1, m)):
+                if n <= 12:
+                    inst = ProblemInstance(n, m, k, make_uniform())
+                    g1, g2, g3 = envelope._cutoffs(np.linspace(0.0, m / n, 201), inst)[2]
+                    assert not np.any((g1 < g2) & (g2 < g3)), (n, m, k)
+                (z1, _, band), (_, _, rise) = envelope._curve_points(q, n, m, k)
+                assert not np.any((rise > 0) & (band < z1)), (n, m, k)
+
     def test_supply_region_on_both_sides_of_the_audit_region(self):
-        # no solver input reaches this case: a hand-built crossing row with
+        # no guarantee gives this case (see
+        # test_no_guarantee_puts_supply_below_the_audit_region) and the
+        # exact calibration map refuses it: a hand-built crossing row with
         # z1 < z2 < r1 < r2 gives supply on [z1, r1) and past r2
         inst = ProblemInstance(3, 2, 1, make_power(2.0))
         part = envelope._assemble(0.5, (0.04, 0.09, 0.25, 0.64), inst)

@@ -50,6 +50,13 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _hand_built(pieces) -> RegionPartition:
+    """A partition of [0, 1] into ``pieces`` of (upper end, label)."""
+    ends = (0.0,) + tuple(hi for hi, _ in pieces)
+    return RegionPartition(0.3, "hand-built", 0.2, 0.4, 0.6, tuple(
+        RegionInterval(lo, hi, label) for lo, (hi, label) in zip(ends, pieces)))
+
+
 def _count_batch_rows(monkeypatch) -> list:
     """Record the rows of every ``_mechanism_batch`` call from now on."""
     rows = []
@@ -354,6 +361,22 @@ class TestCalibration:
                                                str(err.value))[0])
         assert forced > target + 0.1
 
+    @pytest.mark.parametrize("pieces", [
+        ((0.3, LABEL_ALLO), (0.6, LABEL_AUD), (1.0, LABEL_ALLO)),
+        ((0.2, LABEL_IC), (0.5, LABEL_ALLO), (1.0, LABEL_AUD)),
+        ((0.3, LABEL_AUD), (0.6, LABEL_IC), (1.0, LABEL_ALLO))])
+    def test_regions_out_of_order_are_refused(self, ex_inst, pieces):
+        # the exact map serves only the order partition() builds: the first
+        # two put supply below the audit region, the third the audit region
+        # below the incentive region
+        part = _hand_built(pieces)
+        rules = merit_with_guarantee(part.phi, ex_inst, part)
+        refusal = r"the exact map needs the regions in the order partition\(\) builds them"
+        with pytest.raises(ValueError, match=refusal):
+            calibrate_lottery(ex_inst, part, bins=8)
+        with pytest.raises(ValueError, match=refusal):
+            calibrate_audit(ex_inst, part, rules, bins=8)
+
     def test_exact_weights_do_not_depend_on_the_seed(self, ex_inst, ex_solved):
         part = ex_solved.partition
         rules = merit_with_guarantee(ex_solved.phi_star, ex_inst, part)
@@ -574,28 +597,19 @@ def _tally(inst, part, weights, stage, rows, seed):
 _MAP_CASES = [
     (3, 2, 1, "star", 64, "lottery"), (3, 2, 1, "star", 64, "audit"),
     (3, 2, 1, 2 / 3, 16, "lottery"), (3, 2, 1, 0.6, 16, "audit"),
-    (3, 2, 1, "interleaved", 16, "lottery"), (3, 2, 1, "interleaved", 16, "audit"),
     (5, 3, 1, "star", 8, "lottery"), (5, 3, 1, "star", 8, "audit"),
     (8, 4, 2, "star", 8, "lottery"), (8, 4, 2, "star", 8, "audit"),
 ]
 
 
-# more cut runs: an audit pool cut out of the lower supply region (k = 2 of
-# a larger supply region), and the interleaved partition with n = 6
-_ENUMERATED_CASES = sorted({case[:5] for case in _MAP_CASES}
-                           | {(5, 3, 2, "star", 8), (6, 4, 2, "interleaved", 8)}, key=str)
+# one more cut run: an audit pool cut out of the lower supply region (k = 2
+# of a larger supply region)
+_ENUMERATED_CASES = sorted({case[:5] for case in _MAP_CASES} | {(5, 3, 2, "star", 8)}, key=str)
 
 
 def _map_instance(dist, n, m, k, phi):
     """The instance and partition of a ``_MAP_CASES`` entry."""
     inst = ProblemInstance(n, m, k, dist)
-    if phi == "interleaved":
-        # regions out of order (supply below and above the audit region): a
-        # losing low supply-region type leaves the lottery pool no larger
-        # than its quota, so some draws are certain
-        return inst, RegionPartition(0.3, "IcAlloAudAllo", 0.2, 0.4, 0.6, (
-            RegionInterval(0.0, 0.2, LABEL_IC), RegionInterval(0.2, 0.4, LABEL_ALLO),
-            RegionInterval(0.4, 0.6, LABEL_AUD), RegionInterval(0.6, 1.0, LABEL_ALLO)))
     return inst, partition(solve(inst).phi_star if phi == "star" else phi, inst)
 
 
@@ -688,18 +702,12 @@ class TestExactMap:
                 assert np.array_equal(active, ~np.isnan(reference))
                 assert np.max(np.abs(smap.rate(w) - reference)[active], initial=0.0) <= 1e-9
 
-    @pytest.mark.parametrize("pieces", [
-        ((0.5, LABEL_AUD), (1.0, LABEL_ALLO)),
-        ((0.3, LABEL_ALLO), (0.6, LABEL_AUD), (1.0, LABEL_ALLO)),
-        ((0.2, LABEL_IC), (0.5, LABEL_ALLO), (1.0, LABEL_AUD))])
+    @pytest.mark.parametrize("pieces", [((0.5, LABEL_AUD), (1.0, LABEL_ALLO))])
     @pytest.mark.parametrize("n, m, k, bins", [(4, 3, 1, 4), (5, 3, 2, 3)])
     def test_map_matches_enumeration_without_some_regions(self, pieces, n, m, k, bins):
-        # hand-built partitions with no incentive region, or with supply
-        # below the audit region and none above it
+        # a hand-built partition with no incentive region
         inst = ProblemInstance(n, m, k, make_power(2.0))
-        ends = (0.0,) + tuple(hi for hi, _ in pieces)
-        part = RegionPartition(0.3, "hand-built", 0.2, 0.4, 0.6, tuple(
-            RegionInterval(lo, hi, label) for lo, (hi, label) in zip(ends, pieces)))
+        part = _hand_built(pieces)
         maps = simulation._stage_maps(inst, part, bins, ("lottery", "audit"))
         w = np.exp(np.random.default_rng(bins).normal(0.0, 0.8, bins))
         for stage, smap in maps.items():
@@ -708,8 +716,7 @@ class TestExactMap:
             assert np.array_equal(active, ~np.isnan(reference)) and active.any()
             assert np.max(np.abs(smap.rate(w) - reference)[active]) <= 1e-9
 
-    @pytest.mark.parametrize("n, m, k, phi, bins", [
-        (3, 2, 1, "star", 8), (3, 2, 1, "interleaved", 8), (6, 4, 2, "interleaved", 4)])
+    @pytest.mark.parametrize("n, m, k, phi, bins", [(3, 2, 1, "star", 8)])
     def test_map_matches_fraction_sums_at_extreme_weights(self, uniform, n, m, k, phi, bins):
         inst, part = _map_instance(uniform, n, m, k, phi)
         maps = simulation._stage_maps(inst, part, bins, ("lottery", "audit"))
@@ -740,7 +747,7 @@ class TestExactMap:
         smap = simulation._stage_maps(inst, part, bins, (stage,))[stage]
         reference = _plain_fit(smap, target)
         if reference is None:
-            # the unreachable targets of 0.6 and the interleaved partition
+            # the unreachable targets of 0.6
             with pytest.raises(CalibrationError):
                 simulation._fit_exact(smap, target, stage)
             return
@@ -963,6 +970,17 @@ class TestLargerInstances:
         totals = [np.sum(smap.rate(np.exp(np.random.default_rng(1).normal(0.0, sigma, 16)))
                          [active] * smap.draws[active]) for sigma in (0.0, 1.0, 4.0)]
         assert np.ptp(totals) <= 1e-12 * np.mean(totals)
+
+    def test_main_pass_chunks_by_entries(self, monkeypatch):
+        # about 750,000 entries per chunk: 25,000 rows of 30 agents; given
+        # weights skip calibration
+        inst = ProblemInstance(30, 15, 3, make_uniform())
+        flat = BinWeights.uniform(16)
+        rows = _count_batch_rows(monkeypatch)
+        report = simulate(inst, solve(inst).phi_star, 60_000, seed=1, bins=16,
+                          lottery_weights=flat, audit_weights=flat)
+        assert rows == [25_000, 25_000, 10_000]
+        assert report.stats["main_rows"] == 60_000
 
     def test_calibrates_both_stages_at_a_hundred_agents(self):
         # a stochastic fit of these weights was seen to fail here
